@@ -62,17 +62,17 @@ fn run(smoke: bool, json: bool) -> i32 {
     // Uncached pass: every (stylesheet, view) pair pays the full planning
     // pipeline. Outputs are kept as the differential expectation.
     let t0 = Instant::now();
-    let mut expected: Vec<Vec<Vec<String>>> = Vec::with_capacity(sheets);
+    let mut expected: Vec<Vec<Vec<u8>>> = Vec::with_capacity(sheets);
     for case in &cases {
         let mut per_view = Vec::with_capacity(views);
         for view in &family {
             let bound = plan_bound(&catalog, view, &case.stylesheet, &opts)
                 .unwrap_or_else(|e| panic!("{}: planning fails: {e}", case.name));
-            let stats = ExecStats::new();
-            let run = bound
-                .execute_guarded(&catalog, &stats, &Guard::unlimited())
+            let mut out = Vec::new();
+            bound
+                .execute_to_writer(&catalog, &ExecStats::new(), &Guard::unlimited(), &mut out)
                 .unwrap_or_else(|e| panic!("{}: uncached run fails: {e}", case.name));
-            per_view.push(run.documents.iter().map(xsltdb_xml::to_string).collect::<Vec<_>>());
+            per_view.push(out);
         }
         expected.push(per_view);
     }
@@ -87,11 +87,10 @@ fn run(smoke: bool, json: bool) -> i32 {
         for (vi, view) in family.iter().enumerate() {
             let bound = plan_cached_shared(&cache, &catalog, view, &case.stylesheet, &opts)
                 .unwrap_or_else(|e| panic!("{}: cached planning fails: {e}", case.name));
-            let stats = ExecStats::new();
-            let run = bound
-                .execute_guarded(&catalog, &stats, &Guard::unlimited())
+            let mut got = Vec::new();
+            bound
+                .execute_to_writer(&catalog, &ExecStats::new(), &Guard::unlimited(), &mut got)
                 .unwrap_or_else(|e| panic!("{}: cached run fails: {e}", case.name));
-            let got: Vec<String> = run.documents.iter().map(xsltdb_xml::to_string).collect();
             assert_eq!(
                 got, expected[ci][vi],
                 "{}: cached output for view {} diverged from the fresh plan",

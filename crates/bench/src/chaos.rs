@@ -274,13 +274,13 @@ pub fn reference_outputs(catalog: &Catalog, view: &XmlView) -> Vec<Vec<u8>> {
 
 /// Fresh uncached output for one stylesheet against the catalog as it is
 /// *right now* — the churn differential's reference side, run under the
-/// same read lock as the served request it gates. Materialise-then-
-/// serialize rather than `execute_to_writer`: the reference must be
-/// maximally robust, and on the streaming path a tier that dies after its
-/// first byte is terminal (dirtiness rule), whereas the materialising
-/// lattice degrades cleanly — e.g. a recursion-shaped case whose XQuery
-/// tier trips the depth limit still produces VM bytes here, exactly as a
-/// breaker-routed serve does.
+/// same read lock as the served request it gates. `BoundPlan::execute`
+/// runs the planned tier only — unguarded, with no fallback and no
+/// breaker — so the reference never passes through the lattice under
+/// test. The flip side: a planned-tier failure is a failed differential
+/// here, not a degraded answer (e.g. a recursion-shaped case whose XQuery
+/// tier trips the depth limit panics this reference instead of producing
+/// VM bytes), which is why [`apply_churn`] caps row growth.
 fn fresh_output(catalog: &Catalog, view: &XmlView, stylesheet: &str, name: &str) -> Vec<u8> {
     let opts = RewriteOptions::default();
     let bound = plan_bound(catalog, view, stylesheet, &opts)

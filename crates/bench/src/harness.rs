@@ -99,20 +99,6 @@ impl Workload {
         (docs, stats.snapshot())
     }
 
-    /// One cached call through a thread-safe [`SharedPlanCache`]: the
-    /// per-thread body of the concurrency harness. Takes `&self` and
-    /// `&cache` only, so any number of threads can run it against one
-    /// workload and one cache.
-    pub fn run_cached_call_shared(
-        &self,
-        cache: &SharedPlanCache,
-    ) -> (Vec<Document>, StatsSnapshot) {
-        let stats = ExecStats::new();
-        let bound = self.plan_cached_shared(cache);
-        let docs = bound.execute(&self.catalog, &stats).expect("plan runs");
-        (docs, stats.snapshot())
-    }
-
     /// The prepared plan for this workload, bound to its view, through
     /// `cache`.
     pub fn plan_cached(&self, cache: &mut PlanCache) -> BoundPlan {
@@ -183,67 +169,6 @@ pub fn measure_amortization(w: &Workload, cold_iters: usize, repeats: usize) -> 
     }
     let warm_us = t0.elapsed().as_secs_f64() * 1e6 / repeats as f64;
     AmortizedCost { cold_us, warm_us, cache: cache.stats() }
-}
-
-/// One point of the thread-scaling curve: K sessions hammering one shared
-/// cache.
-#[derive(Debug, Clone, Copy)]
-pub struct ScalingPoint {
-    pub threads: usize,
-    pub calls_per_thread: usize,
-    /// Wall-clock for the whole K-thread run, seconds.
-    pub wall_s: f64,
-    /// Aggregate calls per second across all threads.
-    pub throughput_per_s: f64,
-}
-
-/// Run `threads` concurrent sessions, each performing `calls_per_thread`
-/// warm cached calls on `w` through one shared `cache`, asserting every
-/// call's output byte-identical to `expected` (the single-threaded
-/// rendering). Returns the aggregate throughput — the scaling evidence the
-/// `concurrency_report` binary prints.
-///
-/// The differential assertion runs *inside* the timed region on purpose:
-/// the serialisation cost is identical at every K, so speedups are
-/// comparable, and a silent divergence can never produce a good-looking
-/// number.
-pub fn measure_concurrent(
-    w: &Workload,
-    cache: &SharedPlanCache,
-    threads: usize,
-    calls_per_thread: usize,
-    expected: &[String],
-) -> ScalingPoint {
-    assert!(threads > 0 && calls_per_thread > 0);
-    let t0 = Instant::now();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|| {
-                    for _ in 0..calls_per_thread {
-                        let (docs, _) = w.run_cached_call_shared(cache);
-                        let got: Vec<String> =
-                            docs.iter().map(xsltdb_xml::to_string).collect();
-                        assert_eq!(
-                            got, expected,
-                            "concurrent output diverged from the single-threaded run"
-                        );
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("session thread panicked");
-        }
-    });
-    let wall_s = t0.elapsed().as_secs_f64();
-    let total = (threads * calls_per_thread) as f64;
-    ScalingPoint {
-        threads,
-        calls_per_thread,
-        wall_s,
-        throughput_per_s: total / wall_s.max(1e-9),
-    }
 }
 
 /// Median wall-clock over `iters` runs, in microseconds.
@@ -329,25 +254,11 @@ mod tests {
         let (expected, _) = w.run_cached_call(&mut exclusive);
         let expected: Vec<String> = expected.iter().map(xsltdb_xml::to_string).collect();
         for _ in 0..3 {
-            let (docs, _) = w.run_cached_call_shared(&shared);
-            let got: Vec<String> = docs.iter().map(xsltdb_xml::to_string).collect();
+            let docs = w.plan_cached_shared(&shared).execute(&w.catalog, &ExecStats::new());
+            let got: Vec<String> = docs.unwrap().iter().map(xsltdb_xml::to_string).collect();
             assert_eq!(got, expected);
         }
         assert_eq!((shared.stats().hits, shared.stats().misses), (2, 1));
-    }
-
-    #[test]
-    fn concurrent_measure_is_differential() {
-        let w = Workload::dbonerow(60);
-        let cache = SharedPlanCache::default();
-        let (docs, _) = w.run_cached_call_shared(&cache);
-        let expected: Vec<String> = docs.iter().map(xsltdb_xml::to_string).collect();
-        let point = measure_concurrent(&w, &cache, 3, 4, &expected);
-        assert_eq!(point.threads, 3);
-        assert!(point.throughput_per_s > 0.0);
-        let snap = cache.stats();
-        assert_eq!(snap.lookups(), 13, "warm-up + 3×4 measured calls");
-        assert_eq!(snap.misses, 1, "one cold plan serves every session");
     }
 
     #[test]

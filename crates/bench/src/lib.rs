@@ -33,10 +33,7 @@ pub mod chaos;
 pub mod harness;
 
 pub use chaos::{reference_outputs, run_chaos, ChaosConfig, ChaosReport, CHAOS_STACK};
-pub use harness::{
-    measure_amortization, measure_concurrent, median_micros, AmortizedCost, ScalingPoint,
-    Workload,
-};
+pub use harness::{measure_amortization, median_micros, AmortizedCost, Workload};
 
 /// Write a machine-readable benchmark artefact (`BENCH_*.json`) to the
 /// repository root (or wherever the report is run from) and say so — the

@@ -8,7 +8,7 @@
 //! reason used for `fallback_reason` reporting.
 
 use std::fmt;
-use xsltdb_xml::GuardExceeded;
+use xsltdb_xml::{GuardExceeded, SinkError};
 
 /// An error during XSLT→XQuery or XQuery→SQL/XML rewriting. Rewrite errors
 /// are not fatal to a transformation: the pipeline falls back to the next
@@ -195,6 +195,18 @@ impl From<RewriteError> for PipelineError {
 impl From<GuardExceeded> for PipelineError {
     fn from(e: GuardExceeded) -> Self {
         PipelineError::Guard(e)
+    }
+}
+
+impl From<SinkError> for PipelineError {
+    fn from(e: SinkError) -> Self {
+        // A sink that refuses on budget keeps its trip evidence; anything
+        // else (a failed write, a misplaced event) is the result path's own
+        // failure.
+        match e {
+            SinkError::Guard(trip) => PipelineError::Guard(trip),
+            other => PipelineError::Internal(other.to_string()),
+        }
     }
 }
 

@@ -2,29 +2,14 @@
 //!
 //! The mechanism lives in the XML substrate crate (`xsltdb_xml::guard`) so
 //! every engine can charge the same handle without a dependency cycle; this
-//! module re-exports it as the pipeline-facing surface and adds the
-//! pipeline-level policy knobs.
+//! module re-exports it as the pipeline-facing surface.
 //!
 //! One [`Guard`] is cloned into all three tiers of a transformation, so the
 //! fuel, recursion-depth, output-size and wall-clock budgets accumulate
 //! *globally*: a query that burns half its fuel on a failed SQL-tier
 //! attempt has only the other half left for the VM fallback.
 
-pub use xsltdb_xml::guard::{
-    FaultKind, FaultPoint, Guard, GuardExceeded, Limits, Resource,
-};
-
-/// How the pipeline reacts to a tier failing at execution time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DegradePolicy {
-    /// Fall back to the next slower tier on an engine error or a contained
-    /// panic. Guard trips never fall back — the budget is shared, so the
-    /// lower tier would only burn the remainder before tripping again.
-    #[default]
-    Fallback,
-    /// Fail fast: surface the first tier's error without trying another.
-    Strict,
-}
+pub use xsltdb_xml::guard::{FaultKind, FaultPoint, Guard, GuardExceeded, Limits, Resource};
 
 #[cfg(test)]
 mod tests {
@@ -36,10 +21,5 @@ mod tests {
         let g = Guard::new(Limits::UNLIMITED.with_fuel(1));
         assert!(g.charge(2).is_err());
         assert_eq!(g.trip().unwrap().resource, Resource::Fuel);
-    }
-
-    #[test]
-    fn default_policy_is_fallback() {
-        assert_eq!(DegradePolicy::default(), DegradePolicy::Fallback);
     }
 }

@@ -64,15 +64,12 @@ pub use admission::{
     CircuitBreakerSet, FailureClass, Permit, Rejected, RetryPolicy,
 };
 pub use error::{PipelineError, RewriteError, TierFailure};
-pub use guard::{
-    DegradePolicy, FaultKind, FaultPoint, Guard, GuardExceeded, Limits, Resource,
-};
+pub use guard::{FaultKind, FaultPoint, Guard, GuardExceeded, Limits, Resource};
 pub use docexec::{execute_indexed, index_assist, ProbeSpec, INDEXED_VAR};
 pub use pe::{partial_evaluate, ExecGraph, PeResult};
 pub use pipeline::{
-    no_rewrite_transform, no_rewrite_transform_guarded, plan_bound, plan_cached,
-    plan_cached_shared, plan_transform, AllowAllTiers, BaselineRun, BoundPlan, GuardedRun,
-    StreamRun, Tier, TierRouter, TransformPlan,
+    no_rewrite_transform, plan_bound, plan_cached, plan_cached_shared, plan_transform,
+    AllowAllTiers, BaselineRun, BoundPlan, StreamRun, Tier, TierRouter, TransformPlan,
 };
 pub use plancache::{
     fnv64, plan_cost, struct_fingerprint, PlanCache, PlanKey, SharedPlanCache,

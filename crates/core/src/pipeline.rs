@@ -21,15 +21,16 @@
 //! against the catalog — one prepared plan serves every view in a shape
 //! family.
 
-// Guard-bearing hot path: a stray unwrap here is a latent panic the
-// pipeline would have to contain at a tier boundary. Keep it impossible.
+// Guard-bearing hot path: a stray unwrap or expect here is a latent panic
+// the pipeline would have to contain at a tier boundary. Keep it impossible.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::expect_used))]
 // The plan path shares one Arc'd plan across many binds; a stray clone of
 // the plan (or the old Rc idiom) would silently undo the sharing.
 #![cfg_attr(not(test), deny(clippy::redundant_clone))]
 
 use crate::error::{PipelineError, TierFailure};
-use crate::guard::{DegradePolicy, Guard, Limits};
+use crate::guard::Guard;
 use crate::plancache::{PlanCache, PlanKey, SharedPlanCache};
 use crate::sqlrewrite::rewrite_to_sql;
 use crate::xqgen::{rewrite, RewriteOptions, RewriteOutcome};
@@ -38,12 +39,12 @@ use std::sync::Arc;
 use xsltdb_relstore::pubexpr::SqlXmlQuery;
 use xsltdb_relstore::{slot_name, Catalog, ExecStats, SlotBindings, XmlView};
 use xsltdb_structinfo::{canonicalize_view, StructInfo, ViewCanon};
-use xsltdb_xml::{Document, StreamWriter};
+use xsltdb_xml::{replay_subtree, Document, NodeId, StreamWriter, TreeSink, XmlSink};
 use xsltdb_xquery::{
-    analyze_query, evaluate_query, evaluate_query_guarded, evaluate_query_to_sink,
-    sequence_to_document, EmissionReport, NodeHandle,
+    analyze_query, evaluate_query, evaluate_query_to_sink, sequence_to_document, EmissionReport,
+    NodeHandle,
 };
-use xsltdb_xslt::{compile_str, transform, transform_with, Stylesheet, TransformOptions};
+use xsltdb_xslt::{compile_str, transform, transform_with, NoTrace, Stylesheet, TransformOptions};
 
 /// Which execution strategy a plan uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,8 +151,8 @@ fn plan_valid_at(catalog: &Catalog, view: &XmlView) -> u64 {
 /// shared plan to *this* view's tables.
 ///
 /// Cached plans are immutable — execute them with a fresh [`Guard`] per
-/// call ([`BoundPlan::execute_with_limits`]); a budget trip in one
-/// execution never poisons the entry.
+/// call ([`BoundPlan::execute_to_writer`]); a budget trip in one execution
+/// never poisons the entry.
 pub fn plan_cached(
     cache: &mut PlanCache,
     catalog: &Catalog,
@@ -251,25 +252,15 @@ pub fn plan_compiled(
     })
 }
 
-/// Result of a guarded execution: the documents plus a record of which
-/// tier produced them and every tier that failed on the way down.
-#[derive(Debug)]
-pub struct GuardedRun {
-    pub documents: Vec<Document>,
-    /// The tier that actually produced the result (≤ the planned tier).
-    pub tier: Tier,
-    /// Failed attempts before the successful tier, in lattice order.
-    pub fallbacks: Vec<TierFailure>,
-}
-
-/// Result of a streaming execution ([`BoundPlan::execute_to_writer`]).
+/// Result of an execution through the degradation lattice
+/// ([`BoundPlan::execute_to_writer`]).
 #[derive(Debug)]
 pub struct StreamRun {
     /// Total bytes delivered to the writer.
     pub bytes_written: u64,
-    /// The tier that produced the bytes. [`Tier::Sql`] means true
-    /// streaming (zero DOM nodes); the lower tiers materialise first and
-    /// serialize after.
+    /// The tier that produced the bytes (≤ the planned tier). [`Tier::Sql`]
+    /// means true streaming (zero DOM nodes); the XQuery tier materialises
+    /// its input view rows, the VM tier its input and result trees.
     pub tier: Tier,
     /// Failed attempts before the successful tier, in lattice order.
     pub fallbacks: Vec<TierFailure>,
@@ -313,6 +304,17 @@ struct Attempt {
     error: Option<PipelineError>,
 }
 
+impl Attempt {
+    /// What a lone failed attempt surfaces: the tier's own typed error, or a
+    /// typed panic when the tier died by panic.
+    fn into_error(self) -> PipelineError {
+        match self.error {
+            Some(e) => e,
+            None => PipelineError::Panic { tier: self.failure.tier, message: self.failure.reason },
+        }
+    }
+}
+
 /// Routing hook the serving layer installs over the degradation lattice:
 /// consulted before each tier runs, informed of every tier outcome.
 /// Implemented by `admission::CircuitBreakerSet`; the default
@@ -342,7 +344,7 @@ impl TierRouter for AllowAllTiers {
 /// Run a tier body with panic containment. A panic inside an engine is an
 /// engine bug, not a reason to poison the whole session: it is caught at
 /// the tier boundary and converted into a failed attempt.
-fn run_tier<T>(
+fn contained<T>(
     tier: Tier,
     body: impl FnOnce() -> Result<T, PipelineError>,
 ) -> Result<T, Attempt> {
@@ -465,140 +467,56 @@ impl BoundPlan {
         self.plan.fallback_reason.as_deref()
     }
 
-    /// Run the plan: one result document per view row.
+    /// Run the plan's **planned tier** and materialise its output: one
+    /// result document per view row.
+    ///
+    /// Exactly one tier runs — the one the planner chose — unguarded and
+    /// with no fallback: that tier's error is the result, and a panic
+    /// propagates to the caller. It is the same tier body
+    /// [`Self::execute_to_writer`] runs, emitting into a row-sealing
+    /// [`TreeSink`] instead of a [`StreamWriter`]. Budgets, panic
+    /// containment and the degradation lattice live in
+    /// [`Self::execute_to_writer`].
     pub fn execute(
         &self,
         catalog: &Catalog,
         stats: &ExecStats,
     ) -> Result<Vec<Document>, PipelineError> {
-        match self.plan.tier {
-            Tier::Sql => {
-                let sql = self.plan.sql.as_ref().expect("SQL tier carries a query");
-                Ok(sql.execute_bound(catalog, stats, &Guard::unlimited(), &self.bindings)?)
-            }
-            Tier::XQuery => {
-                let outcome =
-                    self.plan.rewrite.as_ref().expect("XQuery tier carries a rewrite");
-                let docs = self.view.materialize(catalog, stats)?;
-                let mut out = Vec::with_capacity(docs.len());
-                for d in docs {
-                    let input = NodeHandle::document(d);
-                    let seq = evaluate_query(&outcome.query, Some(input))?;
-                    let doc = sequence_to_document(&seq);
-                    stats.note_materialized_nodes(doc.node_count() as u64);
-                    out.push(doc);
-                }
-                Ok(out)
-            }
-            Tier::Vm => no_rewrite_transform(catalog, &self.view, &self.plan.sheet, stats)
-                .map(|r| r.documents),
+        let mut rows = TreeSink::unguarded();
+        self.run_tier(self.plan.tier, catalog, stats, &Guard::unlimited(), &mut rows)?;
+        let docs = rows.into_documents();
+        for doc in &docs {
+            stats.note_materialized_nodes(doc.node_count() as u64);
         }
+        Ok(docs)
     }
 
-    /// Run the plan under a [`Guard`] with graceful degradation: a tier
-    /// that errors or panics at execution time falls back to the next
-    /// slower tier (SQL → XQuery → VM), and the chain of failed attempts
-    /// is reported in the result. Guard trips are terminal — the budgets
-    /// are shared across tiers, so a lower tier would only burn the
-    /// remaining budget before tripping on the same limit.
-    pub fn execute_guarded(
-        &self,
-        catalog: &Catalog,
-        stats: &ExecStats,
-        guard: &Guard,
-    ) -> Result<GuardedRun, PipelineError> {
-        self.execute_with_policy(catalog, stats, guard, DegradePolicy::Fallback)
-    }
-
-    /// Run the plan under a **fresh** [`Guard`] armed with `limits` — the
-    /// execution mode for cached plans, where one plan serves many calls:
-    /// every call gets the full budget, and a trip is an outcome of that
-    /// call alone (the plan itself holds no guard state, so the cache
-    /// entry stays reusable afterwards).
-    pub fn execute_with_limits(
-        &self,
-        catalog: &Catalog,
-        stats: &ExecStats,
-        limits: Limits,
-    ) -> Result<GuardedRun, PipelineError> {
-        self.execute_guarded(catalog, stats, &Guard::new(limits))
-    }
-
-    /// [`Self::execute_guarded`] with an explicit [`DegradePolicy`].
-    pub fn execute_with_policy(
-        &self,
-        catalog: &Catalog,
-        stats: &ExecStats,
-        guard: &Guard,
-        policy: DegradePolicy,
-    ) -> Result<GuardedRun, PipelineError> {
-        let mut attempts: Vec<Attempt> = Vec::new();
-
-        let tiers: &[Tier] = match self.plan.tier {
-            Tier::Sql => &[Tier::Sql, Tier::XQuery, Tier::Vm],
-            Tier::XQuery => &[Tier::XQuery, Tier::Vm],
-            Tier::Vm => &[Tier::Vm],
-        };
-
-        for &tier in tiers {
-            let result = run_tier(tier, || self.run_single_tier(tier, catalog, stats, guard));
-            match result {
-                Ok(documents) => {
-                    return Ok(GuardedRun {
-                        documents,
-                        tier,
-                        fallbacks: attempts.into_iter().map(|a| a.failure).collect(),
-                    })
-                }
-                Err(attempt) => {
-                    // A trip is terminal regardless of policy: report the
-                    // structured evidence, not the stringly engine error.
-                    if let Some(trip) = guard.trip() {
-                        return Err(PipelineError::Guard(trip));
-                    }
-                    let strict = policy == DegradePolicy::Strict;
-                    attempts.push(attempt);
-                    if strict {
-                        break;
-                    }
-                }
-            }
-        }
-
-        // Everything failed. A single attempt surfaces its own typed error
-        // (preserving pre-ExecGuard `execute` semantics); a traversed
-        // lattice reports the whole chain.
-        if attempts.len() == 1 {
-            let a = attempts.pop().expect("one attempt");
-            return Err(match a.error {
-                Some(e) => e,
-                None => PipelineError::Panic { tier: a.failure.tier, message: a.failure.reason },
-            });
-        }
-        Err(PipelineError::TiersExhausted {
-            attempts: attempts.into_iter().map(|a| a.failure).collect(),
-        })
-    }
-
-    /// Run the plan **streaming**: result bytes go straight to `out`
-    /// instead of materialising result documents.
+    /// Run the plan under a [`Guard`], streaming the result bytes into
+    /// `out` with graceful degradation — the one execution lattice.
     ///
-    /// On the SQL tier the rows are pulled through the iterator operators
-    /// and serialized as they are published — zero DOM nodes, with
+    /// A tier that errors or panics at execution time falls back to the
+    /// next slower tier (SQL → XQuery → VM), and the chain of failed
+    /// attempts is reported in [`StreamRun::fallbacks`]. Two failures are
+    /// terminal instead:
+    ///
+    /// * **Guard trips** — the budgets are shared across tiers, so a lower
+    ///   tier would only burn the remainder before tripping on the same
+    ///   limit.
+    /// * **Dirty failures** — a tier that fails *after* bytes reached the
+    ///   writer, because a lower tier would emit the prefix twice and bytes
+    ///   handed to an external writer cannot be unwritten. The
+    ///   deterministic fault points all fire at tier entry, before any
+    ///   write, so injected faults always degrade.
+    ///
+    /// The SQL tier pulls rows through the iterator operators and
+    /// serializes them as they are published — zero DOM nodes, with
     /// `max_output_bytes` charged per write so trips fire mid-stream. The
     /// XQuery tier streams too: constructors in emission position push
-    /// events straight into a guarded [`StreamWriter`], and only
-    /// re-inspected subexpressions spill to a transient tree (reported via
+    /// events straight into the writer, and only re-inspected
+    /// subexpressions spill to a transient tree (reported via
     /// `spilled_subtrees` / `peak_spilled_nodes` on [`ExecStats`]). The VM
-    /// tier still materialises as in [`Self::execute_guarded`] and
-    /// serializes after; every path is byte-identical.
-    ///
-    /// Degradation follows the same lattice as [`Self::execute_guarded`],
-    /// with one extra rule: a tier that fails **after** bytes reached the
-    /// writer is terminal, because the partial output cannot be unwritten.
-    /// (The deterministic fault points all fire at tier entry, before any
-    /// write, so injected-fault fallback behaves exactly as in the
-    /// materialising path.) Guard trips are terminal as everywhere.
+    /// tier builds its result trees — charging their output as it goes —
+    /// and copies them out. Every path is byte-identical.
     pub fn execute_to_writer(
         &self,
         catalog: &Catalog,
@@ -646,19 +564,28 @@ impl BoundPlan {
                 continue;
             }
             let before = w.written;
-            let result = run_tier(tier, || {
-                self.run_single_tier_to_writer(tier, catalog, stats, guard, &mut w)
+            let result = contained(tier, || {
+                // The VM charged its output while building its result trees;
+                // copying them to the writer must not charge them again.
+                let budget = if tier == Tier::Vm { Guard::unlimited() } else { guard.clone() };
+                let mut sink = StreamWriter::new(&mut w, budget);
+                self.run_tier(tier, catalog, stats, guard, &mut sink)?;
+                sink.finish()?;
+                Ok(())
             });
             match result {
                 Ok(()) => {
                     router.record(tier, true);
+                    stats.add_streamed_bytes(w.written);
                     return Ok(StreamRun {
                         bytes_written: w.written,
                         tier,
                         fallbacks: attempts.into_iter().map(|a| a.failure).collect(),
-                    })
+                    });
                 }
                 Err(attempt) => {
+                    // Report a trip's structured evidence, not the stringly
+                    // engine error it surfaced as.
                     if let Some(trip) = guard.trip() {
                         return Err(PipelineError::Guard(trip));
                     }
@@ -672,31 +599,28 @@ impl BoundPlan {
             }
         }
 
-        if attempts.len() == 1 {
-            let a = attempts.pop().expect("one attempt");
-            return Err(match a.error {
-                Some(e) => e,
-                None => PipelineError::Panic { tier: a.failure.tier, message: a.failure.reason },
-            });
+        // Everything failed. A lone attempt surfaces its own typed error; a
+        // traversed lattice reports the whole chain.
+        match <[Attempt; 1]>::try_from(attempts) {
+            Ok([only]) => Err(only.into_error()),
+            Err(attempts) => Err(PipelineError::TiersExhausted {
+                attempts: attempts.into_iter().map(|a| a.failure).collect(),
+            }),
         }
-        Err(PipelineError::TiersExhausted {
-            attempts: attempts.into_iter().map(|a| a.failure).collect(),
-        })
     }
 
-    /// One tier of the streaming path: the SQL tier streams natively, the
-    /// XQuery tier streams through sink-mode evaluation (spilling only
-    /// re-inspected subtrees), and the VM tier runs as usual and
-    /// serializes its documents.
-    fn run_single_tier_to_writer(
+    /// Run exactly one tier of the plan under `guard`: every view row's
+    /// result is emitted into `out`, followed by a row boundary. No
+    /// fallback and no panic containment — [`Self::execute_to_writer`]
+    /// adds both; the sink decides whether the result is bytes or trees.
+    fn run_tier(
         &self,
         tier: Tier,
         catalog: &Catalog,
         stats: &ExecStats,
         guard: &Guard,
-        out: &mut CountingWriter<'_>,
+        out: &mut dyn XmlSink,
     ) -> Result<(), PipelineError> {
-        use std::io::Write as _;
         match tier {
             Tier::Sql => {
                 let sql = self
@@ -704,8 +628,7 @@ impl BoundPlan {
                     .sql
                     .as_ref()
                     .ok_or_else(|| PipelineError::internal("no SQL query in plan"))?;
-                sql.execute_streaming_bound(catalog, stats, guard, &self.bindings, out)?;
-                Ok(())
+                sql.run(catalog, stats, guard, &self.bindings, out)?;
             }
             Tier::XQuery => {
                 let outcome = self
@@ -713,87 +636,34 @@ impl BoundPlan {
                     .rewrite
                     .as_ref()
                     .ok_or_else(|| PipelineError::internal("no rewrite outcome in plan"))?;
-                let docs = self.view.materialize_guarded(catalog, stats, guard)?;
-                let before = out.written;
-                let mut spilled = 0u64;
-                let mut peak_spill = 0u64;
-                {
-                    let mut sw = StreamWriter::new(&mut *out, guard.clone());
-                    for d in docs {
-                        let input = NodeHandle::document(d);
-                        let run = evaluate_query_to_sink(
-                            &outcome.query,
-                            Some(input),
-                            Vec::new(),
-                            guard.clone(),
-                            &mut sw,
-                        )?;
-                        spilled += run.spilled_subtrees;
-                        peak_spill = peak_spill.max(run.peak_spilled_nodes);
-                    }
-                    sw.finish().map_err(|e| {
-                        PipelineError::internal(format!("stream close failed: {e}"))
-                    })?;
+                let (mut spilled, mut peak_spill) = (0, 0);
+                for doc in self.view.materialize_guarded(catalog, stats, guard)? {
+                    let input = NodeHandle::document(doc);
+                    let run = evaluate_query_to_sink(
+                        &outcome.query,
+                        Some(input),
+                        Vec::new(),
+                        guard.clone(),
+                        out,
+                    )?;
+                    spilled += run.spilled_subtrees;
+                    peak_spill = run.peak_spilled_nodes.max(peak_spill);
+                    out.end_row()?;
                 }
-                stats.add_streamed_bytes(out.written - before);
                 stats.add_spilled_subtrees(spilled);
                 stats.note_spilled_nodes(peak_spill);
-                Ok(())
             }
             Tier::Vm => {
-                // The VM charged output bytes while building its result
-                // trees; serialization here is a plain copy-out.
-                let docs = self.run_single_tier(tier, catalog, stats, guard)?;
-                for d in &docs {
-                    out.write_all(xsltdb_xml::to_string(d).as_bytes()).map_err(|e| {
-                        PipelineError::internal(format!("result write failed: {e}"))
-                    })?;
+                let opts = TransformOptions { guard: guard.clone(), ..Default::default() };
+                for doc in self.view.materialize_guarded(catalog, stats, guard)? {
+                    let result = transform_with(&self.plan.sheet, &doc, &opts, &mut NoTrace)?;
+                    stats.note_materialized_nodes(result.node_count() as u64);
+                    replay_subtree(&result, NodeId::DOCUMENT, out)?;
+                    out.end_row()?;
                 }
-                Ok(())
             }
         }
-    }
-
-    /// Execute exactly one tier of the plan under `guard`, no fallback.
-    fn run_single_tier(
-        &self,
-        tier: Tier,
-        catalog: &Catalog,
-        stats: &ExecStats,
-        guard: &Guard,
-    ) -> Result<Vec<Document>, PipelineError> {
-        match tier {
-            Tier::Sql => {
-                let sql = self
-                    .plan
-                    .sql
-                    .as_ref()
-                    .ok_or_else(|| PipelineError::internal("no SQL query in plan"))?;
-                Ok(sql.execute_bound(catalog, stats, guard, &self.bindings)?)
-            }
-            Tier::XQuery => {
-                let outcome = self
-                    .plan
-                    .rewrite
-                    .as_ref()
-                    .ok_or_else(|| PipelineError::internal("no rewrite outcome in plan"))?;
-                let docs = self.view.materialize_guarded(catalog, stats, guard)?;
-                let mut out = Vec::with_capacity(docs.len());
-                for d in docs {
-                    let input = NodeHandle::document(d);
-                    let seq =
-                        evaluate_query_guarded(&outcome.query, Some(input), guard.clone())?;
-                    let doc = sequence_to_document(&seq);
-                    stats.note_materialized_nodes(doc.node_count() as u64);
-                    out.push(doc);
-                }
-                Ok(out)
-            }
-            Tier::Vm => {
-                no_rewrite_transform_guarded(catalog, &self.view, &self.plan.sheet, stats, guard)
-                    .map(|r| r.documents)
-            }
-        }
+        Ok(())
     }
 }
 
@@ -824,27 +694,6 @@ pub fn no_rewrite_transform(
     Ok(BaselineRun { documents: out, materialized_nodes })
 }
 
-/// [`no_rewrite_transform`] under a [`Guard`]: materialisation and the VM
-/// both charge the same budgets.
-pub fn no_rewrite_transform_guarded(
-    catalog: &Catalog,
-    view: &XmlView,
-    sheet: &Stylesheet,
-    stats: &ExecStats,
-    guard: &Guard,
-) -> Result<BaselineRun, PipelineError> {
-    let docs = view.materialize_guarded(catalog, stats, guard)?;
-    let materialized_nodes = docs.iter().map(Document::node_count).sum();
-    let opts = TransformOptions { guard: guard.clone(), ..Default::default() };
-    let mut out = Vec::with_capacity(docs.len());
-    for d in &docs {
-        let result = transform_with(sheet, d, &opts, &mut xsltdb_xslt::NoTrace)?;
-        stats.note_materialized_nodes(result.node_count() as u64);
-        out.push(result);
-    }
-    Ok(BaselineRun { documents: out, materialized_nodes })
-}
-
 /// Rewrite-and-run over a plain document (DTD/XSD-derived structure): the
 /// XQuery tier for inputs that do not come from a view. Falls back to the
 /// VM when the rewrite fails.
@@ -867,7 +716,7 @@ pub fn transform_document(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::guard::{FaultKind, FaultPoint};
+    use crate::guard::{FaultKind, FaultPoint, Limits};
     use xsltdb_relstore::exec::Conjunction;
     use xsltdb_relstore::pubexpr::PubExpr;
     use xsltdb_relstore::{ColType, Datum, Table};
@@ -1105,15 +954,14 @@ mod tests {
         )
         .unwrap();
         let stats = ExecStats::new();
-        let tripped = bound
-            .execute_with_limits(&catalog, &stats, Limits::UNLIMITED.with_fuel(1))
-            .unwrap_err();
+        let starved = Guard::new(Limits::UNLIMITED.with_fuel(1));
+        let tripped =
+            bound.execute_to_writer(&catalog, &stats, &starved, &mut Vec::new()).unwrap_err();
         assert!(tripped.is_guard_trip(), "got {tripped:?}");
         // The same immutable plan runs to completion on the next call.
-        let run = bound
-            .execute_with_limits(&catalog, &stats, Limits::UNLIMITED)
-            .unwrap();
-        assert_eq!(xsltdb_xml::to_string(&run.documents[0]), "<o>7</o>");
+        let mut out = Vec::new();
+        bound.execute_to_writer(&catalog, &stats, &Guard::unlimited(), &mut out).unwrap();
+        assert_eq!(String::from_utf8(out).unwrap(), "<o>7</o>");
     }
 
     #[test]

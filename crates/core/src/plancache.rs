@@ -32,7 +32,7 @@
 //!   whole capacity is simply not admitted.
 //! * **Guard composition** — cached plans are immutable; executions arm a
 //!   *fresh* [`Guard`](crate::guard::Guard) per call (see
-//!   [`BoundPlan::execute_with_limits`](crate::pipeline::BoundPlan::execute_with_limits)),
+//!   [`BoundPlan::execute_to_writer`](crate::pipeline::BoundPlan::execute_to_writer)),
 //!   so a budget trip in one call never poisons the entry for the next.
 
 // Guard-bearing hot path: a stray unwrap here is a latent panic the

@@ -3,9 +3,10 @@
 //! target language of the paper's final rewrite step (Table 7 / Table 11):
 //! a query made only of publishing functions over relational columns.
 
-// Guard-bearing hot path: a stray unwrap here is a latent panic the
-// pipeline would have to contain at a tier boundary. Keep it impossible.
+// Guard-bearing hot path: a stray unwrap or expect here is a latent panic
+// the pipeline would have to contain at a tier boundary. Keep it impossible.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::expect_used))]
 
 use crate::binding::SlotBindings;
 use crate::catalog::Catalog;
@@ -13,8 +14,7 @@ use crate::exec::{guard_err, scan_guarded, AccessPath, CmpOp, ColumnCmp, Conjunc
 use crate::stats::ExecStats;
 use crate::table::{RowId, StoreError};
 use xsltdb_xml::{
-    Document, FaultKind, FaultPoint, Guard, QName, SinkError, StreamWriter, TextSink, TreeSink,
-    XmlSink,
+    Document, FaultKind, FaultPoint, Guard, QName, SinkError, TextSink, TreeSink, XmlSink,
 };
 
 /// Lower a sink refusal to the store's error type. Guard trips keep their
@@ -236,38 +236,19 @@ impl Bindings {
 /// Evaluate a publishing expression, emitting construction events into any
 /// [`XmlSink`] — a [`TreeSink`] to materialise, a [`StreamWriter`] to
 /// serialize with zero DOM nodes, a [`TextSink`] for string values.
+///
+/// `guard` is charged per expression node and billed for produced elements
+/// against the output caps (output *bytes* are billed by the sink itself,
+/// which knows what a byte is for its representation). Every table name in
+/// the expression is resolved through `slots` before it touches the catalog
+/// or the row bindings — canonicalised plans name tables symbolically
+/// (`$t0`, `$t1`, …); concrete expressions pass
+/// [`SlotBindings::identity`]. Row bindings are keyed by *resolved* names
+/// throughout, so a slot and its concrete table can never refer to
+/// different rows.
+///
+/// [`StreamWriter`]: xsltdb_xml::StreamWriter
 pub fn eval_pub(
-    expr: &PubExpr,
-    catalog: &Catalog,
-    stats: &ExecStats,
-    bindings: &mut Bindings,
-    out: &mut dyn XmlSink,
-) -> Result<(), StoreError> {
-    eval_pub_guarded(expr, catalog, stats, bindings, out, &Guard::unlimited())
-}
-
-/// Like [`eval_pub`], but charges `guard` per expression node and bills
-/// produced elements against the output caps (output *bytes* are billed by
-/// the sink itself, which knows what a byte is for its representation).
-pub fn eval_pub_guarded(
-    expr: &PubExpr,
-    catalog: &Catalog,
-    stats: &ExecStats,
-    bindings: &mut Bindings,
-    out: &mut dyn XmlSink,
-    guard: &Guard,
-) -> Result<(), StoreError> {
-    eval_pub_bound(expr, catalog, stats, bindings, out, guard, &SlotBindings::identity())
-}
-
-/// Like [`eval_pub_guarded`], but every table name in the expression is
-/// resolved through `slots` before it touches the catalog or the row
-/// bindings — the execution mode of canonicalised plans, whose expressions
-/// name tables symbolically (`$t0`, `$t1`, …). Row bindings are keyed by
-/// *resolved* names throughout, so a slot and its concrete table can never
-/// refer to different rows.
-#[allow(clippy::too_many_arguments)]
-pub fn eval_pub_bound(
     expr: &PubExpr,
     catalog: &Catalog,
     stats: &ExecStats,
@@ -289,13 +270,13 @@ pub fn eval_pub_bound(
         }
         PubExpr::StrConcat(parts) => {
             for p in parts {
-                eval_pub_bound(p, catalog, stats, bindings, out, guard, slots)?;
+                eval_pub(p, catalog, stats, bindings, out, guard, slots)?;
             }
             Ok(())
         }
         PubExpr::Concat(parts) => {
             for p in parts {
-                eval_pub_bound(p, catalog, stats, bindings, out, guard, slots)?;
+                eval_pub(p, catalog, stats, bindings, out, guard, slots)?;
             }
             Ok(())
         }
@@ -304,20 +285,19 @@ pub fn eval_pub_bound(
             guard.charge_output_nodes(1).map_err(guard_err)?;
             out.start_element(QName::local(name)).map_err(sink_err)?;
             for (aname, avalue) in attrs {
-                let text =
-                    eval_to_text_bound(avalue, catalog, stats, bindings, guard, slots)?;
+                let text = eval_to_text(avalue, catalog, stats, bindings, guard, slots)?;
                 out.attribute(QName::local(aname), &text).map_err(sink_err)?;
             }
             for c in children {
-                eval_pub_bound(c, catalog, stats, bindings, out, guard, slots)?;
+                eval_pub(c, catalog, stats, bindings, out, guard, slots)?;
             }
             out.end_element().map_err(sink_err)
         }
         PubExpr::Arith { op, left, right } => {
-            let l = xsltdb_xpath::value::str_to_num(&eval_to_text_bound(
+            let l = xsltdb_xpath::value::str_to_num(&eval_to_text(
                 left, catalog, stats, bindings, guard, slots,
             )?);
-            let r = xsltdb_xpath::value::str_to_num(&eval_to_text_bound(
+            let r = xsltdb_xpath::value::str_to_num(&eval_to_text(
                 right, catalog, stats, bindings, guard, slots,
             )?);
             let n = match op {
@@ -336,9 +316,9 @@ pub fn eval_pub_bound(
                 .ok_or_else(|| StoreError::new(format!("no row bound for table {table}")))?;
             let t = catalog.table(table)?;
             if cond.matches(t, row)? {
-                eval_pub_bound(then, catalog, stats, bindings, out, guard, slots)
+                eval_pub(then, catalog, stats, bindings, out, guard, slots)
             } else {
-                eval_pub_bound(els, catalog, stats, bindings, out, guard, slots)
+                eval_pub(els, catalog, stats, bindings, out, guard, slots)
             }
         }
         PubExpr::Agg { table, predicate, order_by, body } => {
@@ -347,7 +327,7 @@ pub fn eval_pub_bound(
             let rows = order_rows(rows, table, order_by, catalog)?;
             for (i, r) in rows.into_iter().enumerate() {
                 bindings.push_at(table, r, (i + 1) as u64);
-                let res = eval_pub_bound(body, catalog, stats, bindings, out, guard, slots);
+                let res = eval_pub(body, catalog, stats, bindings, out, guard, slots);
                 bindings.pop();
                 res?;
             }
@@ -375,12 +355,12 @@ pub fn eval_pub_bound(
             out.text(&text).map_err(sink_err)
         }
         PubExpr::Comment(content) => {
-            let text = eval_to_text_bound(content, catalog, stats, bindings, guard, slots)?;
+            let text = eval_to_text(content, catalog, stats, bindings, guard, slots)?;
             guard.charge_output_nodes(1).map_err(guard_err)?;
             out.comment(&text).map_err(sink_err)
         }
         PubExpr::Pi { target, content } => {
-            let text = eval_to_text_bound(content, catalog, stats, bindings, guard, slots)?;
+            let text = eval_to_text(content, catalog, stats, bindings, guard, slots)?;
             guard.charge_output_nodes(1).map_err(guard_err)?;
             out.pi(target, &text).map_err(sink_err)
         }
@@ -394,30 +374,10 @@ pub fn eval_pub_bound(
     }
 }
 
-/// Evaluate a text-producing expression to a string (for attributes).
+/// Evaluate a text-producing expression to its string value (for
+/// attributes, comments and arithmetic operands). A [`TextSink`] collects
+/// exactly the string-value of the events — no temporary tree.
 pub fn eval_to_text(
-    expr: &PubExpr,
-    catalog: &Catalog,
-    stats: &ExecStats,
-    bindings: &mut Bindings,
-) -> Result<String, StoreError> {
-    eval_to_text_guarded(expr, catalog, stats, bindings, &Guard::unlimited())
-}
-
-/// Guarded variant of [`eval_to_text`].
-pub fn eval_to_text_guarded(
-    expr: &PubExpr,
-    catalog: &Catalog,
-    stats: &ExecStats,
-    bindings: &mut Bindings,
-    guard: &Guard,
-) -> Result<String, StoreError> {
-    eval_to_text_bound(expr, catalog, stats, bindings, guard, &SlotBindings::identity())
-}
-
-/// Slot-resolving variant of [`eval_to_text_guarded`]. A [`TextSink`]
-/// collects exactly the string-value of the events — no temporary tree.
-pub fn eval_to_text_bound(
     expr: &PubExpr,
     catalog: &Catalog,
     stats: &ExecStats,
@@ -426,7 +386,7 @@ pub fn eval_to_text_bound(
     slots: &SlotBindings,
 ) -> Result<String, StoreError> {
     let mut sink = TextSink::new(guard.clone());
-    eval_pub_bound(expr, catalog, stats, bindings, &mut sink, guard, slots)?;
+    eval_pub(expr, catalog, stats, bindings, &mut sink, guard, slots)?;
     Ok(sink.into_string())
 }
 
@@ -549,82 +509,51 @@ impl SqlXmlQuery {
         catalog: &Catalog,
         stats: &ExecStats,
     ) -> Result<Vec<Document>, StoreError> {
-        self.execute_guarded(catalog, stats, &Guard::unlimited())
+        self.materialize(catalog, stats, &Guard::unlimited())
     }
 
-    /// Like [`Self::execute`], but scans and publishing are charged against
-    /// `guard`, and an armed [`FaultPoint::SqlExec`] fault fires at entry.
-    pub fn execute_guarded(
+    /// [`Self::run`] over the query's concrete tables into a row-sealing
+    /// [`TreeSink`] charged against `guard`: one document per base row,
+    /// each recorded as materialised in `stats`.
+    pub(crate) fn materialize(
         &self,
         catalog: &Catalog,
         stats: &ExecStats,
         guard: &Guard,
     ) -> Result<Vec<Document>, StoreError> {
-        self.execute_bound(catalog, stats, guard, &SlotBindings::identity())
-    }
-
-    /// Like [`Self::execute_guarded`], but the base table and every table
-    /// named inside the publishing expression are resolved through `slots`
-    /// first — how a canonicalised plan (whose query names only `$t0`,
-    /// `$t1`, …) executes against one concrete view of the family.
-    pub fn execute_bound(
-        &self,
-        catalog: &Catalog,
-        stats: &ExecStats,
-        guard: &Guard,
-        slots: &SlotBindings,
-    ) -> Result<Vec<Document>, StoreError> {
-        if let Some(kind) = guard.take_fault(FaultPoint::SqlExec) {
-            match kind {
-                FaultKind::Error => {
-                    return Err(StoreError::new("injected fault at SQL tier"))
-                }
-                FaultKind::Panic => panic!("injected panic at SQL tier"),
-            }
-        }
-        let base_table = slots.resolve(&self.base_table)?;
-        let (rows, _path) =
-            scan_guarded(catalog, stats, base_table, &self.where_clause, guard)?;
-        let rows = order_rows(rows, base_table, &self.order_by, catalog)?;
-        let mut out = Vec::with_capacity(rows.len());
-        let mut bindings = Bindings::new();
-        for (i, r) in rows.into_iter().enumerate() {
-            bindings.push_at(base_table, r, (i + 1) as u64);
-            let mut sink = TreeSink::new(guard.clone());
-            let res = eval_pub_bound(
-                &self.select,
-                catalog,
-                stats,
-                &mut bindings,
-                &mut sink,
-                guard,
-                slots,
-            );
-            bindings.pop();
-            res?;
-            let doc = sink.finish_lenient();
+        let mut rows = TreeSink::new(guard.clone());
+        self.run(catalog, stats, guard, &SlotBindings::identity(), &mut rows)?;
+        let docs = rows.into_documents();
+        for doc in &docs {
             stats.note_materialized_nodes(doc.node_count() as u64);
-            out.push(doc);
         }
-        Ok(out)
+        Ok(docs)
     }
 
-    /// Run the query **streaming**: rows are pulled through the same
-    /// iterator operators, but the publishing expression serializes
-    /// straight into `out` — zero DOM nodes, with every byte charged
-    /// against the guard as it is written (the paper's §5 emission model).
-    /// Result documents are concatenated with no separator, exactly the
-    /// bytes `to_string` would produce for each of
-    /// [`Self::execute_bound`]'s documents in order. Returns the number of
-    /// bytes written, which is also added to `ExecStats::streamed_bytes`.
-    pub fn execute_streaming_bound(
+    /// Run the query into `out`: rows are pulled through the iterator
+    /// operators and each row's publishing expression emits its events,
+    /// followed by a row boundary ([`XmlSink::end_row`]). The sink decides
+    /// what a result is — a [`TreeSink`] seals one document per row, a
+    /// [`StreamWriter`] serializes with zero DOM nodes and charges every
+    /// byte against the guard as it is written (the paper's §5 emission
+    /// model), and the two produce the same bytes.
+    ///
+    /// Scans and publishing are charged against `guard`, and an armed
+    /// [`FaultPoint::SqlExec`] fault fires at entry, before any event. The
+    /// base table and every table named inside the publishing expression
+    /// are resolved through `slots` first — how a canonicalised plan (whose
+    /// query names only `$t0`, `$t1`, …) runs against one concrete view of
+    /// the family; concrete queries pass [`SlotBindings::identity`].
+    ///
+    /// [`StreamWriter`]: xsltdb_xml::StreamWriter
+    pub fn run(
         &self,
         catalog: &Catalog,
         stats: &ExecStats,
         guard: &Guard,
         slots: &SlotBindings,
-        out: &mut dyn std::io::Write,
-    ) -> Result<u64, StoreError> {
+        out: &mut dyn XmlSink,
+    ) -> Result<(), StoreError> {
         if let Some(kind) = guard.take_fault(FaultPoint::SqlExec) {
             match kind {
                 FaultKind::Error => {
@@ -637,31 +566,15 @@ impl SqlXmlQuery {
         let (rows, _path) =
             scan_guarded(catalog, stats, base_table, &self.where_clause, guard)?;
         let rows = order_rows(rows, base_table, &self.order_by, catalog)?;
-        let mut sink = StreamWriter::new(out, guard.clone());
         let mut bindings = Bindings::new();
         for (i, r) in rows.into_iter().enumerate() {
             bindings.push_at(base_table, r, (i + 1) as u64);
-            let res = eval_pub_bound(
-                &self.select,
-                catalog,
-                stats,
-                &mut bindings,
-                &mut sink,
-                guard,
-                slots,
-            );
+            let res = eval_pub(&self.select, catalog, stats, &mut bindings, out, guard, slots);
             bindings.pop();
             res?;
-            // Per-row lenient close, mirroring `finish_lenient` on the
-            // materialising path: an expression that leaves elements open
-            // must not swallow the next row into them.
-            while sink.depth() > 0 {
-                sink.end_element().map_err(sink_err)?;
-            }
+            out.end_row().map_err(sink_err)?;
         }
-        let bytes = sink.bytes_written();
-        stats.add_streamed_bytes(bytes);
-        Ok(bytes)
+        Ok(())
     }
 
     /// The access path the base-table scan would take (for EXPLAIN-style
@@ -674,7 +587,7 @@ impl SqlXmlQuery {
     /// key order, absorbing the sort into the access path. A predicate
     /// that wins an index probe keeps its own path — the probe's
     /// selectivity outweighs saving the sort.
-    pub fn explain_base_path_bound(
+    pub fn explain_base_path(
         &self,
         catalog: &Catalog,
         slots: &SlotBindings,
@@ -698,11 +611,6 @@ impl SqlXmlQuery {
         Ok(path)
     }
 
-    /// [`Self::explain_base_path_bound`] with the identity binding.
-    pub fn explain_base_path(&self, catalog: &Catalog) -> Result<AccessPath, StoreError> {
-        self.explain_base_path_bound(catalog, &SlotBindings::identity())
-    }
-
     /// Every table this query can read — the base table plus everything the
     /// publishing expression references (deduplicated, base table first).
     /// This is the query's *read-set*: a result computed from it can only
@@ -719,6 +627,7 @@ mod tests {
     use super::*;
     use crate::datum::{ColType, Datum};
     use crate::table::Table;
+    use xsltdb_xml::StreamWriter;
 
     /// The paper's dept/emp schema (Tables 1 and 2).
     pub(crate) fn paper_catalog() -> Catalog {
@@ -894,6 +803,8 @@ mod tests {
             &c,
             &stats,
             &mut bindings,
+            &Guard::unlimited(),
+            &SlotBindings::identity(),
         )
         .unwrap();
         assert_eq!(count, "3");
@@ -907,6 +818,8 @@ mod tests {
             &c,
             &stats,
             &mut bindings,
+            &Guard::unlimited(),
+            &SlotBindings::identity(),
         )
         .unwrap();
         assert_eq!(sum, "8650");
@@ -986,7 +899,15 @@ mod tests {
         let stats = ExecStats::new();
         let mut bindings = Bindings::new();
         let mut b = TreeSink::unguarded();
-        let r = eval_pub(&PubExpr::col("dept", "dname"), &c, &stats, &mut bindings, &mut b);
+        let r = eval_pub(
+            &PubExpr::col("dept", "dname"),
+            &c,
+            &stats,
+            &mut bindings,
+            &mut b,
+            &Guard::unlimited(),
+            &SlotBindings::identity(),
+        );
         assert!(r.is_err());
     }
 
@@ -1005,22 +926,13 @@ mod tests {
         assert!(stats.snapshot().peak_materialized_nodes > 0);
 
         let streamed_stats = ExecStats::new();
-        let mut buf = Vec::new();
-        let n = q
-            .execute_streaming_bound(
-                &c,
-                &streamed_stats,
-                &Guard::unlimited(),
-                &SlotBindings::identity(),
-                &mut buf,
-            )
+        let mut sink = StreamWriter::new(Vec::new(), Guard::unlimited());
+        q.run(&c, &streamed_stats, &Guard::unlimited(), &SlotBindings::identity(), &mut sink)
             .unwrap();
-        assert_eq!(String::from_utf8(buf).unwrap(), expected);
-        let snap = streamed_stats.snapshot();
-        assert_eq!(snap.streamed_bytes, n);
-        assert_eq!(n as usize, expected.len());
+        assert_eq!(sink.bytes_written() as usize, expected.len());
+        assert_eq!(String::from_utf8(sink.finish().unwrap()).unwrap(), expected);
         // The point of the exercise: nothing was materialised.
-        assert_eq!(snap.peak_materialized_nodes, 0);
+        assert_eq!(streamed_stats.snapshot().peak_materialized_nodes, 0);
     }
 
     #[test]
@@ -1036,15 +948,11 @@ mod tests {
             xsltdb_xml::Limits::UNLIMITED.with_max_output_bytes(40),
         );
         let mut buf = Vec::new();
+        let mut sink = StreamWriter::new(&mut buf, guard.clone());
         let err = q
-            .execute_streaming_bound(
-                &c,
-                &ExecStats::new(),
-                &guard,
-                &SlotBindings::identity(),
-                &mut buf,
-            )
+            .run(&c, &ExecStats::new(), &guard, &SlotBindings::identity(), &mut sink)
             .unwrap_err();
+        drop(sink);
         assert!(err.message().contains("output bytes"), "unexpected error: {err:?}");
         assert!(guard.trip().is_some());
         // The error itself carries the structured trip evidence — layers
@@ -1082,7 +990,15 @@ mod arith_tests {
                 predicate: vec![],
             }),
         };
-        let text = eval_to_text(&avg, &c, &stats, &mut bindings).unwrap();
+        let text = eval_to_text(
+            &avg,
+            &c,
+            &stats,
+            &mut bindings,
+            &Guard::unlimited(),
+            &SlotBindings::identity(),
+        )
+        .unwrap();
         assert_eq!(text.parse::<f64>().unwrap().round(), 2883.0);
     }
 
@@ -1167,7 +1083,7 @@ mod access_path_tests {
         let catalog = dbtail_catalog();
         let q = dbtail_query(Conjunction::default(), vec![asc("zip")]);
         assert_eq!(
-            q.explain_base_path(&catalog).unwrap(),
+            q.explain_base_path(&catalog, &SlotBindings::identity()).unwrap(),
             AccessPath::IndexOrdered { column: "zip".into() }
         );
     }
@@ -1178,11 +1094,11 @@ mod access_path_tests {
         // city (unindexed) leads: the secondary indexed key cannot deliver
         // the ordering, so the scan stays full.
         let q = dbtail_query(Conjunction::default(), vec![asc("city"), asc("zip")]);
-        assert_eq!(q.explain_base_path(&catalog).unwrap(), AccessPath::FullScan);
+        assert_eq!(q.explain_base_path(&catalog, &SlotBindings::identity()).unwrap(), AccessPath::FullScan);
         // state (indexed) leads: ordered index scan on it.
         let q = dbtail_query(Conjunction::default(), vec![asc("state"), asc("city")]);
         assert_eq!(
-            q.explain_base_path(&catalog).unwrap(),
+            q.explain_base_path(&catalog, &SlotBindings::identity()).unwrap(),
             AccessPath::IndexOrdered { column: "state".into() }
         );
     }
@@ -1191,7 +1107,7 @@ mod access_path_tests {
     fn unordered_scan_stays_full() {
         let catalog = dbtail_catalog();
         let q = dbtail_query(Conjunction::default(), Vec::new());
-        assert_eq!(q.explain_base_path(&catalog).unwrap(), AccessPath::FullScan);
+        assert_eq!(q.explain_base_path(&catalog, &SlotBindings::identity()).unwrap(), AccessPath::FullScan);
     }
 
     #[test]
@@ -1204,7 +1120,7 @@ mod access_path_tests {
             vec![asc("zip")],
         );
         assert_eq!(
-            q.explain_base_path(&catalog).unwrap(),
+            q.explain_base_path(&catalog, &SlotBindings::identity()).unwrap(),
             AccessPath::IndexEq { column: "id".into() }
         );
     }

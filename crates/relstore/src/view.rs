@@ -56,7 +56,7 @@ impl XmlView {
                 FaultKind::Panic => panic!("injected panic materialising view"),
             }
         }
-        self.query.execute_guarded(catalog, stats, guard)
+        self.query.materialize(catalog, stats, guard)
     }
 }
 

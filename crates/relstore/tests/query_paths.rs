@@ -4,7 +4,7 @@
 
 use xsltdb_relstore::exec::{CmpOp, Conjunction};
 use xsltdb_relstore::pubexpr::{PubExpr, SqlXmlQuery};
-use xsltdb_relstore::{AccessPath, Catalog, ColType, Datum, ExecStats, Table};
+use xsltdb_relstore::{AccessPath, Catalog, ColType, Datum, ExecStats, SlotBindings, Table};
 
 fn catalog() -> Catalog {
     let mut t = Table::new("emp", &[("empno", ColType::Int), ("sal", ColType::Int)]);
@@ -27,7 +27,7 @@ fn base_table_where_uses_index() {
         select: PubExpr::elem("e", vec![PubExpr::col("emp", "sal")]),
     };
     assert_eq!(
-        q.explain_base_path(&c).unwrap(),
+        q.explain_base_path(&c, &SlotBindings::identity()).unwrap(),
         AccessPath::IndexEq { column: "empno".into() }
     );
     let stats = ExecStats::new();
@@ -46,7 +46,10 @@ fn unindexed_filter_full_scans() {
         order_by: Vec::new(),
         select: PubExpr::elem("e", vec![PubExpr::col("emp", "empno")]),
     };
-    assert_eq!(q.explain_base_path(&c).unwrap(), AccessPath::FullScan);
+    assert_eq!(
+        q.explain_base_path(&c, &SlotBindings::identity()).unwrap(),
+        AccessPath::FullScan
+    );
     let stats = ExecStats::new();
     let docs = q.execute(&c, &stats).unwrap();
     assert_eq!(docs.len(), 2);

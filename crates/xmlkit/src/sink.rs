@@ -7,9 +7,10 @@
 //! [`XmlSink`], and the sink decides what a result *is*:
 //!
 //! * [`TreeSink`] materialises the events through the existing
-//!   [`TreeBuilder`], preserving the arena-[`Document`] API for every caller
-//!   that needs a navigable tree (the XQuery and VM tiers, `eval_to_text`
-//!   temporaries, tests).
+//!   [`TreeBuilder`], one [`Document`] per result row, for every caller
+//!   that needs navigable trees (view materialisation, `BoundPlan::execute`,
+//!   tests). Materialised output is a choice of sink, not a second
+//!   execution path.
 //! * [`StreamWriter`] serializes events straight into any [`io::Write`]
 //!   with **zero DOM nodes**, charging [`Guard::charge_output_bytes`] for
 //!   every byte *as it is written* — so `max_output_bytes` trips mid-stream,
@@ -22,9 +23,10 @@
 //! Escaping is applied **at the sink**: producers hand over raw text and
 //! attribute values, and `StreamWriter` escapes on the way out while
 //! `TreeSink` stores them raw (the serializer escapes later). This is what
-//! makes the two implementations byte-equivalent: for any event sequence,
-//! `StreamWriter` output == `to_string(TreeSink output)` — property-tested
-//! in `tests/prop_sink.rs`.
+//! makes the two implementations byte-equivalent: for any event sequence
+//! with row boundaries ([`XmlSink::end_row`]), `StreamWriter` output ==
+//! the concatenated `to_string` of `TreeSink`'s row documents —
+//! property-tested in `tests/prop_sink.rs`.
 
 // Guard-bearing hot path: a stray unwrap here is a latent panic the
 // pipeline would have to contain at a tier boundary. Keep it impossible.
@@ -98,19 +100,32 @@ pub trait XmlSink {
     fn end_element(&mut self) -> Result<(), SinkError>;
     /// Number of currently open elements (0 at the top level).
     fn depth(&self) -> usize;
+
+    /// Mark the end of one result row (one view row's output). The default
+    /// closes whatever the row left open, so an expression that leaves an
+    /// element open never swallows the next row into it; [`TreeSink`]
+    /// additionally seals the row as its own [`Document`].
+    fn end_row(&mut self) -> Result<(), SinkError> {
+        while self.depth() > 0 {
+            self.end_element()?;
+        }
+        Ok(())
+    }
 }
 
-/// An [`XmlSink`] that materialises events into an arena [`Document`] via
-/// [`TreeBuilder`], charging text bytes against the guard as they are
-/// buffered (the pre-sink accounting the engines used to do inline).
+/// An [`XmlSink`] that materialises events into arena [`Document`]s via
+/// [`TreeBuilder`] — one document per row, sealed at each
+/// [`XmlSink::end_row`] — charging text bytes against the guard as they
+/// are buffered.
 pub struct TreeSink {
     builder: TreeBuilder,
+    rows: Vec<Document>,
     guard: Guard,
 }
 
 impl TreeSink {
     pub fn new(guard: Guard) -> TreeSink {
-        TreeSink { builder: TreeBuilder::new(), guard }
+        TreeSink { builder: TreeBuilder::new(), rows: Vec::new(), guard }
     }
 
     /// An unguarded tree sink (for tests and unguarded entry points).
@@ -118,14 +133,13 @@ impl TreeSink {
         TreeSink::new(Guard::unlimited())
     }
 
-    /// Finish building, requiring every element to be closed.
-    pub fn finish(self) -> Document {
-        self.builder.finish()
-    }
-
-    /// Finish building, closing any still-open elements first.
-    pub fn finish_lenient(self) -> Document {
-        self.builder.finish_lenient()
+    /// Every sealed row, in order, followed by the row in progress if it
+    /// holds any node (its open elements closed leniently).
+    pub fn into_documents(mut self) -> Vec<Document> {
+        if !self.builder.is_empty() {
+            self.rows.push(self.builder.finish_lenient());
+        }
+        self.rows
     }
 }
 
@@ -167,6 +181,12 @@ impl XmlSink for TreeSink {
 
     fn depth(&self) -> usize {
         self.builder.depth()
+    }
+
+    fn end_row(&mut self) -> Result<(), SinkError> {
+        let row = std::mem::take(&mut self.builder);
+        self.rows.push(row.finish_lenient());
+        Ok(())
     }
 }
 
@@ -275,9 +295,7 @@ impl<W: io::Write> StreamWriter<W> {
     /// writer. Call this before dropping the sink — a pending start tag
     /// that was never flushed would otherwise vanish.
     pub fn finish(mut self) -> Result<W, SinkError> {
-        while self.pending.is_some() || !self.stack.is_empty() {
-            self.end_element()?;
-        }
+        self.end_row()?;
         Ok(self.out)
     }
 
@@ -461,7 +479,7 @@ mod tests {
     fn differential(events: impl Fn(&mut dyn XmlSink) -> Result<(), SinkError>) -> String {
         let mut tree = TreeSink::unguarded();
         events(&mut tree).unwrap();
-        let via_tree = to_string(&tree.finish_lenient());
+        let via_tree: String = tree.into_documents().iter().map(to_string).collect();
 
         let mut sw = StreamWriter::new(Vec::new(), Guard::unlimited());
         events(&mut sw).unwrap();

@@ -1,7 +1,8 @@
-//! Property test: for arbitrary well-nested event sequences,
-//! `StreamWriter` output is byte-for-byte identical to serializing the
-//! `TreeSink`-built document — the invariant that makes streaming emission
-//! a drop-in replacement for materialise-then-serialize.
+//! Property test: for arbitrary well-nested event sequences cut into rows,
+//! `StreamWriter` output is byte-for-byte identical to the concatenated
+//! serialization of the documents a row-sealing `TreeSink` builds — the
+//! invariant that makes streaming emission a drop-in replacement for
+//! materialise-then-serialize.
 
 use proptest::prelude::*;
 use xsltdb_xml::{to_string, Guard, QName, SinkError, StreamWriter, TreeSink, XmlSink};
@@ -13,6 +14,14 @@ enum Ev {
     Text(String),
     Comment(String),
     Pi(String, String),
+}
+
+/// One result row: complete event trees, then elements opened (each with
+/// some content) and left open for the row boundary to close.
+#[derive(Debug, Clone)]
+struct Row {
+    events: Vec<Ev>,
+    left_open: Vec<(String, Ev)>,
 }
 
 fn name_strategy() -> impl Strategy<Value = String> {
@@ -50,6 +59,14 @@ fn ev_strategy() -> impl Strategy<Value = Ev> {
     })
 }
 
+fn row_strategy() -> impl Strategy<Value = Row> {
+    (
+        proptest::collection::vec(ev_strategy(), 0..3),
+        proptest::collection::vec((name_strategy(), ev_strategy()), 0..3),
+    )
+        .prop_map(|(events, left_open)| Row { events, left_open })
+}
+
 /// Replay an event tree into any sink. Duplicate attribute names are kept
 /// deliberately: both sinks must agree on last-write-wins placement.
 fn replay(ev: &Ev, sink: &mut dyn XmlSink) -> Result<(), SinkError> {
@@ -70,21 +87,36 @@ fn replay(ev: &Ev, sink: &mut dyn XmlSink) -> Result<(), SinkError> {
     }
 }
 
+/// Replay a row and mark its end.
+fn replay_row(row: &Row, sink: &mut dyn XmlSink) -> Result<(), SinkError> {
+    for ev in &row.events {
+        replay(ev, sink)?;
+    }
+    for (name, inner) in &row.left_open {
+        sink.start_element(QName::local(name))?;
+        replay(inner, sink)?;
+    }
+    sink.end_row()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn stream_writer_matches_tree_serialization(events in proptest::collection::vec(ev_strategy(), 0..4)) {
+    fn stream_writer_matches_tree_serialization(rows in proptest::collection::vec(row_strategy(), 0..4)) {
         let mut tree = TreeSink::new(Guard::unlimited());
-        for ev in &events {
-            replay(ev, &mut tree).expect("tree sink accepts well-nested events");
+        for row in &rows {
+            replay_row(row, &mut tree).expect("tree sink accepts well-nested rows");
         }
-        let via_tree = to_string(&tree.finish_lenient());
+        let docs = tree.into_documents();
+        prop_assert_eq!(docs.len(), rows.len(), "one sealed document per row");
+        let via_tree: String = docs.iter().map(to_string).collect();
 
         let mut sw = StreamWriter::new(Vec::new(), Guard::unlimited());
-        for ev in &events {
-            replay(ev, &mut sw).expect("stream writer accepts well-nested events");
+        for row in &rows {
+            replay_row(row, &mut sw).expect("stream writer accepts well-nested rows");
         }
+        prop_assert_eq!(sw.depth(), 0, "every row boundary closes what its row left open");
         let bytes = sw.finish().expect("finish succeeds");
         let streamed = String::from_utf8(bytes).expect("output is UTF-8");
 
@@ -96,11 +128,12 @@ proptest! {
         name in name_strategy(),
         inner in ev_strategy(),
     ) {
-        // Leave an element open; finish() must agree with finish_lenient().
+        // Leave an element open with no row boundary; finish() must agree
+        // with the tree sink's lenient close of the unsealed row.
         let mut tree = TreeSink::new(Guard::unlimited());
         tree.start_element(QName::local(&name)).unwrap();
         replay(&inner, &mut tree).unwrap();
-        let via_tree = to_string(&tree.finish_lenient());
+        let via_tree: String = tree.into_documents().iter().map(to_string).collect();
 
         let mut sw = StreamWriter::new(Vec::new(), Guard::unlimited());
         sw.start_element(QName::local(&name)).unwrap();

@@ -1,16 +1,17 @@
 //! ExecGuard tour: resource governance and graceful degradation on the
 //! worked example of §2.
 //!
-//! Runs the quickstart pipeline four ways: under server-default limits,
-//! with budgets small enough to trip (fuel, depth, deadline), and with
-//! injected faults that force the SQL→XQuery→VM fallback lattice to
-//! exercise every edge.
+//! Runs the quickstart pipeline through the one execution lattice
+//! (`execute_to_writer`) several ways: under server-default limits, with
+//! budgets small enough to trip (fuel, depth, deadline), and with injected
+//! faults that force the SQL→XQuery→VM fallback lattice to exercise its
+//! edges.
 //!
 //! Run with: `cargo run --example guard_demo`
 
 use xsltdb::pipeline::plan_bound;
 use xsltdb::xqgen::RewriteOptions;
-use xsltdb::{DegradePolicy, FaultKind, FaultPoint, Guard, Limits, PipelineError};
+use xsltdb::{BoundPlan, FaultKind, FaultPoint, Guard, Limits, PipelineError, StreamRun};
 use xsltdb_relstore::exec::Conjunction;
 use xsltdb_relstore::pubexpr::{AggPredTerm, PubExpr, SqlXmlQuery};
 use xsltdb_relstore::{Catalog, ColType, Datum, ExecStats, Table, XmlView};
@@ -83,35 +84,38 @@ xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
 <xsl:template match="dept"><xsl:apply-templates select="."/></xsl:template>
 </xsl:stylesheet>"#;
 
+/// Run `plan` through the degradation lattice, discarding the bytes.
+fn run(plan: &BoundPlan, catalog: &Catalog, guard: &Guard) -> Result<StreamRun, PipelineError> {
+    plan.execute_to_writer(catalog, &ExecStats::new(), guard, &mut std::io::sink())
+}
+
 fn main() {
     let (catalog, view) = setup();
-    let stats = ExecStats::new();
     let opts = RewriteOptions::default();
 
     // 1. Normal work under the server-default budget.
     let plan = plan_bound(&catalog, &view, SHEET, &opts).expect("planning succeeds");
     let guard = Guard::new(Limits::server_default());
-    let run = plan.execute_guarded(&catalog, &stats, &guard).expect("within budget");
+    let done = run(&plan, &catalog, &guard).expect("within budget");
     println!(
-        "[1] server-default limits: tier={:?}, {} docs, {} fuel spent, fallbacks={}",
-        run.tier,
-        run.documents.len(),
+        "[1] server-default limits: tier={:?}, {} bytes, {} fuel spent, fallbacks={}",
+        done.tier,
+        done.bytes_written,
         guard.fuel_spent(),
-        run.fallbacks.len()
+        done.fallbacks.len()
     );
 
     // 2. A runaway stylesheet trips the recursion ceiling, on every tier.
-    let plan = plan_bound(&catalog, &view, RUNAWAY, &opts).expect("planning succeeds");
+    let runaway = plan_bound(&catalog, &view, RUNAWAY, &opts).expect("planning succeeds");
     let guard = Guard::new(Limits::UNLIMITED.with_max_depth(32));
-    match plan.execute_guarded(&catalog, &stats, &guard) {
+    match run(&runaway, &catalog, &guard) {
         Err(PipelineError::Guard(trip)) => println!("[2] runaway recursion: {trip}"),
         other => panic!("expected a guard trip, got {other:?}"),
     }
 
     // 3. An already-expired deadline stops the pipeline at the first charge.
-    let plan = plan_bound(&catalog, &view, SHEET, &opts).expect("planning succeeds");
     let guard = Guard::new(Limits::UNLIMITED.with_deadline(Duration::ZERO));
-    match plan.execute_guarded(&catalog, &stats, &guard) {
+    match run(&plan, &catalog, &guard) {
         Err(PipelineError::Guard(trip)) => println!("[3] expired deadline:  {trip}"),
         other => panic!("expected a guard trip, got {other:?}"),
     }
@@ -119,42 +123,35 @@ fn main() {
     // 4. An injected SQL-tier fault degrades to a lower tier; the chain of
     //    abandoned tiers rides along on the result.
     let guard = Guard::unlimited().with_fault(FaultPoint::SqlExec, FaultKind::Error);
-    let run = plan.execute_guarded(&catalog, &stats, &guard).expect("a lower tier answers");
+    let done = run(&plan, &catalog, &guard).expect("a lower tier answers");
     println!(
         "[4] injected SQL fault: answered by tier={:?} after {:?}",
-        run.tier,
-        run.fallbacks.iter().map(|f| f.tier).collect::<Vec<_>>()
+        done.tier,
+        done.fallbacks.iter().map(|f| f.tier).collect::<Vec<_>>()
     );
 
     // 5. Even a panicking tier is contained and degraded past.
     let guard = Guard::unlimited().with_fault(FaultPoint::SqlExec, FaultKind::Panic);
-    let run = plan.execute_guarded(&catalog, &stats, &guard).expect("a lower tier answers");
-    let first = run.fallbacks.first().expect("one tier was abandoned");
+    let done = run(&plan, &catalog, &guard).expect("a lower tier answers");
+    let first = done.fallbacks.first().expect("one tier was abandoned");
     println!(
         "[5] injected SQL panic: contained (panicked={}), answered by tier={:?}",
-        first.panicked, run.tier
+        first.panicked, done.tier
     );
 
-    // 6. Strict policy surfaces the first failure instead of degrading.
-    let guard = Guard::unlimited().with_fault(FaultPoint::SqlExec, FaultKind::Error);
-    match plan.execute_with_policy(&catalog, &stats, &guard, DegradePolicy::Strict) {
-        Err(e) => println!("[6] strict policy:     {e}"),
-        Ok(run) => panic!("strict run should not degrade, got tier {:?}", run.tier),
-    }
-
-    // 7. A guard trip is terminal — the budget is shared, so no tier is
+    // 6. A guard trip is terminal — the budget is shared, so no tier is
     //    retried even though lower tiers are healthy.
     let guard = Guard::new(Limits::UNLIMITED.with_fuel(1));
-    match plan.execute_guarded(&catalog, &stats, &guard) {
-        Err(PipelineError::Guard(trip)) => println!("[7] shared budget:     {trip} (no fallback)"),
+    match run(&plan, &catalog, &guard) {
+        Err(PipelineError::Guard(trip)) => println!("[6] shared budget:     {trip} (no fallback)"),
         other => panic!("expected a terminal guard trip, got {other:?}"),
     }
 
-    // 8. Hostile input at the front door: absurdly deep nesting is a parse
+    // 7. Hostile input at the front door: absurdly deep nesting is a parse
     //    error, not a stack overflow.
     let bomb = "<a>".repeat(5000) + &"</a>".repeat(5000);
     match xsltdb_xml::parse_xml(&bomb) {
-        Err(e) => println!("[8] 5000-deep input:   {e}"),
+        Err(e) => println!("[7] 5000-deep input:   {e}"),
         Ok(_) => panic!("deep nesting should be rejected"),
     }
 }

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 use xsltdb::pipeline::plan_cached;
-use xsltdb::{Limits, PlanCache, Tier};
+use xsltdb::{Guard, Limits, PlanCache, Tier};
 use xsltdb_relstore::ExecStats;
 use xsltdb_xsltmark::{db_catalog, dbonerow_stylesheet, existing_id};
 
@@ -59,16 +59,17 @@ fn main() {
     println!("[4] create_index invalidated the entry; replan agrees byte for byte");
 
     // [5] A guard trip is per-execution: the cached entry stays reusable.
+    let starved = Guard::new(Limits::UNLIMITED.with_fuel(3));
     let err = p3
-        .execute_with_limits(&catalog, &ExecStats::new(), Limits::UNLIMITED.with_fuel(3))
+        .execute_to_writer(&catalog, &ExecStats::new(), &starved, &mut std::io::sink())
         .expect_err("3 fuel cannot finish");
     assert!(err.is_guard_trip());
     let p4 = plan_cached(&mut cache, &catalog, &view, &src, &opts).expect("plans");
     assert!(Arc::ptr_eq(&p3.plan, &p4.plan), "trip must not poison the entry");
-    let retried = p4
-        .execute_with_limits(&catalog, &ExecStats::new(), Limits::UNLIMITED)
+    let mut retried = Vec::new();
+    p4.execute_to_writer(&catalog, &ExecStats::new(), &Guard::unlimited(), &mut retried)
         .expect("full budget finishes");
-    assert_eq!(render(&retried.documents), render(&baseline));
+    assert_eq!(String::from_utf8(retried).expect("UTF-8"), render(&baseline).concat());
     println!("[5] guard trip contained; entry reused and full-budget retry agrees");
 
     let snap = cache.stats();

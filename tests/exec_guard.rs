@@ -10,8 +10,8 @@
 use std::time::Duration;
 use xsltdb::xqgen::RewriteOptions;
 use xsltdb::{
-    plan_bound, FaultKind, FaultPoint, Guard, GuardExceeded, Limits, PipelineError,
-    Resource, Tier,
+    plan_bound, BoundPlan, FaultKind, FaultPoint, Guard, GuardExceeded, Limits, PipelineError,
+    Resource, StreamRun, Tier,
 };
 use xsltdb_relstore::exec::Conjunction;
 use xsltdb_relstore::pubexpr::{PubExpr, SqlXmlQuery};
@@ -55,14 +55,28 @@ const VM_ONLY: &str =
 /// A template that re-applies itself to the same node forever.
 const INFINITE_RECURSION: &str =
     r#"<xsl:template match="r"><xsl:apply-templates select="."/></xsl:template>"#;
+/// What every tier must produce for the three rows of `setup()`.
+const ALL_ROWS: &str = "<o>7</o><o>8</o><o>9</o>";
 
-fn expect_guard_trip(r: Result<xsltdb::GuardedRun, PipelineError>, resource: Resource) {
+/// Run `plan` through the degradation lattice into a buffer; on success,
+/// hand back the run together with the bytes it wrote.
+fn run(
+    plan: &BoundPlan,
+    catalog: &Catalog,
+    guard: &Guard,
+) -> Result<(StreamRun, String), PipelineError> {
+    let mut out = Vec::new();
+    let run = plan.execute_to_writer(catalog, &ExecStats::new(), guard, &mut out)?;
+    Ok((run, String::from_utf8(out).expect("output is UTF-8")))
+}
+
+fn expect_guard_trip(r: Result<(StreamRun, String), PipelineError>, resource: Resource) {
     match r {
         Err(PipelineError::Guard(GuardExceeded { resource: got, .. })) => {
             assert_eq!(got, resource, "tripped the wrong budget");
         }
         Err(other) => panic!("expected a guard trip on {resource:?}, got {other:?}"),
-        Ok(run) => panic!(
+        Ok((run, _)) => panic!(
             "expected a guard trip on {resource:?}, but the {:?} tier succeeded",
             run.tier
         ),
@@ -80,8 +94,7 @@ fn infinite_template_recursion_trips_depth() {
     // keeps its recursive functions), so this planned below the SQL tier.
     assert_ne!(plan.tier(), Tier::Sql);
     let guard = Guard::new(Limits::UNLIMITED.with_max_depth(32));
-    let stats = ExecStats::new();
-    expect_guard_trip(plan.execute_guarded(&catalog, &stats, &guard), Resource::Depth);
+    expect_guard_trip(run(&plan, &catalog, &guard), Resource::Depth);
 }
 
 #[test]
@@ -92,22 +105,25 @@ fn infinite_template_recursion_trips_fuel_when_depth_is_roomy() {
     // Small enough that the trip fires long before the runaway recursion
     // can exhaust the 2 MiB test-thread stack.
     let guard = Guard::new(Limits::UNLIMITED.with_fuel(120));
-    let stats = ExecStats::new();
-    expect_guard_trip(plan.execute_guarded(&catalog, &stats, &guard), Resource::Fuel);
+    expect_guard_trip(run(&plan, &catalog, &guard), Resource::Fuel);
 }
 
 #[test]
 fn infinite_template_recursion_trips_depth_on_vm_tier() {
-    // Drive the VM tier directly so the depth budget is exercised on the
-    // functional-evaluation path too, not just the planned tier.
+    // Knock out the XQuery tier at entry so the recursion reaches the VM:
+    // the depth budget is exercised on the functional-evaluation path too,
+    // not just the planned tier.
     let (catalog, view) = setup();
-    let sheet = xsltdb_xslt::compile_str(&wrap(INFINITE_RECURSION)).unwrap();
-    let guard = Guard::new(Limits::UNLIMITED.with_max_depth(32));
-    let stats = ExecStats::new();
-    match xsltdb::no_rewrite_transform_guarded(&catalog, &view, &sheet, &stats, &guard) {
+    let plan = plan_bound(&catalog, &view, &wrap(INFINITE_RECURSION), &RewriteOptions::default())
+        .unwrap();
+    assert_eq!(plan.tier(), Tier::XQuery);
+    let guard = Guard::new(Limits::UNLIMITED.with_max_depth(32))
+        .with_fault(FaultPoint::XQueryExec, FaultKind::Error);
+    match run(&plan, &catalog, &guard) {
         Err(e) => assert!(e.to_string().contains("depth"), "unexpected error: {e}"),
         Ok(_) => panic!("runaway recursion must not complete"),
     }
+    assert_eq!(guard.take_fault(FaultPoint::XQueryExec), None, "the XQuery tier never ran");
     assert_eq!(guard.trip().unwrap().resource, Resource::Depth);
 }
 
@@ -136,8 +152,7 @@ fn ten_ms_deadline_terminates_every_tier() {
         // Let the 10ms budget expire before the work starts, so the very
         // first strided clock check trips it deterministically.
         std::thread::sleep(Duration::from_millis(12));
-        let stats = ExecStats::new();
-        expect_guard_trip(plan.execute_guarded(&catalog, &stats, &guard), Resource::Deadline);
+        expect_guard_trip(run(&plan, &catalog, &guard), Resource::Deadline);
     }
 }
 
@@ -149,8 +164,7 @@ fn guard_trips_are_terminal_not_fallback_fodder() {
     // Fuel so small the SQL tier trips immediately. The XQuery and VM
     // tiers must NOT be tried: the error is Guard, not TiersExhausted.
     let guard = Guard::new(Limits::UNLIMITED.with_fuel(1));
-    let stats = ExecStats::new();
-    match plan.execute_guarded(&catalog, &stats, &guard) {
+    match run(&plan, &catalog, &guard) {
         Err(PipelineError::Guard(trip)) => assert_eq!(trip.resource, Resource::Fuel),
         other => panic!("expected terminal guard trip, got {other:?}"),
     }
@@ -161,11 +175,25 @@ fn server_default_limits_pass_normal_work() {
     let (catalog, view) = setup();
     let plan = plan_bound(&catalog, &view, &wrap(SQL_OK), &RewriteOptions::default()).unwrap();
     let guard = Guard::new(Limits::server_default());
-    let stats = ExecStats::new();
-    let run = plan.execute_guarded(&catalog, &stats, &guard).unwrap();
+    let (run, bytes) = run(&plan, &catalog, &guard).unwrap();
     assert_eq!(run.tier, Tier::Sql);
     assert!(run.fallbacks.is_empty());
-    assert_eq!(xsltdb_xml::to_string(&run.documents[0]), "<o>7</o>");
+    assert_eq!(bytes, ALL_ROWS);
+}
+
+#[test]
+fn vm_output_is_charged_once_not_again_on_copy_out() {
+    // The VM charges the text it builds into its result trees; copying
+    // those trees to the writer must not charge the serialized bytes on
+    // top. A cap of half the serialized size leaves room for the former
+    // but not for both.
+    let (catalog, view) = setup();
+    let plan = plan_bound(&catalog, &view, &wrap(VM_ONLY), &RewriteOptions::default()).unwrap();
+    assert_eq!(plan.tier(), Tier::Vm);
+    let (full, _) = run(&plan, &catalog, &Guard::unlimited()).unwrap();
+    let cap = Guard::new(Limits::UNLIMITED.with_max_output_bytes(full.bytes_written / 2));
+    let (capped, _) = run(&plan, &catalog, &cap).unwrap();
+    assert_eq!(capped.bytes_written, full.bytes_written);
 }
 
 // --------------------------------------------------- fallback lattice edges
@@ -177,14 +205,13 @@ fn sql_fault_falls_back_to_xquery() {
     assert_eq!(plan.tier(), Tier::Sql);
     assert!(plan.fallback_reason().is_none());
     let guard = Guard::unlimited().with_fault(FaultPoint::SqlExec, FaultKind::Error);
-    let stats = ExecStats::new();
-    let run = plan.execute_guarded(&catalog, &stats, &guard).unwrap();
+    let (run, bytes) = run(&plan, &catalog, &guard).unwrap();
     assert_eq!(run.tier, Tier::XQuery);
     assert_eq!(run.fallbacks.len(), 1);
     assert_eq!(run.fallbacks[0].tier, "sql");
     assert!(!run.fallbacks[0].panicked);
     assert!(run.fallbacks[0].reason.contains("injected fault"));
-    assert_eq!(xsltdb_xml::to_string(&run.documents[0]), "<o>7</o>");
+    assert_eq!(bytes, ALL_ROWS);
 }
 
 #[test]
@@ -194,14 +221,12 @@ fn sql_and_xquery_faults_fall_back_to_vm_with_full_chain() {
     let guard = Guard::unlimited()
         .with_fault(FaultPoint::SqlExec, FaultKind::Error)
         .with_fault(FaultPoint::XQueryExec, FaultKind::Error);
-    let stats = ExecStats::new();
-    let run = plan.execute_guarded(&catalog, &stats, &guard).unwrap();
+    let (run, bytes) = run(&plan, &catalog, &guard).unwrap();
     assert_eq!(run.tier, Tier::Vm);
     let chain: Vec<&str> = run.fallbacks.iter().map(|f| f.tier).collect();
     assert_eq!(chain, ["sql", "xquery"]);
     // All three rows still transformed correctly on the slowest tier.
-    assert_eq!(run.documents.len(), 3);
-    assert_eq!(xsltdb_xml::to_string(&run.documents[2]), "<o>9</o>");
+    assert_eq!(bytes, ALL_ROWS);
 }
 
 #[test]
@@ -212,8 +237,7 @@ fn xquery_fault_falls_back_to_vm() {
     // The plan records why it could not reach the SQL tier…
     assert!(plan.fallback_reason().is_some());
     let guard = Guard::unlimited().with_fault(FaultPoint::XQueryExec, FaultKind::Error);
-    let stats = ExecStats::new();
-    let run = plan.execute_guarded(&catalog, &stats, &guard).unwrap();
+    let (run, _) = run(&plan, &catalog, &guard).unwrap();
     // …and the execution-time chain records the XQuery-tier failure.
     assert_eq!(run.tier, Tier::Vm);
     assert_eq!(run.fallbacks.len(), 1);
@@ -226,8 +250,7 @@ fn vm_hard_failure_surfaces_typed_error() {
     let plan = plan_bound(&catalog, &view, &wrap(VM_ONLY), &RewriteOptions::default()).unwrap();
     assert_eq!(plan.tier(), Tier::Vm);
     let guard = Guard::unlimited().with_fault(FaultPoint::VmExec, FaultKind::Error);
-    let stats = ExecStats::new();
-    match plan.execute_guarded(&catalog, &stats, &guard) {
+    match run(&plan, &catalog, &guard) {
         Err(PipelineError::Xslt(e)) => assert!(e.0.contains("injected fault")),
         other => panic!("expected the VM tier's own error, got {other:?}"),
     }
@@ -240,10 +263,33 @@ fn materialize_fault_fails_xquery_then_vm_finds_it_disarmed() {
     let (catalog, view) = setup();
     let plan = plan_bound(&catalog, &view, &wrap(XQUERY_ONLY), &RewriteOptions::default()).unwrap();
     let guard = Guard::unlimited().with_fault(FaultPoint::Materialize, FaultKind::Error);
-    let stats = ExecStats::new();
-    let run = plan.execute_guarded(&catalog, &stats, &guard).unwrap();
+    let (run, _) = run(&plan, &catalog, &guard).unwrap();
     assert_eq!(run.tier, Tier::Vm);
     assert!(run.fallbacks[0].reason.contains("injected fault materialising"));
+}
+
+#[test]
+fn every_fault_point_and_kind_degrades_to_the_same_tier() {
+    // (plan, fault point, tier that answers, failed tiers before it). The
+    // VM has no tier below it; its faults are the typed-error tests above.
+    let cases = [
+        (SQL_OK, FaultPoint::SqlExec, Tier::XQuery, "sql"),
+        (XQUERY_ONLY, FaultPoint::XQueryExec, Tier::Vm, "xquery"),
+        (XQUERY_ONLY, FaultPoint::Materialize, Tier::Vm, "xquery"),
+    ];
+    let (catalog, view) = setup();
+    for (sheet, point, tier, failed) in cases {
+        let plan = plan_bound(&catalog, &view, &wrap(sheet), &RewriteOptions::default()).unwrap();
+        for kind in [FaultKind::Error, FaultKind::Panic] {
+            let guard = Guard::unlimited().with_fault(point, kind);
+            let (run, bytes) = run(&plan, &catalog, &guard).unwrap();
+            assert_eq!(run.tier, tier, "{point:?} × {kind:?}");
+            let chain: Vec<(&str, bool)> =
+                run.fallbacks.iter().map(|f| (f.tier, f.panicked)).collect();
+            assert_eq!(chain, [(failed, kind == FaultKind::Panic)], "{point:?} × {kind:?}");
+            assert_eq!(bytes, ALL_ROWS, "{point:?} × {kind:?}");
+        }
+    }
 }
 
 // ------------------------------------------------------------ panic safety
@@ -253,8 +299,7 @@ fn sql_panic_is_contained_and_falls_back() {
     let (catalog, view) = setup();
     let plan = plan_bound(&catalog, &view, &wrap(SQL_OK), &RewriteOptions::default()).unwrap();
     let guard = Guard::unlimited().with_fault(FaultPoint::SqlExec, FaultKind::Panic);
-    let stats = ExecStats::new();
-    let run = plan.execute_guarded(&catalog, &stats, &guard).unwrap();
+    let (run, _) = run(&plan, &catalog, &guard).unwrap();
     assert_eq!(run.tier, Tier::XQuery);
     assert!(run.fallbacks[0].panicked);
     assert!(run.fallbacks[0].reason.contains("injected panic"));
@@ -265,8 +310,7 @@ fn vm_panic_with_no_tier_left_is_a_typed_panic_error() {
     let (catalog, view) = setup();
     let plan = plan_bound(&catalog, &view, &wrap(VM_ONLY), &RewriteOptions::default()).unwrap();
     let guard = Guard::unlimited().with_fault(FaultPoint::VmExec, FaultKind::Panic);
-    let stats = ExecStats::new();
-    match plan.execute_guarded(&catalog, &stats, &guard) {
+    match run(&plan, &catalog, &guard) {
         Err(PipelineError::Panic { tier, message }) => {
             assert_eq!(tier, "vm");
             assert!(message.contains("injected panic"));
@@ -283,8 +327,7 @@ fn every_tier_panicking_reports_the_exhausted_chain() {
         .with_fault(FaultPoint::SqlExec, FaultKind::Panic)
         .with_fault(FaultPoint::XQueryExec, FaultKind::Panic)
         .with_fault(FaultPoint::VmExec, FaultKind::Panic);
-    let stats = ExecStats::new();
-    match plan.execute_guarded(&catalog, &stats, &guard) {
+    match run(&plan, &catalog, &guard) {
         Err(PipelineError::TiersExhausted { attempts }) => {
             let tiers: Vec<&str> = attempts.iter().map(|a| a.tier).collect();
             assert_eq!(tiers, ["sql", "xquery", "vm"]);
@@ -295,35 +338,21 @@ fn every_tier_panicking_reports_the_exhausted_chain() {
 }
 
 #[test]
-fn strict_policy_fails_fast_without_fallback() {
-    use xsltdb::DegradePolicy;
-    let (catalog, view) = setup();
-    let plan = plan_bound(&catalog, &view, &wrap(SQL_OK), &RewriteOptions::default()).unwrap();
-    let guard = Guard::unlimited().with_fault(FaultPoint::SqlExec, FaultKind::Error);
-    let stats = ExecStats::new();
-    match plan.execute_with_policy(&catalog, &stats, &guard, DegradePolicy::Strict) {
-        Err(PipelineError::Store(e)) => assert!(e.message().contains("injected fault")),
-        other => panic!("expected the SQL tier's own error, got {other:?}"),
-    }
-}
-
-#[test]
 fn shared_budget_accumulates_across_fallback_tiers() {
     // The fuel spent on the failed SQL attempt counts against the XQuery
     // and VM attempts too: with a budget sized for exactly one clean run,
     // a post-fault fallback trips it.
     let (catalog, view) = setup();
     let plan = plan_bound(&catalog, &view, &wrap(SQL_OK), &RewriteOptions::default()).unwrap();
-    let stats = ExecStats::new();
 
     // Measure a clean XQuery-tier run's fuel appetite.
     let probe = Guard::unlimited().with_fault(FaultPoint::SqlExec, FaultKind::Error);
-    let run = plan.execute_guarded(&catalog, &stats, &probe).unwrap();
-    assert_eq!(run.tier, Tier::XQuery);
+    let (probed, _) = run(&plan, &catalog, &probe).unwrap();
+    assert_eq!(probed.tier, Tier::XQuery);
     let appetite = probe.fuel_spent();
 
     // The same work with the budget set just under it must trip.
     let tight = Guard::new(Limits::UNLIMITED.with_fuel(appetite.saturating_sub(1)))
         .with_fault(FaultPoint::SqlExec, FaultKind::Error);
-    expect_guard_trip(plan.execute_guarded(&catalog, &stats, &tight), Resource::Fuel);
+    expect_guard_trip(run(&plan, &catalog, &tight), Resource::Fuel);
 }

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use xsltdb::pipeline::{no_rewrite_transform, plan_cached};
 use xsltdb::plancache::PlanCache;
 use xsltdb::xqgen::RewriteOptions;
-use xsltdb::Limits;
+use xsltdb::{Guard, Limits};
 use xsltdb_relstore::ExecStats;
 use xsltdb_xml::to_string;
 use xsltdb_xsltmark::{db_catalog, dbonerow_stylesheet, existing_id, run_suite_planned};
@@ -168,8 +168,9 @@ fn guard_trip_never_poisons_the_cached_entry() {
         .expect("plans");
 
     // Execution #1: starved budget → guard trip, reported as such.
+    let starved = Guard::new(Limits::UNLIMITED.with_fuel(5));
     let tripped = plan
-        .execute_with_limits(&catalog, &stats, Limits::UNLIMITED.with_fuel(5))
+        .execute_to_writer(&catalog, &stats, &starved, &mut Vec::new())
         .expect_err("5 fuel cannot transform 120 rows");
     assert!(tripped.is_guard_trip(), "expected a guard trip, got {tripped:?}");
 
@@ -182,13 +183,13 @@ fn guard_trip_never_poisons_the_cached_entry() {
 
     // Execution #2: a fresh guard with a real budget runs to completion and
     // matches the uncached baseline byte for byte.
-    let run = again
-        .execute_with_limits(&catalog, &stats, Limits::UNLIMITED)
+    let mut got = Vec::new();
+    again
+        .execute_to_writer(&catalog, &stats, &Guard::new(Limits::UNLIMITED), &mut got)
         .expect("fresh budget executes");
     let baseline = no_rewrite_transform(&catalog, &view, again.sheet(), &stats).expect("baseline");
-    let got: Vec<String> = run.documents.iter().map(to_string).collect();
-    let expected: Vec<String> = baseline.documents.iter().map(to_string).collect();
-    assert_eq!(got, expected);
+    let expected: String = baseline.documents.iter().map(to_string).collect();
+    assert_eq!(String::from_utf8(got).expect("UTF-8"), expected);
 }
 
 // ---------------------------------------------------------------------------

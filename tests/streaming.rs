@@ -5,8 +5,9 @@
 //!
 //! 1. **Byte identity** — for all 40 XSLTMark cases over the relationally
 //!    backed `db_vu` view, the streamed bytes equal the concatenated
-//!    `to_string` of `execute`'s documents, both for freshly planned runs
-//!    and for plans served out of a [`SharedPlanCache`].
+//!    `to_string` of `execute`'s documents and of the XSLTVM baseline, both
+//!    for freshly planned runs and for plans served out of a
+//!    [`SharedPlanCache`].
 //! 2. **Zero materialisation** — the SQL tier streams without building a
 //!    single DOM node (`peak_materialized_nodes == 0`,
 //!    `streamed_bytes > 0`).
@@ -17,12 +18,12 @@
 //!    [`TierFailure`]; a writer that dies mid-stream is terminal (bytes on
 //!    the wire cannot be unwritten).
 
-use xsltdb::pipeline::{plan_bound, Tier};
+use xsltdb::pipeline::{no_rewrite_transform, plan_bound, Tier};
 use xsltdb::plancache::SharedPlanCache;
 use xsltdb::xqgen::RewriteOptions;
 use xsltdb::{FaultKind, FaultPoint, Guard, Limits};
 use xsltdb_relstore::ExecStats;
-use xsltdb_xml::to_string;
+use xsltdb_xml::{to_string, StreamWriter};
 use xsltdb_xsltmark::{
     all_cases, db_catalog, dbonerow_stylesheet, existing_id, run_suite_planned_shared,
 };
@@ -65,6 +66,14 @@ fn all_forty_cases_stream_byte_identically_when_freshly_planned() {
                 run.tier
             );
             assert_eq!(run.bytes_written as usize, expected.len(), "case {}", case.name);
+            // Both paths share one tier body, so pin them to the XSLTVM too.
+            let baseline: String = no_rewrite_transform(&catalog, &view, bound.sheet(), &stats)
+                .unwrap_or_else(|e| panic!("case {} baseline fails: {e}", case.name))
+                .documents
+                .iter()
+                .map(to_string)
+                .collect();
+            assert_eq!(expected, baseline, "case {} differs from the VM", case.name);
             assert!(run.fallbacks.is_empty(), "case {} fell back: {:?}", case.name, run.fallbacks);
             match run.tier {
                 Tier::Sql => by_tier.0 += 1,
@@ -160,8 +169,8 @@ fn max_output_bytes_trips_mid_stream_with_bounded_partial_output() {
 }
 
 /// A guard trip surfacing through the streaming store path (`SinkError::Guard`
-/// inside `execute_streaming_bound`) classifies as a guard trip from the
-/// error value alone — the retry layer must never re-run a budget-tripped
+/// inside `SqlXmlQuery::run` over a `StreamWriter`) classifies as a guard
+/// trip from the error value alone — the retry layer must never re-run a budget-tripped
 /// request, and it cannot rely on having the tripping `Guard` in hand.
 #[test]
 fn streaming_guard_trip_classifies_without_the_guard_side_channel() {
@@ -182,15 +191,9 @@ fn streaming_guard_trip_classifies_without_the_guard_side_channel() {
     let sql = bound.plan().sql.as_ref().expect("SQL tier plan");
 
     let guard = Guard::new(Limits::UNLIMITED.with_max_output_bytes(64));
-    let mut out = Vec::new();
+    let mut out = StreamWriter::new(Vec::new(), guard.clone());
     let store_err = sql
-        .execute_streaming_bound(
-            &catalog,
-            &ExecStats::new(),
-            &guard,
-            bound.bindings(),
-            &mut out,
-        )
+        .run(&catalog, &ExecStats::new(), &guard, bound.bindings(), &mut out)
         .unwrap_err();
     // The StoreError itself carries the structured trip …
     assert_eq!(store_err.trip(), guard.trip());
