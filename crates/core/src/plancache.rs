@@ -27,7 +27,8 @@
 //!   leaves same-shaped siblings cached (plan-aware invalidation). Either
 //!   way a stale entry is dropped under the lock and replanned: the tier
 //!   chosen may change, the output must not.
-//! * **Budgeting** — the cache is bounded in (estimated) bytes, not entry
+//! * **Budgeting** — the cache is bounded in bytes of heap an entry holds
+//!   ([`plan_cost`], calibrated against a counting allocator), not entry
 //!   count, and evicts least-recently-used entries. A plan larger than the
 //!   whole capacity is simply not admitted.
 //! * **Guard composition** — cached plans are immutable; executions arm a
@@ -35,9 +36,10 @@
 //!   [`BoundPlan::execute_to_writer`](crate::pipeline::BoundPlan::execute_to_writer)),
 //!   so a budget trip in one call never poisons the entry for the next.
 
-// Guard-bearing hot path: a stray unwrap here is a latent panic the
-// pipeline would have to contain at a tier boundary. Keep it impossible.
+// Guard-bearing hot path: a stray unwrap or expect here is a latent panic
+// the pipeline would have to contain at a tier boundary. Keep it impossible.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::expect_used))]
 // The cache hands one Arc'd plan to every caller; a stray clone of the
 // plan would silently undo the sharing the cache exists to provide.
 #![cfg_attr(not(test), deny(clippy::redundant_clone))]
@@ -121,11 +123,6 @@ impl PlanKey {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
         h ^ fnv64(self.options.as_bytes())
     }
-
-    /// Bytes this key holds on to while cached.
-    fn cost(&self) -> usize {
-        self.stylesheet.len() + self.options.len() + std::mem::size_of::<u64>()
-    }
 }
 
 /// Memo of view-name → (stamp, canonicalisation) shared — as a value, not
@@ -169,25 +166,36 @@ impl CanonMemo {
     }
 }
 
-/// Estimated resident size of a prepared plan: the dominant owned text
-/// (pretty-printed rewrite query and SQL) plus a fixed overhead for the
-/// compiled stylesheet and view structures. An estimate is all the LRU
-/// budget needs — it has to rank plans by size, not account allocator
-/// bytes.
-pub fn plan_cost(plan: &TransformPlan) -> usize {
-    const FIXED_OVERHEAD: usize = 512;
-    let rewrite = plan
+/// Heap bytes a cached entry holds: the key and the plan, counted the way
+/// the allocator counts them (each allocation rounded up to its 16-byte
+/// chunk, plus its header). The plan's trees are sized by proxy, per byte
+/// of their text form; the coefficients are fitted to a counting
+/// allocator over the 40 XSLTMark plans plus `dbonerow` and `dbtail`, at
+/// which the sum comes within 1% of the allocator's total and every plan
+/// within 0.75–1.3× of its own. Text alone (the key, the pretty-printed
+/// XQuery and SQL) is ≈ 8× short of that.
+pub fn plan_cost(key: &PlanKey, plan: &TransformPlan) -> usize {
+    // Map slot, `Arc`, and the shells of the compiled stylesheet, rewrite
+    // outcome and emission report.
+    const FIXED: usize = 4_400;
+    // The key's copy of the source (1) and the compiled stylesheet (≈ 9).
+    const PER_SHEET_BYTE: usize = 10;
+    // The rewritten XQuery AST.
+    const PER_XQUERY_BYTE: usize = 7;
+    // The slot-named SQL/XML publishing tree.
+    const PER_SQL_BYTE: usize = 22;
+    let xquery = plan
         .rewrite
         .as_ref()
-        .map(|o| xsltdb_xquery::pretty_query(&o.query).len())
-        .unwrap_or(0);
-    let sql = plan
-        .sql
-        .as_ref()
-        .map(|q| xsltdb_relstore::sql_text(q).len())
-        .unwrap_or(0);
-    let fallback = plan.fallback_reason.as_ref().map(String::len).unwrap_or(0);
-    FIXED_OVERHEAD + rewrite + sql + fallback
+        .map_or(0, |o| xsltdb_xquery::pretty_query(&o.query).len());
+    let sql = plan.sql.as_ref().map_or(0, |q| xsltdb_relstore::sql_text(q).len());
+    let fallback = plan.fallback_reason.as_ref().map_or(0, String::len);
+    FIXED
+        + PER_SHEET_BYTE * key.stylesheet.len()
+        + key.options.len()
+        + PER_XQUERY_BYTE * xquery
+        + PER_SQL_BYTE * sql
+        + fallback
 }
 
 struct Entry {
@@ -195,7 +203,7 @@ struct Entry {
     /// [`Catalog::generation`](xsltdb_relstore::Catalog::generation) at
     /// planning time — compared against the validity floor a lookup passes.
     planned_at: u64,
-    /// Estimated bytes this entry pins (key + plan).
+    /// [`plan_cost`] of this entry (key + plan).
     cost: usize,
     /// LRU clock value of the last hit (or the insert).
     last_used: u64,
@@ -216,9 +224,11 @@ pub struct PlanCache {
     canon: CanonMemo,
 }
 
-/// Default capacity: enough for every stylesheet of the XSLTMark suite with
-/// room to spare, small enough that eviction is exercised in real use.
-pub const DEFAULT_PLAN_CACHE_BYTES: usize = 4 * 1024 * 1024;
+/// Default capacity, in [`plan_cost`] bytes: room for every stylesheet of
+/// the XSLTMark suite (≈ 0.65 MB) or 65 `dbonerow` lookups (≈ 0.9 MB) with
+/// slack for uneven shards, small enough that a stream of distinct
+/// stylesheets evicts instead of growing the heap.
+pub const DEFAULT_PLAN_CACHE_BYTES: usize = 2 * 1024 * 1024;
 
 impl Default for PlanCache {
     fn default() -> Self {
@@ -227,7 +237,7 @@ impl Default for PlanCache {
 }
 
 impl PlanCache {
-    /// A cache bounded at `capacity` estimated bytes.
+    /// A cache bounded at `capacity` [`plan_cost`] bytes.
     pub fn new(capacity: usize) -> PlanCache {
         PlanCache::with_stats(capacity, Arc::new(CacheStats::new()))
     }
@@ -264,7 +274,7 @@ impl PlanCache {
         self.capacity
     }
 
-    /// Estimated bytes currently pinned by cached entries. Never exceeds
+    /// [`plan_cost`] bytes currently pinned by cached entries. Never exceeds
     /// [`capacity_bytes`](Self::capacity_bytes).
     pub fn bytes_in_use(&self) -> usize {
         self.bytes
@@ -299,28 +309,20 @@ impl PlanCache {
     /// Counts exactly one hit or one miss; a stale entry additionally
     /// counts an invalidation and is dropped.
     pub fn lookup(&mut self, key: &PlanKey, valid_at: u64) -> Option<Arc<TransformPlan>> {
-        match self.entries.get_mut(key) {
-            Some(entry) if entry.planned_at >= valid_at => {
+        if let Some(entry) = self.entries.get_mut(key) {
+            if entry.planned_at >= valid_at {
                 self.clock += 1;
                 entry.last_used = self.clock;
                 self.stats.add_hit();
-                Some(Arc::clone(&entry.plan))
-            }
-            Some(_) => {
-                let stale = self
-                    .entries
-                    .remove(key)
-                    .expect("entry present under the same borrow");
-                self.bytes -= stale.cost;
-                self.stats.add_invalidation();
-                self.stats.add_miss();
-                None
-            }
-            None => {
-                self.stats.add_miss();
-                None
+                return Some(Arc::clone(&entry.plan));
             }
         }
+        if let Some(stale) = self.entries.remove(key) {
+            self.bytes -= stale.cost;
+            self.stats.add_invalidation();
+        }
+        self.stats.add_miss();
+        None
     }
 
     /// Admit a freshly prepared plan, stamped with the global DDL clock
@@ -329,7 +331,7 @@ impl PlanCache {
     /// admitted (the caller still gets its `Arc`, it just will not be
     /// shared).
     pub fn insert(&mut self, key: PlanKey, plan: Arc<TransformPlan>, planned_at: u64) {
-        let cost = key.cost() + plan_cost(&plan);
+        let cost = plan_cost(&key, &plan);
         if cost > self.capacity {
             self.stats.add_uncacheable();
             return;
@@ -339,16 +341,18 @@ impl PlanCache {
         if let Some(old) = self.entries.remove(&key) {
             self.bytes -= old.cost;
         }
+        // `cost <= capacity`, so the loop ends with the map emptied at the
+        // latest.
         while self.bytes + cost > self.capacity {
-            let victim = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-                .expect("bytes > 0 implies at least one entry");
-            let evicted = self.entries.remove(&victim).expect("victim present");
-            self.bytes -= evicted.cost;
-            self.stats.add_eviction();
+            let Some(victim) =
+                self.entries.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| k.clone())
+            else {
+                break;
+            };
+            if let Some(evicted) = self.entries.remove(&victim) {
+                self.bytes -= evicted.cost;
+                self.stats.add_eviction();
+            }
         }
         self.clock += 1;
         self.entries.insert(key, Entry { plan, planned_at, cost, last_used: self.clock });
@@ -410,13 +414,13 @@ impl Default for SharedPlanCache {
 }
 
 impl SharedPlanCache {
-    /// A cache bounded at `capacity` estimated bytes, striped over
+    /// A cache bounded at `capacity` [`plan_cost`] bytes, striped over
     /// [`DEFAULT_PLAN_CACHE_SHARDS`] shards.
     pub fn new(capacity: usize) -> SharedPlanCache {
         SharedPlanCache::with_shards(capacity, DEFAULT_PLAN_CACHE_SHARDS)
     }
 
-    /// A cache bounded at `capacity` estimated bytes over exactly `shards`
+    /// A cache bounded at `capacity` [`plan_cost`] bytes over exactly `shards`
     /// lock stripes (≥ 1). Each shard is budgeted `capacity / shards`
     /// bytes, so the global bound holds shard-locally.
     pub fn with_shards(capacity: usize, shards: usize) -> SharedPlanCache {
@@ -449,7 +453,7 @@ impl SharedPlanCache {
         self.capacity
     }
 
-    /// Estimated bytes currently pinned across all shards. Each addend is
+    /// [`plan_cost`] bytes currently pinned across all shards. Each addend is
     /// read under its shard lock; the sum is a consistent upper-bounded
     /// estimate (every shard individually respects its slice at all times).
     pub fn bytes_in_use(&self) -> usize {
@@ -613,7 +617,7 @@ mod tests {
             .collect();
         let keys: Vec<PlanKey> =
             srcs.iter().map(|s| PlanKey::new(&view, s, &RewriteOptions::default())).collect();
-        let one = keys[0].cost() + plan_cost(&plan(&view, &srcs[0]));
+        let one = plan_cost(&keys[0], &plan(&view, &srcs[0]));
         // Room for roughly two entries.
         let mut cache = PlanCache::new(one * 2 + one / 2);
         for (k, s) in keys.iter().zip(&srcs).take(3) {
@@ -718,7 +722,7 @@ mod tests {
             .collect();
         let keys: Vec<PlanKey> =
             srcs.iter().map(|s| PlanKey::new(&view, s, &RewriteOptions::default())).collect();
-        let one = keys[0].cost() + plan_cost(&plan(&view, &srcs[0]));
+        let one = plan_cost(&keys[0], &plan(&view, &srcs[0]));
         // Four shards of ~one entry each: inserts must stay under the
         // global budget whichever shards the digests land on.
         let cache = SharedPlanCache::with_shards(one * 4 + one / 2, 4);

@@ -211,19 +211,23 @@ impl FrontDoor {
 
         // Probe the result cache before paying for admission at the full
         // request budget: a hit reserves exactly the bytes it puts in
-        // flight instead of the worst-case output cap.
-        let canon = self.cache.view_canon(view, catalog.view_stamp(&view.name));
-        let key = ResultKey::new(
-            canon.fingerprint,
-            stylesheet_src,
-            opts,
-            result_key_tables(&canon, view),
-        );
-        if self.results.enabled() {
+        // flight instead of the worst-case output cap. With the cache off
+        // no key is built at all (it copies the stylesheet).
+        let key = if self.results.enabled() {
+            let canon = self.cache.view_canon(view, catalog.view_stamp(&view.name));
+            let key = ResultKey::new(
+                canon.fingerprint,
+                stylesheet_src,
+                opts,
+                result_key_tables(&canon, view),
+            );
             if let Some(hit) = self.results.lookup(&key, catalog) {
                 return self.serve_cached(hit, limits, deadline, make_guard);
             }
-        }
+            Some(key)
+        } else {
+            None
+        };
 
         let (fuel, bytes) = reservation_units(limits);
         let permit = self
@@ -255,7 +259,7 @@ impl FrontDoor {
                     // read-set snapshot comes from the same immutable
                     // catalog borrow the execution ran against, so bytes
                     // and versions are mutually consistent.
-                    if self.results.enabled() {
+                    if let Some(key) = key {
                         let reads =
                             catalog.versions_of(key.tables.iter().map(String::as_str));
                         self.results.insert(key, Arc::from(&buf[..]), run.tier, reads);

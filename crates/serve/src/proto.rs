@@ -13,6 +13,14 @@
 //! the complete transform output (never partial — a failed attempt's
 //! bytes are discarded before the response is framed); `Rejected` and
 //! `Error` bodies are UTF-8 diagnostics.
+//!
+//! Every frame leaves in one `write` where it can. Split across writes, a
+//! small frame's tail waits for the peer to ACK its head (Nagle), and the
+//! peer holds that ACK back for its delayed-ACK timer: ≈ 40 ms per
+//! exchange against microseconds of work. Only a response body over
+//! [`COALESCE_LIMIT`] goes out as a header write and a body write, so a
+//! large body is never copied; the server sets `TCP_NODELAY` so that
+//! second write is not held back either.
 
 use std::io::{self, Read, Write};
 
@@ -59,9 +67,11 @@ pub struct Response {
 /// before they allocate.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
-fn read_len(r: &mut dyn Read) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
+/// Response bodies up to this size are copied behind their header and sent
+/// in one write; larger ones are written in place after the header.
+pub const COALESCE_LIMIT: usize = 64 * 1024;
+
+fn checked_len(b: [u8; 4]) -> io::Result<usize> {
     let n = u32::from_be_bytes(b);
     if n > MAX_FRAME {
         return Err(io::Error::new(
@@ -69,14 +79,24 @@ fn read_len(r: &mut dyn Read) -> io::Result<u32> {
             format!("frame of {n} bytes exceeds the {MAX_FRAME}-byte bound"),
         ));
     }
-    Ok(n)
+    Ok(n as usize)
 }
 
-fn read_chunk(r: &mut dyn Read) -> io::Result<Vec<u8>> {
-    let n = read_len(r)? as usize;
+fn read_body(r: &mut dyn Read, n: usize) -> io::Result<Vec<u8>> {
     let mut buf = vec![0u8; n];
     r.read_exact(&mut buf)?;
     Ok(buf)
+}
+
+fn read_chunk(r: &mut dyn Read) -> io::Result<Vec<u8>> {
+    let mut b = [0u8; 4];
+    r.read_exact(&mut b)?;
+    let n = checked_len(b)?;
+    read_body(r, n)
+}
+
+fn len_prefix(bytes: &[u8]) -> [u8; 4] {
+    (bytes.len() as u32).to_be_bytes()
 }
 
 fn utf8(bytes: Vec<u8>, what: &str) -> io::Result<String> {
@@ -93,12 +113,7 @@ pub fn read_frame(r: &mut dyn Read) -> io::Result<Option<Request>> {
         Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
         Err(e) => return Err(e),
     }
-    let view_len = u32::from_be_bytes(first);
-    if view_len > MAX_FRAME {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "view name frame too large"));
-    }
-    let mut view = vec![0u8; view_len as usize];
-    r.read_exact(&mut view)?;
+    let view = read_body(r, checked_len(first)?)?;
     let sheet = read_chunk(r)?;
     Ok(Some(Request {
         view: utf8(view, "view name")?,
@@ -106,31 +121,44 @@ pub fn read_frame(r: &mut dyn Read) -> io::Result<Option<Request>> {
     }))
 }
 
-/// Write one request frame.
+/// Write one request frame, in one write.
 pub fn write_request(w: &mut dyn Write, req: &Request) -> io::Result<()> {
-    w.write_all(&(req.view.len() as u32).to_be_bytes())?;
-    w.write_all(req.view.as_bytes())?;
-    w.write_all(&(req.stylesheet.len() as u32).to_be_bytes())?;
-    w.write_all(req.stylesheet.as_bytes())?;
+    let (view, sheet) = (req.view.as_bytes(), req.stylesheet.as_bytes());
+    let mut frame = Vec::with_capacity(8 + view.len() + sheet.len());
+    frame.extend_from_slice(&len_prefix(view));
+    frame.extend_from_slice(view);
+    frame.extend_from_slice(&len_prefix(sheet));
+    frame.extend_from_slice(sheet);
+    w.write_all(&frame)?;
     w.flush()
 }
 
-/// Write one response frame.
+/// Write one response frame: one write up to [`COALESCE_LIMIT`] bytes of
+/// body, the 5-byte header then the uncopied body above it.
 pub fn write_frame(w: &mut dyn Write, resp: &Response) -> io::Result<()> {
-    w.write_all(&[resp.status as u8])?;
-    w.write_all(&(resp.body.len() as u32).to_be_bytes())?;
-    w.write_all(&resp.body)?;
+    let mut header = [resp.status as u8, 0, 0, 0, 0];
+    header[1..].copy_from_slice(&len_prefix(&resp.body));
+    if resp.body.len() <= COALESCE_LIMIT {
+        let mut frame = Vec::with_capacity(header.len() + resp.body.len());
+        frame.extend_from_slice(&header);
+        frame.extend_from_slice(&resp.body);
+        w.write_all(&frame)?;
+    } else {
+        w.write_all(&header)?;
+        w.write_all(&resp.body)?;
+    }
     w.flush()
 }
 
 /// Read one response frame.
 pub fn read_response(r: &mut dyn Read) -> io::Result<Response> {
-    let mut status = [0u8; 1];
-    r.read_exact(&mut status)?;
-    let status = Status::from_byte(status[0]).ok_or_else(|| {
-        io::Error::new(io::ErrorKind::InvalidData, format!("bad status byte {}", status[0]))
+    let mut header = [0u8; 5];
+    r.read_exact(&mut header)?;
+    let [code, len @ ..] = header;
+    let status = Status::from_byte(code).ok_or_else(|| {
+        io::Error::new(io::ErrorKind::InvalidData, format!("bad status byte {code}"))
     })?;
-    let body = read_chunk(r)?;
+    let body = read_body(r, checked_len(len)?)?;
     Ok(Response { status, body })
 }
 
@@ -170,5 +198,71 @@ mod tests {
     fn oversized_frame_is_refused() {
         let huge = (MAX_FRAME + 1).to_be_bytes();
         assert!(read_frame(&mut huge.as_slice()).is_err());
+    }
+
+    /// Records every `write` call: its length and where its buffer lives.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        calls: Vec<(*const u8, usize)>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls.push((buf.as_ptr(), buf.len()));
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The frame bytes the protocol defines, built field by field.
+    fn expected_response(resp: &Response) -> Vec<u8> {
+        let mut v = vec![resp.status as u8];
+        v.extend_from_slice(&(resp.body.len() as u32).to_be_bytes());
+        v.extend_from_slice(&resp.body);
+        v
+    }
+
+    #[test]
+    fn small_frames_leave_in_one_write() {
+        let req = Request { view: "db".into(), stylesheet: "<xsl/>".repeat(100) };
+        let mut w = CountingWriter::default();
+        write_request(&mut w, &req).unwrap();
+        assert_eq!(w.calls.len(), 1, "request split across writes");
+        assert_eq!(read_frame(&mut w.bytes.as_slice()).unwrap(), Some(req));
+
+        for len in [0, 36, COALESCE_LIMIT] {
+            let resp = Response { status: Status::Ok, body: vec![b'x'; len] };
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, &resp).unwrap();
+            assert_eq!(w.calls.len(), 1, "{len}-byte body split across writes");
+            assert_eq!(w.bytes, expected_response(&resp));
+            assert_eq!(read_response(&mut w.bytes.as_slice()).unwrap(), resp);
+        }
+    }
+
+    #[test]
+    fn large_body_is_written_in_place() {
+        let resp = Response { status: Status::Ok, body: vec![b'y'; COALESCE_LIMIT + 1] };
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, &resp).unwrap();
+        assert_eq!(w.calls.len(), 2, "header, then body");
+        assert_eq!(w.calls[0].1, 5);
+        assert_eq!(w.calls[1], (resp.body.as_ptr(), resp.body.len()), "body was copied");
+        assert_eq!(w.bytes, expected_response(&resp));
+        assert_eq!(read_response(&mut w.bytes.as_slice()).unwrap(), resp);
+    }
+
+    #[test]
+    fn bad_status_and_oversized_body_are_refused() {
+        let bad = [7u8, 0, 0, 0, 0];
+        assert!(read_response(&mut bad.as_slice()).is_err());
+        let mut huge = vec![Status::Ok as u8];
+        huge.extend_from_slice(&(MAX_FRAME + 1).to_be_bytes());
+        assert!(read_response(&mut huge.as_slice()).is_err());
     }
 }

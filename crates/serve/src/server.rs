@@ -4,7 +4,7 @@
 use crate::frontdoor::{FrontDoor, ServeError};
 use crate::proto::{read_frame, write_frame, Response, Status};
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -81,14 +81,22 @@ impl Server {
         Ok(ServerHandle { addr, stop, accept: Some(accept) })
     }
 
-    fn handle_connection(&self, mut stream: TcpStream) {
+    /// Requests are read through a buffer (a whole small frame in one
+    /// `read`); each response goes out in one write, unbuffered and with
+    /// `TCP_NODELAY`, so nothing waits on the peer's delayed ACK.
+    fn handle_connection(&self, stream: TcpStream) {
+        if stream.set_nodelay(true).is_err() {
+            return;
+        }
+        let mut reader = BufReader::new(&stream);
+        let mut writer = &stream;
         loop {
-            let req = match read_frame(&mut stream) {
+            let req = match read_frame(&mut reader) {
                 Ok(Some(r)) => r,
                 Ok(None) | Err(_) => return,
             };
             let resp = self.respond(&req.view, &req.stylesheet);
-            if write_frame(&mut stream, &resp).is_err() {
+            if write_frame(&mut writer, &resp).is_err() {
                 return;
             }
         }
@@ -179,6 +187,30 @@ mod tests {
         let again = read_response(&mut conn).unwrap();
         assert_eq!(again.body, resp.body, "same request, different bytes");
         drop(conn);
+        handle.shutdown();
+    }
+
+    /// A frame split across writes costs a delayed-ACK timeout (≈ 40 ms)
+    /// per exchange; 100 of them would take seconds. The server must not
+    /// depend on the client setting `TCP_NODELAY`.
+    #[test]
+    fn sequential_round_trips_do_not_wait_on_delayed_acks() {
+        let (handle, sheet) = demo_server();
+        let req = Request { view: "db".into(), stylesheet: sheet };
+        for client_nodelay in [true, false] {
+            let mut conn = TcpStream::connect(handle.addr()).expect("connect");
+            conn.set_nodelay(client_nodelay).unwrap();
+            let started = std::time::Instant::now();
+            for _ in 0..100 {
+                write_request(&mut conn, &req).unwrap();
+                assert_eq!(read_response(&mut conn).unwrap().status, Status::Ok);
+            }
+            let took = started.elapsed();
+            assert!(
+                took < std::time::Duration::from_secs(1),
+                "100 round trips took {took:?} (client TCP_NODELAY {client_nodelay})"
+            );
+        }
         handle.shutdown();
     }
 

@@ -235,11 +235,13 @@ proptest! {
     }
 
     /// The byte budget is a hard ceiling: no interleaving of inserts drives
-    /// `bytes_in_use` past the capacity, whatever the capacity.
+    /// `bytes_in_use` past the capacity, whatever the capacity. Each of
+    /// these plans costs ≈ 9 kB, so every capacity here admits one and
+    /// none admits five: five distinct sheets must evict.
     #[test]
     fn lru_capacity_is_never_exceeded(
-        capacity in 64usize..6000,
-        names in proptest::collection::vec("[a-z]{1,6}", 1..12),
+        capacity in 10_000usize..40_000,
+        names in proptest::collection::vec("[a-z]{1,6}", 5..12),
     ) {
         let (catalog, view) = db_catalog(3, 0xB22);
         let mut cache = PlanCache::new(capacity);
@@ -256,6 +258,13 @@ proptest! {
         }
         let snap = cache.stats();
         prop_assert_eq!(snap.lookups(), names.len() as u64);
+        prop_assert_eq!(snap.uncacheable, 0);
+        // Every miss inserts; every insert is still cached or was evicted.
+        prop_assert_eq!(cache.entry_count() as u64 + snap.evictions, snap.misses);
+        let distinct: std::collections::HashSet<&String> = names.iter().collect();
+        if distinct.len() >= 5 {
+            prop_assert!(snap.evictions > 0, "{} sheets in {capacity} bytes", distinct.len());
+        }
     }
 
     /// Accounting invariant: every lookup is exactly one hit or one miss,

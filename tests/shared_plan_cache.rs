@@ -256,13 +256,18 @@ proptest! {
     /// carry an older tag and fail the assertion. (A *newer* tag is fine:
     /// a racing thread may have replanned after a later bump, and a newer
     /// plan is by construction valid at any older floor.)
+    ///
+    /// A marker plan costs ≈ 6.3 kB and the four keys split two per shard,
+    /// so each shard's slice holds exactly one: the cache is seeded with
+    /// all four first, which must evict, and the threads then run against
+    /// a full cache.
     #[test]
     fn concurrent_interleavings_stay_bounded_and_never_serve_stale_plans(
         ops in proptest::collection::vec((0usize..4, 0usize..3), 16..64),
-        capacity in 2_000usize..20_000,
+        capacity in 13_000usize..25_000,
     ) {
         const THREADS: usize = 4;
-        let cache = SharedPlanCache::with_shards(capacity, 4);
+        let cache = SharedPlanCache::with_shards(capacity, 2);
         let generation = AtomicU64::new(0);
         let srcs: Vec<String> = (0..4)
             .map(|i| {
@@ -272,6 +277,12 @@ proptest! {
                 )
             })
             .collect();
+        for src in &srcs {
+            let key = PlanKey::with_fingerprint(0xF00D, src, &RewriteOptions::default());
+            cache.insert(key, tagged_plan(0), 0);
+        }
+        prop_assert_eq!(cache.entry_count(), 2);
+        prop_assert_eq!(cache.stats().evictions, 2);
 
         std::thread::scope(|s| {
             for chunk in ops.chunks(ops.len().div_ceil(THREADS)) {
@@ -332,5 +343,6 @@ proptest! {
         let snap = cache.stats();
         prop_assert_eq!(snap.hits + snap.misses, snap.lookups());
         prop_assert!(cache.bytes_in_use() <= cache.capacity_bytes());
+        prop_assert_eq!(snap.uncacheable, 0);
     }
 }
