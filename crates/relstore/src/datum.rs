@@ -57,6 +57,36 @@ impl Datum {
         }
     }
 
+    /// Lend [`to_text`](Self::to_text)'s rendering to `f` without
+    /// allocating it: text is passed by reference and an `Int` is formatted
+    /// into a stack buffer; only `Num` still builds its string.
+    pub(crate) fn with_text<R>(&self, f: impl FnOnce(&str) -> R) -> R {
+        match self {
+            Datum::Null => f(""),
+            Datum::Int(i) => {
+                // 20 bytes hold i64::MIN, sign included.
+                let mut buf = [0u8; 20];
+                let mut at = buf.len();
+                let mut n = i.unsigned_abs();
+                loop {
+                    at -= 1;
+                    buf[at] = b'0' + (n % 10) as u8;
+                    n /= 10;
+                    if n == 0 {
+                        break;
+                    }
+                }
+                if *i < 0 {
+                    at -= 1;
+                    buf[at] = b'-';
+                }
+                f(std::str::from_utf8(&buf[at..]).unwrap_or_default())
+            }
+            Datum::Num(n) => f(&xsltdb_xpath::value::num_to_string(*n)),
+            Datum::Text(s) => f(s),
+        }
+    }
+
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Datum::Int(i) => Some(*i as f64),
@@ -154,6 +184,20 @@ mod tests {
         assert_eq!(Datum::Num(2.5).to_text(), "2.5");
         assert_eq!(Datum::Num(2.0).to_text(), "2");
         assert_eq!(Datum::Text("x".into()).to_text(), "x");
+    }
+
+    #[test]
+    fn with_text_lends_the_to_text_rendering() {
+        let ints = [0, 7, -7, 10, -10, 42, i64::MAX, i64::MIN, i64::MIN + 1];
+        let nums = [f64::NAN, -0.0, 1e21, 0.5, f64::INFINITY, -2.5];
+        let data = ints
+            .iter()
+            .map(|&i| Datum::Int(i))
+            .chain(nums.iter().map(|&n| Datum::Num(n)))
+            .chain([Datum::Null, Datum::Text(String::new()), Datum::Text("<&>\"\r".into())]);
+        for d in data {
+            assert_eq!(d.with_text(str::to_owned), d.to_text(), "{d:?}");
+        }
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! row sources are iterators; the access-path planner picks a B-tree index
 //! probe when one applies and layers a residual filter on top.
 
-// Guard-bearing hot path: a stray unwrap here is a latent panic the
-// pipeline would have to contain at a tier boundary. Keep it impossible.
+// Guard-bearing hot path: a stray unwrap or expect here is a latent panic
+// the pipeline would have to contain at a tier boundary. Keep it impossible.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::expect_used))]
 
 use crate::catalog::Catalog;
 use crate::datum::Datum;
@@ -68,12 +69,36 @@ impl ColumnCmp {
 
     /// Evaluate against a row; comparisons with NULL are false.
     pub fn matches(&self, table: &Table, row: RowId) -> Result<bool, StoreError> {
-        let d = table.value_by_name(row, &self.column)?;
-        if d.is_null() || self.value.is_null() {
-            return Ok(false);
-        }
-        Ok(self.op.eval(d.cmp_total(&self.value)))
+        Ok(self.holds(&table.value_by_name(row, &self.column)?))
     }
+
+    /// Evaluate against an already-read column value `d`.
+    pub(crate) fn holds(&self, d: &Datum) -> bool {
+        !d.is_null() && !self.value.is_null() && self.op.eval(d.cmp_total(&self.value))
+    }
+
+    /// The B-tree lookup this term can drive; `None` for `!=` and for a
+    /// NULL constant, which no lookup answers.
+    fn probe(&self) -> Option<Probe<'_>> {
+        let v = &self.value;
+        if v.is_null() {
+            return None;
+        }
+        Some(match self.op {
+            CmpOp::Eq => Probe::Eq(v),
+            CmpOp::Lt => Probe::Range(Bound::Unbounded, Bound::Excluded(v)),
+            CmpOp::Le => Probe::Range(Bound::Unbounded, Bound::Included(v)),
+            CmpOp::Gt => Probe::Range(Bound::Excluded(v), Bound::Unbounded),
+            CmpOp::Ge => Probe::Range(Bound::Included(v), Bound::Unbounded),
+            CmpOp::Ne => return None,
+        })
+    }
+}
+
+/// An index lookup: an equality probe or a key range.
+enum Probe<'p> {
+    Eq(&'p Datum),
+    Range(Bound<&'p Datum>, Bound<&'p Datum>),
 }
 
 /// A conjunction of column comparisons (the only predicate shape the
@@ -152,7 +177,9 @@ impl Iterator for IndexRows {
     }
 }
 
-/// A residual filter over another row source.
+/// A residual filter over another row source. A predicate that cannot be
+/// evaluated (an unknown column, a failed page read) yields its error
+/// rather than dropping the row, as the full scan does.
 pub struct FilterRows<'a, I> {
     input: I,
     table: &'a Table,
@@ -160,11 +187,11 @@ pub struct FilterRows<'a, I> {
 }
 
 impl<I: Iterator<Item = RowId>> Iterator for FilterRows<'_, I> {
-    type Item = RowId;
-    fn next(&mut self) -> Option<RowId> {
-        self.input
-            .by_ref()
-            .find(|&r| self.pred.matches(self.table, r).unwrap_or(false))
+    type Item = Result<RowId, StoreError>;
+    fn next(&mut self) -> Option<Self::Item> {
+        self.input.by_ref().find_map(|r| {
+            self.pred.matches(self.table, r).map(|keep| keep.then_some(r)).transpose()
+        })
     }
 }
 
@@ -191,43 +218,30 @@ pub fn scan_guarded(
 ) -> Result<(Vec<RowId>, AccessPath), StoreError> {
     let table = catalog.table(table_name)?;
 
-    // Prefer an equality probe, then a range probe, then a full scan.
-    let mut chosen: Option<(usize, bool)> = None; // (term index, is_eq)
+    // Prefer an equality probe, then the first range probe, then a full scan.
+    let mut chosen = None; // (term index, term, index, probe)
     for (i, t) in pred.terms.iter().enumerate() {
-        if catalog.index_on(table_name, &t.column).is_none() || t.value.is_null() {
+        let (Some(index), Some(probe)) = (catalog.index_on(table_name, &t.column), t.probe())
+        else {
             continue;
+        };
+        let is_eq = matches!(probe, Probe::Eq(_));
+        if is_eq || chosen.is_none() {
+            chosen = Some((i, t, index, probe));
         }
-        match t.op {
-            CmpOp::Eq => {
-                chosen = Some((i, true));
-                break;
-            }
-            CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge => {
-                if chosen.is_none() {
-                    chosen = Some((i, false));
-                }
-            }
-            CmpOp::Ne => {}
+        if is_eq {
+            break;
         }
     }
 
     match chosen {
-        Some((i, is_eq)) => {
-            let term = &pred.terms[i];
-            let index = catalog
-                .index_on(table_name, &term.column)
-                .expect("checked above");
-            let mut rows = if is_eq {
-                index.lookup_eq(&term.value)?
-            } else {
-                let (lo, hi) = match term.op {
-                    CmpOp::Lt => (Bound::Unbounded, Bound::Excluded(&term.value)),
-                    CmpOp::Le => (Bound::Unbounded, Bound::Included(&term.value)),
-                    CmpOp::Gt => (Bound::Excluded(&term.value), Bound::Unbounded),
-                    CmpOp::Ge => (Bound::Included(&term.value), Bound::Unbounded),
-                    _ => unreachable!("eq/ne handled elsewhere"),
-                };
-                index.lookup_range(lo, hi)?
+        Some((i, term, index, probe)) => {
+            let column = term.column.clone();
+            let (mut rows, path) = match probe {
+                Probe::Eq(v) => (index.lookup_eq(v)?, AccessPath::IndexEq { column }),
+                Probe::Range(lo, hi) => {
+                    (index.lookup_range(lo, hi)?, AccessPath::IndexRange { column })
+                }
             };
             stats.add_index_probe(rows.len() as u64);
             // Every row the probe surfaced is billed, even ones a residual
@@ -243,19 +257,14 @@ pub fn scan_guarded(
                     .map(|(_, t)| t.clone())
                     .collect(),
             };
-            let path = if is_eq {
-                AccessPath::IndexEq { column: term.column.clone() }
-            } else {
-                AccessPath::IndexRange { column: term.column.clone() }
-            };
             if residual.is_empty() {
                 Ok((rows, path))
             } else {
                 // Residual filtering visits each candidate row.
                 stats.add_rows_scanned(rows.len() as u64);
                 let source = IndexRows { rows: rows.into_iter() };
-                let out: Vec<RowId> =
-                    FilterRows { input: source, table, pred: residual }.collect();
+                let filter = FilterRows { input: source, table, pred: residual };
+                let out = filter.collect::<Result<Vec<RowId>, _>>()?;
                 Ok((out, path))
             }
         }
@@ -344,6 +353,22 @@ mod tests {
         assert_eq!(s.index_probes, 1);
         // Residual sal filter visited both candidates.
         assert_eq!(s.rows_scanned, 2);
+    }
+
+    #[test]
+    fn residual_error_after_index_probe_is_not_swallowed() {
+        let c = catalog();
+        let missing = ColumnCmp::new("bonus", CmpOp::Gt, Datum::Int(0));
+        let scanned = scan(&c, &ExecStats::new(), "emp", &Conjunction::of(vec![missing.clone()]))
+            .unwrap_err();
+        assert!(scanned.message().contains("no column bonus"), "{scanned}");
+        // deptno = 10 wins an index probe; the unknown column is then a
+        // residual term and must fail the same way, not drop both rows.
+        let probed =
+            Conjunction::of(vec![ColumnCmp::new("deptno", CmpOp::Eq, Datum::Int(10)), missing]);
+        let stats = ExecStats::new();
+        assert_eq!(scan(&c, &stats, "emp", &probed).unwrap_err(), scanned);
+        assert_eq!(stats.snapshot().index_probes, 1);
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub use exec::{scan_guarded, AccessPath, CmpOp, ColumnCmp, Conjunction};
 pub use index::Index;
 pub use page::PAGE_SIZE;
 pub use pool::{BufferPool, HeapFile, PageGuard, PageId};
-pub use pubexpr::{AggFunc, AggOrder, AggPredTerm, Bindings, PubExpr, SqlXmlQuery};
+pub use pubexpr::{AggFunc, AggOrder, AggPredTerm, PubExpr, SqlXmlQuery};
 pub use sqlpretty::sql_text;
 pub use stats::{CacheSnapshot, CacheStats, ExecStats, PoolSnapshot, PoolStats, StatsSnapshot};
 pub use table::{Column, RowId, RowCursor, StoreError, Table};

@@ -10,9 +10,11 @@
 
 use crate::binding::SlotBindings;
 use crate::catalog::Catalog;
+use crate::datum::Datum;
 use crate::exec::{guard_err, scan_guarded, AccessPath, CmpOp, ColumnCmp, Conjunction};
 use crate::stats::ExecStats;
-use crate::table::{RowId, StoreError};
+use crate::table::{RowId, StoreError, Table};
+use std::borrow::Cow;
 use xsltdb_xml::{
     Document, FaultKind, FaultPoint, Guard, QName, SinkError, TextSink, TreeSink, XmlSink,
 };
@@ -110,9 +112,8 @@ pub enum PubExpr {
     Pi { target: String, content: Box<PubExpr> },
     /// The 1-based position of the bound row of `table` within its row
     /// source — SQL's `ROW_NUMBER() OVER (...)`, the lowering of XPath
-    /// `position()` over an ordered row scan. Requires the row to have
-    /// been bound positionally (by an `Agg` loop or a base-table scan);
-    /// a row bound without a position is an evaluation error.
+    /// `position()` over an ordered row scan. Every row is bound
+    /// positionally (by an `Agg` loop or the base-table scan).
     RowNumber { table: String },
 }
 
@@ -188,48 +189,61 @@ impl PubExpr {
     }
 }
 
-/// Row bindings during evaluation: innermost binding of a table name wins.
-/// A binding may carry the row's 1-based position within its (ordered) row
-/// source, which is what [`PubExpr::RowNumber`] reads.
-#[derive(Debug, Default, Clone)]
-pub struct Bindings {
-    stack: Vec<(String, RowId, Option<u64>)>,
+/// One bound row, read by reference: its resolved table name, the table,
+/// its 1-based position in its row source (what [`PubExpr::RowNumber`]
+/// reads) and its values — lent by a `Mem` table, decoded once by a paged
+/// one, however many columns the expression prints.
+struct BoundRow<'a> {
+    table: &'a str,
+    tab: &'a Table,
+    row: RowId,
+    pos: u64,
+    values: Cow<'a, [Datum]>,
 }
 
-impl Bindings {
-    pub fn new() -> Self {
-        Self::default()
+impl BoundRow<'_> {
+    /// The value of `column` in this row, by reference.
+    fn value(&self, column: &str) -> Result<&Datum, StoreError> {
+        let name = &self.tab.name;
+        let i = self
+            .tab
+            .col_index(column)
+            .ok_or_else(|| StoreError::new(format!("table {name} has no column {column}")))?;
+        self.values
+            .get(i)
+            .ok_or_else(|| StoreError::new(format!("table {name}: row {} is short", self.row)))
+    }
+}
+
+/// Row bindings during evaluation: innermost binding of a table name wins.
+#[derive(Default)]
+pub(crate) struct Bindings<'a> {
+    stack: Vec<BoundRow<'a>>,
+}
+
+impl<'a> Bindings<'a> {
+    /// Bind each of `rows` of `tab` in turn, under its resolved name
+    /// `table` at positions 1, 2, …, and run `f` while it is bound.
+    fn each_row(
+        &mut self,
+        table: &'a str,
+        tab: &'a Table,
+        rows: Vec<RowId>,
+        mut f: impl FnMut(&mut Self) -> Result<(), StoreError>,
+    ) -> Result<(), StoreError> {
+        for (i, row) in rows.into_iter().enumerate() {
+            let values = tab.row_ref(row)?;
+            self.stack.push(BoundRow { table, tab, row, pos: i as u64 + 1, values });
+            let res = f(self);
+            self.stack.pop();
+            res?;
+        }
+        Ok(())
     }
 
-    pub fn push(&mut self, table: &str, row: RowId) {
-        self.stack.push((table.to_string(), row, None));
-    }
-
-    /// Bind a row together with its 1-based position in the row source.
-    pub fn push_at(&mut self, table: &str, row: RowId, pos: u64) {
-        self.stack.push((table.to_string(), row, Some(pos)));
-    }
-
-    pub fn pop(&mut self) {
-        self.stack.pop();
-    }
-
-    pub fn get(&self, table: &str) -> Option<RowId> {
-        self.stack
-            .iter()
-            .rev()
-            .find(|(t, _, _)| t == table)
-            .map(|(_, r, _)| *r)
-    }
-
-    /// The 1-based position of the innermost binding of `table`, if it was
-    /// bound positionally.
-    pub fn get_pos(&self, table: &str) -> Option<u64> {
-        self.stack
-            .iter()
-            .rev()
-            .find(|(t, _, _)| t == table)
-            .and_then(|(_, _, p)| *p)
+    fn get(&self, table: &str) -> Result<&BoundRow<'a>, StoreError> {
+        let bound = self.stack.iter().rev().find(|b| b.table == table);
+        bound.ok_or_else(|| StoreError::new(format!("no row bound for table {table}")))
     }
 }
 
@@ -248,25 +262,21 @@ impl Bindings {
 /// different rows.
 ///
 /// [`StreamWriter`]: xsltdb_xml::StreamWriter
-pub fn eval_pub(
-    expr: &PubExpr,
-    catalog: &Catalog,
+pub(crate) fn eval_pub<'a>(
+    expr: &'a PubExpr,
+    catalog: &'a Catalog,
     stats: &ExecStats,
-    bindings: &mut Bindings,
+    bindings: &mut Bindings<'a>,
     out: &mut dyn XmlSink,
     guard: &Guard,
-    slots: &SlotBindings,
+    slots: &'a SlotBindings,
 ) -> Result<(), StoreError> {
     guard.charge(1).map_err(guard_err)?;
     match expr {
         PubExpr::Literal(s) => out.text(s).map_err(sink_err),
         PubExpr::ColumnRef { table, column } => {
-            let table = slots.resolve(table)?;
-            let row = bindings
-                .get(table)
-                .ok_or_else(|| StoreError::new(format!("no row bound for table {table}")))?;
-            let d = catalog.table(table)?.value_by_name(row, column)?;
-            out.text(&d.to_text()).map_err(sink_err)
+            let d = bindings.get(slots.resolve(table)?)?.value(column)?;
+            d.with_text(|s| out.text(s)).map_err(sink_err)
         }
         PubExpr::StrConcat(parts) => {
             for p in parts {
@@ -310,28 +320,17 @@ pub fn eval_pub(
             out.text(&xsltdb_xpath::value::num_to_string(n)).map_err(sink_err)
         }
         PubExpr::Case { cond, table, then, els } => {
-            let table = slots.resolve(table)?;
-            let row = bindings
-                .get(table)
-                .ok_or_else(|| StoreError::new(format!("no row bound for table {table}")))?;
-            let t = catalog.table(table)?;
-            if cond.matches(t, row)? {
-                eval_pub(then, catalog, stats, bindings, out, guard, slots)
-            } else {
-                eval_pub(els, catalog, stats, bindings, out, guard, slots)
-            }
+            let d = bindings.get(slots.resolve(table)?)?.value(&cond.column)?;
+            let branch = if cond.holds(d) { then } else { els };
+            eval_pub(branch, catalog, stats, bindings, out, guard, slots)
         }
         PubExpr::Agg { table, predicate, order_by, body } => {
             let table = slots.resolve(table)?;
             let rows = agg_rows(table, predicate, catalog, stats, bindings, guard, slots)?;
             let rows = order_rows(rows, table, order_by, catalog)?;
-            for (i, r) in rows.into_iter().enumerate() {
-                bindings.push_at(table, r, (i + 1) as u64);
-                let res = eval_pub(body, catalog, stats, bindings, out, guard, slots);
-                bindings.pop();
-                res?;
-            }
-            Ok(())
+            bindings.each_row(table, catalog.table(table)?, rows, |bindings| {
+                eval_pub(body, catalog, stats, bindings, out, guard, slots)
+            })
         }
         PubExpr::ScalarAgg { func, column, table, predicate } => {
             let table = slots.resolve(table)?;
@@ -365,10 +364,7 @@ pub fn eval_pub(
             out.pi(target, &text).map_err(sink_err)
         }
         PubExpr::RowNumber { table } => {
-            let table = slots.resolve(table)?;
-            let pos = bindings.get_pos(table).ok_or_else(|| {
-                StoreError::new(format!("no positional row bound for table {table}"))
-            })?;
+            let pos = bindings.get(slots.resolve(table)?)?.pos;
             out.text(&pos.to_string()).map_err(sink_err)
         }
     }
@@ -377,13 +373,13 @@ pub fn eval_pub(
 /// Evaluate a text-producing expression to its string value (for
 /// attributes, comments and arithmetic operands). A [`TextSink`] collects
 /// exactly the string-value of the events — no temporary tree.
-pub fn eval_to_text(
-    expr: &PubExpr,
-    catalog: &Catalog,
+pub(crate) fn eval_to_text<'a>(
+    expr: &'a PubExpr,
+    catalog: &'a Catalog,
     stats: &ExecStats,
-    bindings: &mut Bindings,
+    bindings: &mut Bindings<'a>,
     guard: &Guard,
-    slots: &SlotBindings,
+    slots: &'a SlotBindings,
 ) -> Result<String, StoreError> {
     let mut sink = TextSink::new(guard.clone());
     eval_pub(expr, catalog, stats, bindings, &mut sink, guard, slots)?;
@@ -410,15 +406,8 @@ fn agg_rows(
         match term {
             AggPredTerm::Const(c) => conj.terms.push(c.clone()),
             AggPredTerm::Correlate { inner_column, outer_table, outer_column } => {
-                let outer_table = slots.resolve(outer_table)?;
-                let row = bindings.get(outer_table).ok_or_else(|| {
-                    StoreError::new(format!("no outer row bound for {outer_table}"))
-                })?;
-                let v = catalog
-                    .table(outer_table)?
-                    .value_by_name(row, outer_column)?
-                    .clone();
-                conj.terms.push(ColumnCmp::new(inner_column, CmpOp::Eq, v));
+                let v = bindings.get(slots.resolve(outer_table)?)?.value(outer_column)?;
+                conj.terms.push(ColumnCmp::new(inner_column, CmpOp::Eq, v.clone()));
             }
         }
     }
@@ -566,15 +555,11 @@ impl SqlXmlQuery {
         let (rows, _path) =
             scan_guarded(catalog, stats, base_table, &self.where_clause, guard)?;
         let rows = order_rows(rows, base_table, &self.order_by, catalog)?;
-        let mut bindings = Bindings::new();
-        for (i, r) in rows.into_iter().enumerate() {
-            bindings.push_at(base_table, r, (i + 1) as u64);
-            let res = eval_pub(&self.select, catalog, stats, &mut bindings, out, guard, slots);
-            bindings.pop();
-            res?;
-            out.end_row().map_err(sink_err)?;
-        }
-        Ok(())
+        let base = catalog.table(base_table)?;
+        Bindings::default().each_row(base_table, base, rows, |bindings| {
+            eval_pub(&self.select, catalog, stats, bindings, out, guard, slots)?;
+            out.end_row().map_err(sink_err)
+        })
     }
 
     /// The access path the base-table scan would take (for EXPLAIN-style
@@ -792,7 +777,6 @@ mod tests {
     fn scalar_aggregates() {
         let c = paper_catalog();
         let stats = ExecStats::new();
-        let mut bindings = Bindings::new();
         let count = eval_to_text(
             &PubExpr::ScalarAgg {
                 func: AggFunc::Count,
@@ -802,7 +786,7 @@ mod tests {
             },
             &c,
             &stats,
-            &mut bindings,
+            &mut Bindings::default(),
             &Guard::unlimited(),
             &SlotBindings::identity(),
         )
@@ -817,7 +801,7 @@ mod tests {
             },
             &c,
             &stats,
-            &mut bindings,
+            &mut Bindings::default(),
             &Guard::unlimited(),
             &SlotBindings::identity(),
         )
@@ -897,13 +881,12 @@ mod tests {
     fn missing_binding_is_error() {
         let c = paper_catalog();
         let stats = ExecStats::new();
-        let mut bindings = Bindings::new();
         let mut b = TreeSink::unguarded();
         let r = eval_pub(
             &PubExpr::col("dept", "dname"),
             &c,
             &stats,
-            &mut bindings,
+            &mut Bindings::default(),
             &mut b,
             &Guard::unlimited(),
             &SlotBindings::identity(),
@@ -973,7 +956,6 @@ mod arith_tests {
     fn arithmetic_over_scalar_aggs() {
         let c = super::tests::paper_catalog();
         let stats = ExecStats::new();
-        let mut bindings = Bindings::new();
         // avg salary = sum(sal) / count(*) = 8650 / 3.
         let avg = PubExpr::Arith {
             op: ArithOp::Div,
@@ -994,7 +976,7 @@ mod arith_tests {
             &avg,
             &c,
             &stats,
-            &mut bindings,
+            &mut Bindings::default(),
             &Guard::unlimited(),
             &SlotBindings::identity(),
         )

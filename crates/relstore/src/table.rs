@@ -2,7 +2,7 @@
 //!
 //! A [`Table`] is a schema plus rows behind **one access seam**: callers
 //! read through [`value`](Table::value) / [`value_by_name`](Table::value_by_name) /
-//! [`row`](Table::row) / [`cursor`](Table::cursor) / [`for_each_row`](Table::for_each_row)
+//! [`row_ref`](Table::row_ref) / [`cursor`](Table::cursor) / [`for_each_row`](Table::for_each_row)
 //! and write through [`insert`](Table::insert) — the row container itself is
 //! private. Behind the seam live two backings:
 //!
@@ -18,6 +18,7 @@
 
 use crate::datum::{ColType, Datum};
 use crate::pool::{BufferPool, HeapFile};
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 use xsltdb_xml::GuardExceeded;
@@ -212,14 +213,17 @@ impl Table {
         self.value(row, i)
     }
 
-    /// Read one whole row (bounds-checked).
-    pub fn row(&self, row: RowId) -> Result<Vec<Datum>, StoreError> {
+    /// Read one whole row (bounds-checked) without copying what is already
+    /// resident: a `Mem` row is borrowed, a paged row is decoded once (one
+    /// pool fetch for all of its columns).
+    pub fn row_ref(&self, row: RowId) -> Result<Cow<'_, [Datum]>, StoreError> {
         match &self.storage {
-            TableStorage::Mem(rows) => {
-                rows.get(row).cloned().ok_or_else(|| self.row_range_err(row))
-            }
+            TableStorage::Mem(rows) => rows
+                .get(row)
+                .map(|r| Cow::Borrowed(r.as_slice()))
+                .ok_or_else(|| self.row_range_err(row)),
             TableStorage::Paged(heap) => {
-                heap.get(row).map_err(|_| self.row_range_err(row))
+                heap.get(row).map(Cow::Owned).map_err(|_| self.row_range_err(row))
             }
         }
     }
@@ -411,7 +415,8 @@ mod tests {
             assert!(err.message().contains("out of range"), "{err}");
             let err = t.value_by_name(stale, "deptno").unwrap_err();
             assert!(err.message().contains("out of range"), "{err}");
-            assert!(t.row(usize::MAX).is_err());
+            assert!(t.row_ref(stale).is_err());
+            assert!(t.row_ref(usize::MAX).is_err());
             // Column coordinate is checked too.
             assert!(t.value(0, 99).is_err());
         }
@@ -424,7 +429,9 @@ mod tests {
         assert!(p.is_paged() && !m.is_paged());
         assert_eq!(m.row_count(), p.row_count());
         for r in 0..m.row_count() {
-            assert_eq!(m.row(r).unwrap(), p.row(r).unwrap());
+            let (mr, pr) = (m.row_ref(r).unwrap(), p.row_ref(r).unwrap());
+            assert!(matches!(mr, Cow::Borrowed(_)), "a Mem row is lent, not copied");
+            assert_eq!(mr, pr);
             for c in 0..m.columns.len() {
                 assert_eq!(m.value(r, c).unwrap(), p.value(r, c).unwrap());
             }

@@ -248,6 +248,16 @@ impl XmlSink for TextSink {
     }
 }
 
+/// Append `name`'s [`lexical`](QName::lexical) form to `out` without
+/// building it as a `String` first.
+fn push_lexical(out: &mut String, name: &QName) {
+    if let Some(prefix) = &name.prefix {
+        out.push_str(prefix);
+        out.push(':');
+    }
+    out.push_str(&name.local);
+}
+
 /// An open start tag whose attributes may still arrive: serialization is
 /// deferred until the first content event decides between `>` and `/>`.
 struct PendingTag {
@@ -317,10 +327,10 @@ impl<W: io::Write> StreamWriter<W> {
             return Ok(());
         };
         self.scratch.push('<');
-        self.scratch.push_str(&tag.name.lexical());
+        push_lexical(&mut self.scratch, &tag.name);
         for (aname, avalue) in &tag.attrs {
             self.scratch.push(' ');
-            self.scratch.push_str(&aname.lexical());
+            push_lexical(&mut self.scratch, aname);
             self.scratch.push_str("=\"");
             self.scratch.push_str(&escape_attr(avalue));
             self.scratch.push('"');
@@ -402,7 +412,7 @@ impl<W: io::Write> XmlSink for StreamWriter<W> {
             .pop()
             .ok_or(SinkError::Misplaced("end_element without start_element"))?;
         self.scratch.push_str("</");
-        self.scratch.push_str(&name.lexical());
+        push_lexical(&mut self.scratch, &name);
         self.scratch.push('>');
         self.emit_scratch()
     }

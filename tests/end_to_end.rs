@@ -259,3 +259,72 @@ fn all_three_tiers_agree() {
     let got: Vec<String> = sql_docs.iter().map(to_string).collect();
     assert_eq!(got, expected);
 }
+
+// ------------------------------------------------------ guard accounting
+
+/// XSLTMark's `dbtail`: one `<r>last, first</r>` per row.
+const DBTAIL: &str = r#"<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
+<xsl:template match="table"><out><xsl:apply-templates select="row"/></out></xsl:template>
+<xsl:template match="row"><r><xsl:value-of select="lastname"/>, <xsl:value-of select="firstname"/></r></xsl:template>
+</xsl:stylesheet>"#;
+
+/// Over dept_emp, but `substring()` has no SQL form: the XQuery tier runs
+/// it over the view's materialised documents, so the view's own publisher
+/// (correlated `XMLAgg` included) is what the guard pays for.
+const DEPT_XQUERY: &str = r#"<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
+<xsl:template match="dept"><d><xsl:value-of select="substring(dname, 1, 3)"/><xsl:apply-templates select="employees/emp"/></d></xsl:template>
+<xsl:template match="emp"><e n="{ename}"><xsl:value-of select="sal"/></e></xsl:template>
+</xsl:stylesheet>"#;
+
+/// Pin what one guarded `execute_to_writer` run spends: fuel is read off
+/// the guard; output nodes and output bytes are pinned through their caps
+/// — the run completes with each cap at exactly the expected total and
+/// trips with it one lower. Charged bytes may exceed the bytes written:
+/// attribute text and a materialised view's text are charged as well. The totals were taken from the publisher as it was
+/// before it read bound rows by reference, so no charge has moved.
+fn assert_charges(
+    catalog: &Catalog,
+    view: &XmlView,
+    sheet: &str,
+    tier: Tier,
+    (fuel, nodes, bytes, written): (u64, u64, u64, u64),
+) {
+    use xsltdb::{Guard, Limits, PipelineError, Resource};
+    let plan = plan_bound(catalog, view, sheet, &RewriteOptions::default()).unwrap();
+    assert_eq!(plan.tier(), tier, "fallback: {:?}", plan.fallback_reason());
+    let run = |limits: Limits| {
+        let guard = Guard::new(limits);
+        let mut out = Vec::new();
+        let res = plan.execute_to_writer(catalog, &ExecStats::new(), &guard, &mut out);
+        (res, guard.fuel_spent(), out.len() as u64)
+    };
+    let exact =
+        Limits::UNLIMITED.with_fuel(fuel).with_max_output_nodes(nodes).with_max_output_bytes(bytes);
+    let (res, spent, len) = run(exact);
+    assert_eq!(res.unwrap().tier, tier);
+    assert_eq!((spent, len), (fuel, written));
+    for (limits, resource) in [
+        (exact.with_fuel(fuel - 1), Resource::Fuel),
+        (exact.with_max_output_nodes(nodes - 1), Resource::OutputNodes),
+        (exact.with_max_output_bytes(bytes - 1), Resource::OutputBytes),
+    ] {
+        match run(limits).0 {
+            Err(PipelineError::Guard(g)) => assert_eq!(g.resource, resource),
+            other => panic!("expected a {resource:?} trip, got {other:?}"),
+        }
+    }
+}
+
+/// `(fuel, output nodes, output bytes charged, bytes written)` per run.
+const DBTAIL_1K: (u64, u64, u64, u64) = (5_003, 1_001, 16_814, 16_814);
+const PAPER_SQL: (u64, u64, u64, u64) = (69, 30, 556, 554);
+const DEPT_XQ: (u64, u64, u64, u64) = (131, 25, 158, 84);
+
+#[test]
+fn guard_charges_are_pinned_for_dbtail_and_dept_emp() {
+    let (catalog, view) = xsltdb_xsltmark::db_catalog(1_000, 1);
+    assert_charges(&catalog, &view, DBTAIL, Tier::Sql, DBTAIL_1K);
+    let (catalog, view) = (paper_catalog(), dept_emp_view());
+    assert_charges(&catalog, &view, PAPER_STYLESHEET, Tier::Sql, PAPER_SQL);
+    assert_charges(&catalog, &view, DEPT_XQUERY, Tier::XQuery, DEPT_XQ);
+}
