@@ -34,22 +34,6 @@ use xsltdb_xsltmark::{
 /// leaf step — far below the thousands of heap pages a scan would read.
 const PROBE_PAGE_CAP: u64 = 16;
 
-/// The process's resident set in KiB, read from `/proc/self/status`
-/// (`VmRSS`). Returns 0 where procfs is unavailable (non-Linux), so the
-/// report degrades to "not sampled" instead of failing — the pool-frame
-/// gates above are the portable residency evidence; this is the OS-level
-/// corroboration.
-fn vm_rss_kb() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines().find(|l| l.starts_with("VmRSS:")).and_then(|l| {
-                l.split_whitespace().nth(1).and_then(|v| v.parse().ok())
-            })
-        })
-        .unwrap_or(0)
-}
-
 /// XSLTMark's `dbtail` shape: project every row, so the output — and an
 /// unpaged working set — grows linearly with the data.
 fn dbtail_stylesheet() -> String {
@@ -88,9 +72,6 @@ struct ScalePoint {
     probe_pages: u64,
     probe_identical: bool,
     probe_is_sql: bool,
-    /// Process RSS (KiB) sampled right after the paged dbtail stream — the
-    /// real-memory reading ROADMAP asked for alongside the frame counters.
-    rss_kb: u64,
 }
 
 /// One scale point: build the paged catalog and its in-memory reference at
@@ -111,7 +92,6 @@ fn run_scale(rows: usize, frames: usize, seed: u64) -> ScalePoint {
     let t0 = Instant::now();
     let paged_out = stream(&paged_tail, &paged);
     let dbtail_us = t0.elapsed().as_micros() as u64;
-    let rss_kb = vm_rss_kb();
     let after = paged.pool_stats().expect("paged catalog has a pool");
     let mem_out = stream(&mem_tail, &mem);
 
@@ -135,7 +115,6 @@ fn run_scale(rows: usize, frames: usize, seed: u64) -> ScalePoint {
         probe_pages: probe_delta.page_reads + probe_delta.pool_hits,
         probe_identical: probe_out == mem_probe_out,
         probe_is_sql,
-        rss_kb,
     }
 }
 
@@ -154,10 +133,10 @@ fn main() {
     println!("Buffer pool — dbtail scaled 100× under a fixed {frames}-frame budget ({budget_bytes} B)");
     println!();
     println!(
-        "{:>9} | {:>10} | {:>10} | {:>9} | {:>9} | {:>9} | {:>11} | {:>6} | {:>6} | {:>9}",
-        "rows", "out bytes", "reads", "hits", "evict", "wrback", "peak/budget", "probe", "ident", "rss (KiB)"
+        "{:>9} | {:>10} | {:>10} | {:>9} | {:>9} | {:>9} | {:>11} | {:>6} | {:>6}",
+        "rows", "out bytes", "reads", "hits", "evict", "wrback", "peak/budget", "probe", "ident"
     );
-    println!("{}", "-".repeat(114));
+    println!("{}", "-".repeat(102));
 
     let points: Vec<ScalePoint> =
         sizes.iter().map(|&rows| run_scale(rows, frames, 0xDB)).collect();
@@ -170,7 +149,7 @@ fn main() {
         identity_ok &= p.identical && p.probe_identical;
         probe_ok &= p.probe_is_sql && p.probe_pages <= PROBE_PAGE_CAP;
         println!(
-            "{:>9} | {:>10} | {:>10} | {:>9} | {:>9} | {:>9} | {:>5}/{:<5} | {:>6} | {:>6} | {:>9}",
+            "{:>9} | {:>10} | {:>10} | {:>9} | {:>9} | {:>9} | {:>5}/{:<5} | {:>6} | {:>6}",
             p.rows,
             p.dbtail_bytes,
             p.pool.page_reads,
@@ -181,7 +160,6 @@ fn main() {
             frames,
             p.probe_pages,
             p.identical && p.probe_identical,
-            p.rss_kb,
         );
     }
     let eviction_ok = points.last().is_some_and(|p| p.pool.evictions > 0);
@@ -203,7 +181,7 @@ fn main() {
             .iter()
             .map(|p| {
                 format!(
-                    r#"{{"rows":{},"dbtail_bytes":{},"dbtail_fnv64":"{:016x}","dbtail_us":{},"page_reads":{},"pool_hits":{},"evictions":{},"dirty_writebacks":{},"peak_resident_frames":{},"probe_pages":{},"identical":{},"rss_kb":{}}}"#,
+                    r#"{{"rows":{},"dbtail_bytes":{},"dbtail_fnv64":"{:016x}","dbtail_us":{},"page_reads":{},"pool_hits":{},"evictions":{},"dirty_writebacks":{},"peak_resident_frames":{},"probe_pages":{},"identical":{}}}"#,
                     p.rows,
                     p.dbtail_bytes,
                     p.dbtail_fnv64,
@@ -215,7 +193,6 @@ fn main() {
                     p.peak_frames,
                     p.probe_pages,
                     p.identical && p.probe_identical,
-                    p.rss_kb,
                 )
             })
             .collect();

@@ -5,13 +5,10 @@
 
 use std::sync::Arc;
 use std::time::Instant;
-use xsltdb::pipeline::{
-    no_rewrite_transform, plan_bound, plan_cached, plan_cached_shared, plan_compiled, BoundPlan,
-    Tier,
-};
-use xsltdb::plancache::{PlanCache, SharedPlanCache};
+use xsltdb::pipeline::{no_rewrite_transform, plan_cached_shared, plan_compiled, BoundPlan, Tier};
+use xsltdb::plancache::SharedPlanCache;
 use xsltdb::xqgen::RewriteOptions;
-use xsltdb_relstore::{CacheSnapshot, Catalog, ExecStats, StatsSnapshot, XmlView};
+use xsltdb_relstore::{Catalog, ExecStats, StatsSnapshot, XmlView};
 use xsltdb_xml::Document;
 use xsltdb_xslt::{compile_str, Stylesheet};
 use xsltdb_xsltmark::{case, db_catalog, dbonerow_stylesheet, existing_id};
@@ -73,47 +70,8 @@ impl Workload {
         (run.documents, stats.snapshot())
     }
 
-    /// One **uncached** `transform()`-style call: pay the whole compile →
-    /// partial-evaluate → rewrite pipeline and then execute. This is what
-    /// every call costs without a PlanCache.
-    pub fn run_uncached_call(&self) -> (Vec<Document>, StatsSnapshot) {
-        let stats = ExecStats::new();
-        let bound = plan_bound(
-            &self.catalog,
-            &self.view,
-            &self.stylesheet_src,
-            &RewriteOptions::default(),
-        )
-        .expect("planning succeeds");
-        let docs = bound.execute(&self.catalog, &stats).expect("plan runs");
-        (docs, stats.snapshot())
-    }
-
-    /// One **cached** call: look the prepared plan up in `cache` (planning
-    /// only on a miss) and execute it. Repeat calls collapse to
-    /// execution-only cost.
-    pub fn run_cached_call(&self, cache: &mut PlanCache) -> (Vec<Document>, StatsSnapshot) {
-        let stats = ExecStats::new();
-        let bound = self.plan_cached(cache);
-        let docs = bound.execute(&self.catalog, &stats).expect("plan runs");
-        (docs, stats.snapshot())
-    }
-
     /// The prepared plan for this workload, bound to its view, through
-    /// `cache`.
-    pub fn plan_cached(&self, cache: &mut PlanCache) -> BoundPlan {
-        plan_cached(
-            cache,
-            &self.catalog,
-            &self.view,
-            &self.stylesheet_src,
-            &RewriteOptions::default(),
-        )
-        .expect("planning succeeds")
-    }
-
-    /// The prepared plan for this workload, bound to its view, through a
-    /// shared `cache`.
+    /// `cache` (planning only on a miss).
     pub fn plan_cached_shared(&self, cache: &SharedPlanCache) -> BoundPlan {
         plan_cached_shared(
             cache,
@@ -128,47 +86,6 @@ impl Workload {
     pub fn tier(&self) -> Tier {
         self.bound.tier()
     }
-}
-
-/// Aggregate cost evidence for one cached-vs-uncached comparison, printed
-/// by `cache_report` with the execution counters alongside the cache
-/// counters.
-#[derive(Debug, Clone, Copy)]
-pub struct AmortizedCost {
-    /// Median cost of a cold, uncached call (plan + execute), µs.
-    pub cold_us: f64,
-    /// Mean per-call cost over the warm, cached loop, µs.
-    pub warm_us: f64,
-    /// Cache counters after the warm loop.
-    pub cache: CacheSnapshot,
-}
-
-impl AmortizedCost {
-    /// `warm / cold` — the fraction of the cold cost a repeat call pays.
-    pub fn ratio(&self) -> f64 {
-        if self.cold_us <= 0.0 {
-            f64::NAN
-        } else {
-            self.warm_us / self.cold_us
-        }
-    }
-}
-
-/// Measure the amortization the cache buys on `w`: the median cold
-/// (uncached) per-call cost vs the mean per-call cost of `repeats` calls
-/// sharing one cache (one miss, `repeats − 1` hits).
-pub fn measure_amortization(w: &Workload, cold_iters: usize, repeats: usize) -> AmortizedCost {
-    assert!(repeats > 0);
-    let cold_us = median_micros(cold_iters, || {
-        let _ = w.run_uncached_call();
-    });
-    let mut cache = PlanCache::default();
-    let t0 = Instant::now();
-    for _ in 0..repeats {
-        let _ = w.run_cached_call(&mut cache);
-    }
-    let warm_us = t0.elapsed().as_secs_f64() * 1e6 / repeats as f64;
-    AmortizedCost { cold_us, warm_us, cache: cache.stats() }
 }
 
 /// Median wall-clock over `iters` runs, in microseconds.
@@ -221,42 +138,34 @@ mod tests {
         }
     }
 
+    fn render(docs: &[Document]) -> Vec<String> {
+        docs.iter().map(xsltdb_xml::to_string).collect()
+    }
+
     #[test]
     fn cached_and_uncached_calls_agree() {
         let w = Workload::dbonerow(100);
-        let mut cache = PlanCache::default();
-        let (uncached, _) = w.run_uncached_call();
+        let cache = SharedPlanCache::default();
+        // The workload's own plan was built without a cache.
+        let (uncached, _) = w.run_rewrite();
         for _ in 0..3 {
-            let (cached, _) = w.run_cached_call(&mut cache);
-            let c: Vec<String> = cached.iter().map(xsltdb_xml::to_string).collect();
-            let u: Vec<String> = uncached.iter().map(xsltdb_xml::to_string).collect();
-            assert_eq!(c, u);
+            let cached = w.plan_cached_shared(&cache).execute(&w.catalog, &ExecStats::new());
+            assert_eq!(render(&cached.unwrap()), render(&uncached));
         }
         let snap = cache.stats();
         assert_eq!((snap.hits, snap.misses), (2, 1));
     }
 
     #[test]
-    fn amortization_measure_counts_one_miss() {
-        let w = Workload::dbonerow(100);
-        let cost = measure_amortization(&w, 3, 5);
-        assert_eq!(cost.cache.misses, 1);
-        assert_eq!(cost.cache.hits, 4);
-        assert!(cost.cold_us > 0.0 && cost.warm_us > 0.0);
-        assert!(cost.ratio().is_finite());
-    }
-
-    #[test]
     fn shared_cached_calls_agree_with_exclusive_ones() {
         let w = Workload::dbonerow(100);
         let shared = SharedPlanCache::default();
-        let mut exclusive = PlanCache::default();
-        let (expected, _) = w.run_cached_call(&mut exclusive);
-        let expected: Vec<String> = expected.iter().map(xsltdb_xml::to_string).collect();
+        let exclusive = SharedPlanCache::with_shards(xsltdb::DEFAULT_PLAN_CACHE_BYTES, 1);
+        let expected = w.plan_cached_shared(&exclusive).execute(&w.catalog, &ExecStats::new());
+        let expected = render(&expected.unwrap());
         for _ in 0..3 {
             let docs = w.plan_cached_shared(&shared).execute(&w.catalog, &ExecStats::new());
-            let got: Vec<String> = docs.unwrap().iter().map(xsltdb_xml::to_string).collect();
-            assert_eq!(got, expected);
+            assert_eq!(render(&docs.unwrap()), expected);
         }
         assert_eq!((shared.stats().hits, shared.stats().misses), (2, 1));
     }

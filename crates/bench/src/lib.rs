@@ -9,23 +9,23 @@
 //!   sizes (Figure 2);
 //! * `fig3_report` — `avts` / `chart` / `metric` / `total` rewrite vs
 //!   no-rewrite (Figure 3);
-//! * `inline_report` — the 40-case inline statistic (§5, objective 2);
-//! * `cache_report` — prepared-transform caching: cold vs amortized
-//!   per-call cost (`--smoke` for the 1-iteration CI run).
+//! * `inline_report` — the 40-case inline statistic (§5, objective 2).
 //!
 //! ```
-//! use xsltdb::PlanCache;
+//! use xsltdb::SharedPlanCache;
 //! use xsltdb_bench::Workload;
+//! use xsltdb_relstore::ExecStats;
 //!
 //! // Repeat calls through one cache hit the prepared plan.
 //! let w = Workload::dbonerow(50);
-//! let mut cache = PlanCache::default();
-//! let (first, _) = w.run_cached_call(&mut cache);
-//! let (second, _) = w.run_cached_call(&mut cache);
-//! assert_eq!(
-//!     first.iter().map(xsltdb_xml::to_string).collect::<Vec<_>>(),
-//!     second.iter().map(xsltdb_xml::to_string).collect::<Vec<_>>(),
-//! );
+//! let cache = SharedPlanCache::default();
+//! let render = |bound: xsltdb::BoundPlan| -> Vec<String> {
+//!     let docs = bound.execute(&w.catalog, &ExecStats::new()).unwrap();
+//!     docs.iter().map(xsltdb_xml::to_string).collect()
+//! };
+//! let first = render(w.plan_cached_shared(&cache));
+//! let second = render(w.plan_cached_shared(&cache));
+//! assert_eq!(first, second);
 //! assert_eq!(cache.stats().hits, 1);
 //! ```
 
@@ -33,7 +33,7 @@ pub mod chaos;
 pub mod harness;
 
 pub use chaos::{reference_outputs, run_chaos, ChaosConfig, ChaosReport, CHAOS_STACK};
-pub use harness::{measure_amortization, median_micros, AmortizedCost, Workload};
+pub use harness::{median_micros, Workload};
 
 /// Write a machine-readable benchmark artefact (`BENCH_*.json`) to the
 /// repository root (or wherever the report is run from) and say so — the

@@ -51,6 +51,7 @@ pub mod combined;
 pub mod docexec;
 pub mod error;
 pub mod guard;
+mod lru;
 pub mod pe;
 pub mod pipeline;
 pub mod plancache;
@@ -68,15 +69,15 @@ pub use guard::{FaultKind, FaultPoint, Guard, GuardExceeded, Limits, Resource};
 pub use docexec::{execute_indexed, index_assist, ProbeSpec, INDEXED_VAR};
 pub use pe::{partial_evaluate, ExecGraph, PeResult};
 pub use pipeline::{
-    no_rewrite_transform, plan_bound, plan_cached, plan_cached_shared, plan_transform,
+    no_rewrite_transform, plan_bound, plan_cached_shared, plan_transform,
     AllowAllTiers, BaselineRun, BoundPlan, StreamRun, Tier, TierRouter, TransformPlan,
 };
 pub use plancache::{
-    fnv64, plan_cost, struct_fingerprint, PlanCache, PlanKey, SharedPlanCache,
+    fnv64, plan_cost, struct_fingerprint, PlanKey, SharedPlanCache,
     DEFAULT_PLAN_CACHE_BYTES, DEFAULT_PLAN_CACHE_SHARDS,
 };
 pub use resultcache::{
-    CachedResult, ResultCache, ResultKey, SharedResultCache, DEFAULT_RESULT_CACHE_BYTES,
+    CachedResult, ResultKey, SharedResultCache, DEFAULT_RESULT_CACHE_BYTES,
     DEFAULT_RESULT_CACHE_SHARDS,
 };
 pub use sqlrewrite::rewrite_to_sql;

@@ -31,7 +31,7 @@
 
 use crate::error::{PipelineError, TierFailure};
 use crate::guard::Guard;
-use crate::plancache::{PlanCache, PlanKey, SharedPlanCache};
+use crate::plancache::{PlanKey, SharedPlanCache};
 use crate::sqlrewrite::rewrite_to_sql;
 use crate::xqgen::{rewrite, RewriteOptions, RewriteOutcome};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -99,7 +99,7 @@ pub struct BoundPlan {
 /// Plan the transformation of every row of `view` by `stylesheet_src`.
 ///
 /// The result is identity-free — call [`TransformPlan::bind`] (or use
-/// [`plan_bound`] / [`plan_cached`]) to execute it.
+/// [`plan_bound`] / [`plan_cached_shared`]) to execute it.
 pub fn plan_transform(
     view: &XmlView,
     stylesheet_src: &str,
@@ -137,7 +137,9 @@ fn plan_valid_at(catalog: &Catalog, view: &XmlView) -> u64 {
     catalog.max_ddl_stamp(tables.iter().map(String::as_str))
 }
 
-/// The front door for repeated transforms: plan through a [`PlanCache`].
+/// The front door for repeated transforms: plan through a
+/// [`SharedPlanCache`] — any number of threads at once (see its docs for
+/// striping and miss races); a one-shard cache is the exclusive cache.
 ///
 /// A lookup hit returns the shared prepared plan without touching the
 /// compile → partial-evaluate → rewrite pipeline at all; a miss plans from
@@ -153,39 +155,6 @@ fn plan_valid_at(catalog: &Catalog, view: &XmlView) -> u64 {
 /// Cached plans are immutable — execute them with a fresh [`Guard`] per
 /// call ([`BoundPlan::execute_to_writer`]); a budget trip in one execution
 /// never poisons the entry.
-pub fn plan_cached(
-    cache: &mut PlanCache,
-    catalog: &Catalog,
-    view: &XmlView,
-    stylesheet_src: &str,
-    opts: &RewriteOptions,
-) -> Result<BoundPlan, PipelineError> {
-    // The canonicalisation memo keys on the view's registration stamp:
-    // only re-registering the view can change what canonicalisation sees.
-    let canon = cache.view_canon(view, catalog.view_stamp(&view.name));
-    let key = PlanKey::with_fingerprint(canon.fingerprint, stylesheet_src, opts);
-    let plan = match cache.lookup(&key, plan_valid_at(catalog, view)) {
-        Some(plan) => plan,
-        None => {
-            let plan = Arc::new(plan_transform(view, stylesheet_src, opts)?);
-            cache.insert(key, Arc::clone(&plan), catalog.generation());
-            plan
-        }
-    };
-    plan.bind_with(view, catalog, canon.fingerprint, canon.bindings.clone())
-}
-
-/// [`plan_cached`] against a [`SharedPlanCache`]: the front door for
-/// concurrent sessions. Takes `&self` — any number of threads plan through
-/// one cache simultaneously; distinct keys mostly proceed on distinct
-/// shard locks, and the same key serializes on one.
-///
-/// Two threads racing a cold miss on the same key both plan and both
-/// insert (last write stays cached). Planning is deterministic, so the two
-/// plans are equivalent — the race costs one redundant planning pass,
-/// never correctness. Stale entries are invalidated under the shard lock,
-/// so a plan planned before the newest DDL on a table it reads is never
-/// returned (see [`plan_cached`] for the read-set floor).
 pub fn plan_cached_shared(
     cache: &SharedPlanCache,
     catalog: &Catalog,
@@ -193,7 +162,7 @@ pub fn plan_cached_shared(
     stylesheet_src: &str,
     opts: &RewriteOptions,
 ) -> Result<BoundPlan, PipelineError> {
-    let canon = cache.view_canon(view, catalog.view_stamp(&view.name));
+    let canon = cache.view_canon(view);
     let key = PlanKey::with_fingerprint(canon.fingerprint, stylesheet_src, opts);
     let plan = match cache.lookup(&key, plan_valid_at(catalog, view)) {
         Some(plan) => plan,
@@ -894,12 +863,11 @@ mod tests {
     #[test]
     fn plan_cached_shares_one_prepared_plan() {
         let (catalog, view) = setup();
-        let mut cache = crate::plancache::PlanCache::default();
+        let cache = SharedPlanCache::with_shards(crate::DEFAULT_PLAN_CACHE_BYTES, 1);
         let src = wrap(r#"<xsl:template match="r"><o><xsl:value-of select="v"/></o></xsl:template>"#);
-        let first =
-            plan_cached(&mut cache, &catalog, &view, &src, &RewriteOptions::default()).unwrap();
-        let second =
-            plan_cached(&mut cache, &catalog, &view, &src, &RewriteOptions::default()).unwrap();
+        let opts = RewriteOptions::default();
+        let first = plan_cached_shared(&cache, &catalog, &view, &src, &opts).unwrap();
+        let second = plan_cached_shared(&cache, &catalog, &view, &src, &opts).unwrap();
         assert!(
             Arc::ptr_eq(&first.plan, &second.plan),
             "hit must return the same prepared plan"
@@ -914,13 +882,12 @@ mod tests {
     #[test]
     fn plan_cached_replans_after_ddl() {
         let (mut catalog, view) = setup();
-        let mut cache = crate::plancache::PlanCache::default();
+        let cache = SharedPlanCache::with_shards(crate::DEFAULT_PLAN_CACHE_BYTES, 1);
         let src = wrap(r#"<xsl:template match="r"><o><xsl:value-of select="v"/></o></xsl:template>"#);
-        let first =
-            plan_cached(&mut cache, &catalog, &view, &src, &RewriteOptions::default()).unwrap();
+        let opts = RewriteOptions::default();
+        let first = plan_cached_shared(&cache, &catalog, &view, &src, &opts).unwrap();
         catalog.create_index("t", "v").unwrap();
-        let second =
-            plan_cached(&mut cache, &catalog, &view, &src, &RewriteOptions::default()).unwrap();
+        let second = plan_cached_shared(&cache, &catalog, &view, &src, &opts).unwrap();
         assert!(!Arc::ptr_eq(&first.plan, &second.plan), "DDL must force a replan");
         assert_eq!(cache.stats().invalidations, 1);
     }
@@ -928,10 +895,10 @@ mod tests {
     #[test]
     fn compile_errors_are_not_cached() {
         let (catalog, view) = setup();
-        let mut cache = crate::plancache::PlanCache::default();
+        let cache = SharedPlanCache::with_shards(crate::DEFAULT_PLAN_CACHE_BYTES, 1);
         for _ in 0..2 {
-            assert!(plan_cached(
-                &mut cache,
+            assert!(plan_cached_shared(
+                &cache,
                 &catalog,
                 &view,
                 "<not-xslt/>",

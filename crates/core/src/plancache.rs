@@ -1,4 +1,5 @@
-//! PlanCache: a byte-bounded LRU cache of prepared [`TransformPlan`]s.
+//! SharedPlanCache: a byte-bounded, lock-striped LRU cache of prepared
+//! [`TransformPlan`]s.
 //!
 //! The paper's production setting (`XMLTransform()` inside Oracle XML DB)
 //! assumes the same stylesheet is applied over and over to documents of the
@@ -20,8 +21,8 @@
 //!   floor* (`valid_at`): the entry is served iff it was planned at or
 //!   after that floor, and dropped otherwise. Callers that pass
 //!   `catalog.generation()` get the old nuke-on-any-DDL protocol;
-//!   [`plan_cached`](crate::pipeline::plan_cached) passes the newest
-//!   per-table DDL stamp
+//!   [`plan_cached_shared`](crate::pipeline::plan_cached_shared) passes the
+//!   newest per-table DDL stamp
 //!   ([`Catalog::max_ddl_stamp`](xsltdb_relstore::Catalog::max_ddl_stamp))
 //!   over the tables the plan actually binds, so DDL on unrelated tables
 //!   leaves same-shaped siblings cached (plan-aware invalidation). Either
@@ -29,8 +30,8 @@
 //!   chosen may change, the output must not.
 //! * **Budgeting** — the cache is bounded in bytes of heap an entry holds
 //!   ([`plan_cost`], calibrated against a counting allocator), not entry
-//!   count, and evicts least-recently-used entries. A plan larger than the
-//!   whole capacity is simply not admitted.
+//!   count, and evicts least-recently-used entries. A plan larger than a
+//!   shard's slice of the capacity is simply not admitted.
 //! * **Guard composition** — cached plans are immutable; executions arm a
 //!   *fresh* [`Guard`](crate::guard::Guard) per call (see
 //!   [`BoundPlan::execute_to_writer`](crate::pipeline::BoundPlan::execute_to_writer)),
@@ -44,11 +45,12 @@
 // plan would silently undo the sharing the cache exists to provide.
 #![cfg_attr(not(test), deny(clippy::redundant_clone))]
 
+use crate::lru::{lock, StripedLru};
 use crate::pipeline::{BoundPlan, TransformPlan};
 use crate::xqgen::RewriteOptions;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use xsltdb_relstore::{CacheSnapshot, CacheStats, XmlView};
+use std::sync::{Arc, Mutex};
+use xsltdb_relstore::{CacheSnapshot, XmlView};
 use xsltdb_structinfo::{canonicalize_view, ViewCanon};
 
 // Re-exported from their home crates (the digest primitive lives with the
@@ -70,7 +72,6 @@ const _: () = {
     assert_send_sync::<Arc<TransformPlan>>();
     assert_send_sync::<BoundPlan>();
     assert_send_sync::<PlanKey>();
-    assert_send_sync::<PlanCache>();
     assert_send_sync::<SharedPlanCache>();
     assert_send_sync::<crate::guard::Guard>();
 };
@@ -97,8 +98,8 @@ pub struct PlanKey {
 impl PlanKey {
     /// Build the key for planning `stylesheet_src` against `view`,
     /// canonicalising the view's structure on the spot. On the lookup hot
-    /// path prefer [`PlanCache::view_canon`] + [`PlanKey::with_fingerprint`],
-    /// which memoises the canonicalisation.
+    /// path prefer [`SharedPlanCache::view_canon`] +
+    /// [`PlanKey::with_fingerprint`], which memoises the canonicalisation.
     pub fn new(view: &XmlView, stylesheet_src: &str, opts: &RewriteOptions) -> PlanKey {
         PlanKey::with_fingerprint(canonicalize_view(view).fingerprint, stylesheet_src, opts)
     }
@@ -116,53 +117,12 @@ impl PlanKey {
         }
     }
 
-    /// Content digest of the whole key (reports, debugging).
+    /// Content digest of the whole key (shard routing, reports).
     pub fn digest(&self) -> u64 {
         let mut h = fnv64(self.stylesheet.as_bytes());
         h ^= self.struct_fp.rotate_left(17);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
         h ^ fnv64(self.options.as_bytes())
-    }
-}
-
-/// Memo of view-name → (stamp, canonicalisation) shared — as a value, not
-/// a pointer — by both cache flavours. Canonicalising derives and walks the
-/// whole view definition, which would dominate a warm lookup. The stamp is
-/// whatever clock value the caller keys the view's *definition* by: the
-/// pipeline passes [`Catalog::view_stamp`](xsltdb_relstore::Catalog::view_stamp)
-/// (the registration instant — only re-registering the view moves it, so
-/// unrelated DDL keeps the memo warm); callers without per-view stamps can
-/// still pass the global generation and get the old, coarser protocol.
-#[derive(Default)]
-struct CanonMemo {
-    entries: HashMap<String, (u64, Arc<ViewCanon>)>,
-}
-
-impl CanonMemo {
-    /// The memoised canonicalisation of `name` at exactly `stamp`.
-    fn probe(&self, name: &str, stamp: u64) -> Option<Arc<ViewCanon>> {
-        match self.entries.get(name) {
-            Some((g, canon)) if *g == stamp => Some(Arc::clone(canon)),
-            _ => None,
-        }
-    }
-
-    fn store(&mut self, name: &str, stamp: u64, canon: Arc<ViewCanon>) {
-        self.entries.insert(name.to_string(), (stamp, canon));
-    }
-
-    /// Probe-or-derive for callers holding exclusive access.
-    fn get_or_derive(&mut self, view: &XmlView, stamp: u64) -> Arc<ViewCanon> {
-        if let Some(canon) = self.probe(&view.name, stamp) {
-            return canon;
-        }
-        let canon = Arc::new(canonicalize_view(view));
-        self.store(&view.name, stamp, Arc::clone(&canon));
-        canon
-    }
-
-    fn clear(&mut self) {
-        self.entries.clear();
     }
 }
 
@@ -203,25 +163,6 @@ struct Entry {
     /// [`Catalog::generation`](xsltdb_relstore::Catalog::generation) at
     /// planning time — compared against the validity floor a lookup passes.
     planned_at: u64,
-    /// [`plan_cost`] of this entry (key + plan).
-    cost: usize,
-    /// LRU clock value of the last hit (or the insert).
-    last_used: u64,
-}
-
-/// A byte-bounded LRU cache of prepared transform plans with DDL-generation
-/// invalidation. See the module docs for the design; see
-/// [`plan_cached`](crate::pipeline::plan_cached) for the front door.
-pub struct PlanCache {
-    capacity: usize,
-    entries: HashMap<PlanKey, Entry>,
-    bytes: usize,
-    clock: u64,
-    /// Shared handle so a [`SharedPlanCache`] can point every shard at one
-    /// set of counters; a standalone cache owns its own.
-    stats: Arc<CacheStats>,
-    /// Per-(view, generation) canonicalisation memo (see [`CanonMemo`]).
-    canon: CanonMemo,
 }
 
 /// Default capacity, in [`plan_cost`] bytes: room for every stylesheet of
@@ -230,166 +171,23 @@ pub struct PlanCache {
 /// stylesheets evicts instead of growing the heap.
 pub const DEFAULT_PLAN_CACHE_BYTES: usize = 2 * 1024 * 1024;
 
-impl Default for PlanCache {
-    fn default() -> Self {
-        PlanCache::new(DEFAULT_PLAN_CACHE_BYTES)
-    }
-}
-
-impl PlanCache {
-    /// A cache bounded at `capacity` [`plan_cost`] bytes.
-    pub fn new(capacity: usize) -> PlanCache {
-        PlanCache::with_stats(capacity, Arc::new(CacheStats::new()))
-    }
-
-    /// A cache charging an externally owned set of counters — the shard
-    /// constructor used by [`SharedPlanCache`], whose shards all report
-    /// into one [`CacheStats`].
-    pub fn with_stats(capacity: usize, stats: Arc<CacheStats>) -> PlanCache {
-        PlanCache {
-            capacity,
-            entries: HashMap::new(),
-            bytes: 0,
-            clock: 0,
-            stats,
-            canon: CanonMemo::default(),
-        }
-    }
-
-    /// `view`'s canonicalisation (family fingerprint + slot bindings),
-    /// memoised per view name at DDL `generation`: it runs once per
-    /// (view, generation) and every later lookup at the same generation is
-    /// a map probe.
-    pub fn view_canon(&mut self, view: &XmlView, generation: u64) -> Arc<ViewCanon> {
-        self.canon.get_or_derive(view, generation)
-    }
-
-    /// The canonical structure fingerprint of `view`, through the same
-    /// memo as [`Self::view_canon`].
-    pub fn view_fingerprint(&mut self, view: &XmlView, generation: u64) -> u64 {
-        self.view_canon(view, generation).fingerprint
-    }
-
-    pub fn capacity_bytes(&self) -> usize {
-        self.capacity
-    }
-
-    /// [`plan_cost`] bytes currently pinned by cached entries. Never exceeds
-    /// [`capacity_bytes`](Self::capacity_bytes).
-    pub fn bytes_in_use(&self) -> usize {
-        self.bytes
-    }
-
-    pub fn entry_count(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Point-in-time copy of the hit/miss/eviction/invalidation counters.
-    pub fn stats(&self) -> CacheSnapshot {
-        self.stats.snapshot()
-    }
-
-    pub fn reset_stats(&self) {
-        self.stats.reset();
-    }
-
-    /// Drop every entry and canonicalisation memo (counters are kept).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.canon.clear();
-        self.bytes = 0;
-    }
-
-    /// Look up a plan for `key` whose planning instant is at or after the
-    /// validity floor `valid_at`. Passing `catalog.generation()` demands a
-    /// plan from the current instant (any DDL invalidates — the coarse
-    /// protocol); passing `catalog.max_ddl_stamp(bound tables)` accepts any
-    /// plan newer than the last DDL that could have affected it (the
-    /// plan-aware protocol of [`plan_cached`](crate::pipeline::plan_cached)).
-    /// Counts exactly one hit or one miss; a stale entry additionally
-    /// counts an invalidation and is dropped.
-    pub fn lookup(&mut self, key: &PlanKey, valid_at: u64) -> Option<Arc<TransformPlan>> {
-        if let Some(entry) = self.entries.get_mut(key) {
-            if entry.planned_at >= valid_at {
-                self.clock += 1;
-                entry.last_used = self.clock;
-                self.stats.add_hit();
-                return Some(Arc::clone(&entry.plan));
-            }
-        }
-        if let Some(stale) = self.entries.remove(key) {
-            self.bytes -= stale.cost;
-            self.stats.add_invalidation();
-        }
-        self.stats.add_miss();
-        None
-    }
-
-    /// Admit a freshly prepared plan, stamped with the global DDL clock
-    /// value `planned_at` observed when planning ran. Evicts LRU entries
-    /// until the budget fits; a plan that alone exceeds the capacity is not
-    /// admitted (the caller still gets its `Arc`, it just will not be
-    /// shared).
-    pub fn insert(&mut self, key: PlanKey, plan: Arc<TransformPlan>, planned_at: u64) {
-        let cost = plan_cost(&key, &plan);
-        if cost > self.capacity {
-            self.stats.add_uncacheable();
-            return;
-        }
-        // Replacing an entry (e.g. after a generation bump raced the
-        // invalidating lookup) releases the old bytes first.
-        if let Some(old) = self.entries.remove(&key) {
-            self.bytes -= old.cost;
-        }
-        // `cost <= capacity`, so the loop ends with the map emptied at the
-        // latest.
-        while self.bytes + cost > self.capacity {
-            let Some(victim) =
-                self.entries.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            if let Some(evicted) = self.entries.remove(&victim) {
-                self.bytes -= evicted.cost;
-                self.stats.add_eviction();
-            }
-        }
-        self.clock += 1;
-        self.entries.insert(key, Entry { plan, planned_at, cost, last_used: self.clock });
-        self.bytes += cost;
-    }
-}
-
 /// Default shard count for [`SharedPlanCache`]: enough stripes that eight
 /// concurrent sessions rarely collide on a shard lock, few enough that the
 /// per-shard byte budget stays meaningful at the default capacity.
 pub const DEFAULT_PLAN_CACHE_SHARDS: usize = 8;
 
-/// Lock a shard (or the fingerprint memo). A panic while holding a shard
-/// lock can only come from an engine bug below `insert`/`lookup`; the
-/// cache's own state is updated without intervening panics, so a poisoned
-/// lock's inner state is still coherent and is used as-is.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// A thread-safe, lock-striped [`PlanCache`]: N independent shards, each a
-/// byte-bounded LRU guarded by its own mutex, all charging one shared
-/// [`CacheStats`].
+/// A thread-safe cache of prepared plans: the crate's striped LRU (each
+/// shard a byte-bounded LRU behind its own mutex, routed by the key's
+/// [content digest](PlanKey::digest), all charging one set of counters)
+/// plus a canonicalisation memo. A one-shard cache
+/// ([`with_shards(capacity, 1)`](Self::with_shards)) is the exclusive,
+/// single-LRU cache.
 ///
-/// * **Routing** — a key's [content digest](PlanKey::digest) picks its
-///   shard, so all operations on one key serialize on one lock while
-///   distinct keys mostly proceed in parallel.
-/// * **Budget** — the global byte capacity is apportioned evenly across
-///   shards; each shard enforces its slice independently, so the global
-///   bound `bytes_in_use ≤ capacity` holds at every instant without any
-///   global lock. (A skewed key population can evict from a full shard
-///   while another sits empty — the classic striping trade-off.)
-/// * **Invalidation** — the same validity-floor protocol as
-///   [`PlanCache`]: every entry records the global DDL clock at planning
-///   time and a lookup whose floor exceeds that stamp drops it. The check
-///   happens under the shard lock, so a stale plan is never returned, no
-///   matter how lookups and DDL bumps interleave across threads.
+/// * **Invalidation** — every entry records the global DDL clock at
+///   planning time and a lookup whose floor exceeds that stamp drops it.
+///   The check happens under the shard lock, so a stale plan is never
+///   returned, no matter how lookups and DDL bumps interleave across
+///   threads.
 /// * **Miss races** — two threads missing on the same key both plan and
 ///   both insert (the second insert replaces the first). That wastes one
 ///   planning pass, never correctness: planning is deterministic, so both
@@ -398,13 +196,11 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// See [`plan_cached_shared`](crate::pipeline::plan_cached_shared) for the
 /// front door.
 pub struct SharedPlanCache {
-    shards: Box<[Mutex<PlanCache>]>,
-    stats: Arc<CacheStats>,
-    /// Per-(view, generation) canonicalisation memo, shared across shards:
-    /// the fingerprint is needed *before* a key (and thus a shard) exists.
-    /// See [`PlanCache::view_canon`] for the protocol.
-    canon: Mutex<CanonMemo>,
-    capacity: usize,
+    lru: StripedLru<PlanKey, Entry>,
+    /// View name → (the definition canonicalised, its canonicalisation),
+    /// shared across shards: the fingerprint is needed *before* a key (and
+    /// thus a shard) exists. See [`Self::view_canon`].
+    canon: Mutex<HashMap<String, (XmlView, Arc<ViewCanon>)>>,
 }
 
 impl Default for SharedPlanCache {
@@ -424,44 +220,31 @@ impl SharedPlanCache {
     /// lock stripes (≥ 1). Each shard is budgeted `capacity / shards`
     /// bytes, so the global bound holds shard-locally.
     pub fn with_shards(capacity: usize, shards: usize) -> SharedPlanCache {
-        assert!(shards >= 1, "a cache needs at least one shard");
-        let stats = Arc::new(CacheStats::new());
-        let per_shard = capacity / shards;
-        let shards: Vec<Mutex<PlanCache>> = (0..shards)
-            .map(|_| Mutex::new(PlanCache::with_stats(per_shard, Arc::clone(&stats))))
-            .collect();
         SharedPlanCache {
-            shards: shards.into_boxed_slice(),
-            stats,
-            canon: Mutex::new(CanonMemo::default()),
-            capacity,
+            lru: StripedLru::new(capacity, shards),
+            canon: Mutex::new(HashMap::new()),
         }
     }
 
-    fn shard(&self, key: &PlanKey) -> &Mutex<PlanCache> {
-        &self.shards[(key.digest() as usize) % self.shards.len()]
-    }
-
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.lru.shard_count()
     }
 
     /// The requested global capacity. The enforced bound is the sum of the
     /// per-shard slices (`capacity / shards × shards`), which never exceeds
     /// this.
     pub fn capacity_bytes(&self) -> usize {
-        self.capacity
+        self.lru.capacity_bytes()
     }
 
-    /// [`plan_cost`] bytes currently pinned across all shards. Each addend is
-    /// read under its shard lock; the sum is a consistent upper-bounded
-    /// estimate (every shard individually respects its slice at all times).
+    /// [`plan_cost`] bytes currently pinned across all shards. Never
+    /// exceeds [`capacity_bytes`](Self::capacity_bytes).
     pub fn bytes_in_use(&self) -> usize {
-        self.shards.iter().map(|s| lock(s).bytes_in_use()).sum()
+        self.lru.bytes_in_use()
     }
 
     pub fn entry_count(&self) -> usize {
-        self.shards.iter().map(|s| lock(s).entry_count()).sum()
+        self.lru.entry_count()
     }
 
     /// Point-in-time copy of the shared hit/miss/eviction/invalidation
@@ -469,56 +252,64 @@ impl SharedPlanCache {
     /// while other threads are charging (see
     /// [`CacheStats`](xsltdb_relstore::CacheStats)).
     pub fn stats(&self) -> CacheSnapshot {
-        self.stats.snapshot()
+        self.lru.stats()
     }
 
     pub fn reset_stats(&self) {
-        self.stats.reset();
+        self.lru.reset_stats();
     }
 
     /// Drop every entry and canonicalisation memo (counters are kept).
     pub fn clear(&self) {
-        for s in self.shards.iter() {
-            lock(s).clear();
-        }
+        self.lru.clear();
         lock(&self.canon).clear();
     }
 
-    /// `view`'s canonicalisation, memoised per view name at DDL
-    /// `generation` — the cross-shard analogue of [`PlanCache::view_canon`].
-    /// The canonicalisation (a full walk of the view definition) runs
-    /// outside the memo lock, so a cold entry never stalls other sessions'
-    /// memo probes; concurrent cold calls for the same view derive twice
-    /// and agree (the derivation is pure).
-    pub fn view_canon(&self, view: &XmlView, generation: u64) -> Arc<ViewCanon> {
-        if let Some(canon) = lock(&self.canon).probe(&view.name, generation) {
-            return canon;
+    /// `view`'s canonicalisation (family fingerprint + slot bindings),
+    /// memoised per view name: a memo hit requires the stored definition
+    /// to equal `view`, so a view re-registered under the same name — or a
+    /// different view that merely shares the name — is canonicalised
+    /// afresh rather than handed another definition's bindings.
+    /// Canonicalisation reads only the view, so nothing else can stale it.
+    /// The derivation (a full walk of the definition) runs outside the memo
+    /// lock, so a cold entry never stalls other sessions' memo probes;
+    /// concurrent cold calls for the same view derive twice and agree.
+    pub fn view_canon(&self, view: &XmlView) -> Arc<ViewCanon> {
+        if let Some((def, canon)) = lock(&self.canon).get(&view.name) {
+            if def == view {
+                return Arc::clone(canon);
+            }
         }
         let canon = Arc::new(canonicalize_view(view));
-        lock(&self.canon).store(&view.name, generation, Arc::clone(&canon));
+        lock(&self.canon).insert(view.name.clone(), (view.clone(), Arc::clone(&canon)));
         canon
     }
 
-    /// The canonical structure fingerprint of `view`, through the same
-    /// memo as [`Self::view_canon`].
-    pub fn view_fingerprint(&self, view: &XmlView, generation: u64) -> u64 {
-        self.view_canon(view, generation).fingerprint
-    }
-
     /// Look up a plan for `key` whose planning instant is at or after the
-    /// validity floor `valid_at` (see [`PlanCache::lookup`]), under the
-    /// key's shard lock. Counts exactly one hit or one miss; a stale entry
-    /// additionally counts an invalidation and is dropped before the lock
-    /// is released, so no later lookup — on any thread — can observe it.
+    /// validity floor `valid_at`, under the key's shard lock. Passing
+    /// `catalog.generation()` demands a plan from the current instant (any
+    /// DDL invalidates — the coarse protocol); passing
+    /// `catalog.max_ddl_stamp(bound tables)` accepts any plan newer than
+    /// the last DDL that could have affected it (the plan-aware protocol of
+    /// [`plan_cached_shared`](crate::pipeline::plan_cached_shared)). Counts
+    /// exactly one hit or one miss; a stale entry additionally counts an
+    /// invalidation and is dropped before the lock is released, so no later
+    /// lookup — on any thread — can observe it.
     pub fn lookup(&self, key: &PlanKey, valid_at: u64) -> Option<Arc<TransformPlan>> {
-        lock(self.shard(key)).lookup(key, valid_at)
+        self.lru.lookup(key, key.digest(), |e| {
+            (e.planned_at >= valid_at).then(|| Arc::clone(&e.plan))
+        })
     }
 
-    /// Admit a freshly prepared plan stamped `planned_at` into its key's
-    /// shard (evicting that shard's LRU entries to fit its byte slice).
+    /// Admit a freshly prepared plan, stamped with the global DDL clock
+    /// value `planned_at` observed when planning ran, into its key's shard
+    /// (evicting that shard's LRU entries to fit its byte slice). A plan
+    /// that alone exceeds the slice is not admitted (the caller still gets
+    /// its `Arc`, it just will not be shared).
     pub fn insert(&self, key: PlanKey, plan: Arc<TransformPlan>, planned_at: u64) {
-        let shard = self.shard(&key);
-        lock(shard).insert(key, plan, planned_at);
+        let cost = plan_cost(&key, &plan);
+        let digest = key.digest();
+        self.lru.insert(key, digest, Entry { plan, planned_at }, cost);
     }
 }
 
@@ -530,22 +321,34 @@ mod tests {
     use xsltdb_relstore::pubexpr::{PubExpr, SqlXmlQuery};
     use xsltdb_relstore::{Catalog, ColType, Datum, Table};
 
+    fn view_over(name: &str, table: &str, tag: &str) -> XmlView {
+        XmlView::new(
+            name,
+            SqlXmlQuery {
+                base_table: table.into(),
+                where_clause: Conjunction::default(),
+                order_by: Vec::new(),
+                select: PubExpr::elem(
+                    tag,
+                    vec![PubExpr::elem("v", vec![PubExpr::col(table, "v")])],
+                ),
+            },
+        )
+    }
+
     fn setup() -> (Catalog, XmlView) {
         let mut t = Table::new("t", &[("v", ColType::Int)]);
         t.insert(vec![Datum::Int(7)]).unwrap();
         let mut catalog = Catalog::new();
         catalog.add_table(t);
-        let view = XmlView::new(
-            "vu",
-            SqlXmlQuery {
-                base_table: "t".into(),
-                where_clause: Conjunction::default(),
-                order_by: Vec::new(),
-                select: PubExpr::elem("r", vec![PubExpr::elem("v", vec![PubExpr::col("t", "v")])]),
-            },
-        );
+        let view = view_over("vu", "t", "r");
         catalog.add_view(view.clone());
         (catalog, view)
+    }
+
+    /// The exclusive cache: one LRU, one lock.
+    fn exclusive(capacity: usize) -> SharedPlanCache {
+        SharedPlanCache::with_shards(capacity, 1)
     }
 
     fn sheet(body: &str) -> String {
@@ -584,7 +387,7 @@ mod tests {
     #[test]
     fn lookup_counts_hits_and_misses() {
         let (catalog, view) = setup();
-        let mut cache = PlanCache::default();
+        let cache = exclusive(DEFAULT_PLAN_CACHE_BYTES);
         let src = sheet(r#"<xsl:template match="r"><o><xsl:value-of select="v"/></o></xsl:template>"#);
         let key = PlanKey::new(&view, &src, &RewriteOptions::default());
         assert!(cache.lookup(&key, catalog.generation()).is_none());
@@ -599,7 +402,7 @@ mod tests {
     #[test]
     fn stale_generation_invalidates_on_lookup() {
         let (mut catalog, view) = setup();
-        let mut cache = PlanCache::default();
+        let cache = exclusive(DEFAULT_PLAN_CACHE_BYTES);
         let src = sheet(r#"<xsl:template match="r"><o/></xsl:template>"#);
         let key = PlanKey::new(&view, &src, &RewriteOptions::default());
         cache.insert(key.clone(), plan(&view, &src), catalog.generation());
@@ -619,7 +422,7 @@ mod tests {
             srcs.iter().map(|s| PlanKey::new(&view, s, &RewriteOptions::default())).collect();
         let one = plan_cost(&keys[0], &plan(&view, &srcs[0]));
         // Room for roughly two entries.
-        let mut cache = PlanCache::new(one * 2 + one / 2);
+        let cache = exclusive(one * 2 + one / 2);
         for (k, s) in keys.iter().zip(&srcs).take(3) {
             cache.insert(k.clone(), plan(&view, s), catalog.generation());
             assert!(cache.bytes_in_use() <= cache.capacity_bytes());
@@ -640,7 +443,7 @@ mod tests {
         let (catalog, view) = setup();
         let src = sheet(r#"<xsl:template match="r"><o/></xsl:template>"#);
         let key = PlanKey::new(&view, &src, &RewriteOptions::default());
-        let mut cache = PlanCache::new(16);
+        let cache = exclusive(16);
         cache.insert(key.clone(), plan(&view, &src), catalog.generation());
         assert_eq!(cache.entry_count(), 0);
         assert_eq!(cache.bytes_in_use(), 0);
@@ -648,28 +451,39 @@ mod tests {
     }
 
     #[test]
-    fn view_fingerprint_memo_respects_generation() {
+    fn reinserting_a_key_keeps_one_entry_and_one_cost() {
+        let (catalog, view) = setup();
+        let src = sheet(r#"<xsl:template match="r"><o/></xsl:template>"#);
+        let key = PlanKey::new(&view, &src, &RewriteOptions::default());
+        let cache = exclusive(DEFAULT_PLAN_CACHE_BYTES);
+        let p = plan(&view, &src);
+        cache.insert(key.clone(), Arc::clone(&p), catalog.generation());
+        cache.insert(key.clone(), Arc::clone(&p), catalog.generation());
+        assert_eq!(cache.entry_count(), 1);
+        assert_eq!(cache.bytes_in_use(), plan_cost(&key, &p));
+    }
+
+    #[test]
+    fn view_canon_memo_keys_on_the_definition() {
         let (mut catalog, view) = setup();
-        let mut cache = PlanCache::default();
-        let g0 = catalog.generation();
-        let fp = cache.view_fingerprint(&view, g0);
-        assert_eq!(fp, PlanKey::new(&view, "x", &RewriteOptions::default()).struct_fp);
-        assert_eq!(cache.view_fingerprint(&view, g0), fp, "memo hit is stable");
-        // DDL bumps the generation; a view replaced under the same name
-        // must re-fingerprint rather than serve the memo.
-        catalog.create_index("t", "v").unwrap();
-        let replaced = XmlView::new(
-            "vu",
-            SqlXmlQuery {
-                base_table: "t".into(),
-                where_clause: Conjunction::default(),
-                order_by: Vec::new(),
-                select: PubExpr::elem("other", vec![PubExpr::col("t", "v")]),
-            },
-        );
+        let cache = SharedPlanCache::default();
+        let first = cache.view_canon(&view);
+        let key = PlanKey::new(&view, "x", &RewriteOptions::default());
+        assert_eq!(first.fingerprint, key.struct_fp);
+        assert!(Arc::ptr_eq(&cache.view_canon(&view), &first), "memo hit is stable");
+        // A view replaced under the same name re-canonicalises rather than
+        // serving the memo.
+        let replaced = view_over("vu", "t", "other");
         catalog.add_view(replaced.clone());
-        let fp2 = cache.view_fingerprint(&replaced, catalog.generation());
-        assert_ne!(fp, fp2, "replaced structure gets a fresh fingerprint");
+        assert_ne!(cache.view_canon(&replaced).fingerprint, first.fingerprint);
+        // Same name, same shape, another table — neither registered: the
+        // shapes share a fingerprint but each keeps its own binding.
+        let over_a = view_over("v", "a", "r");
+        let over_b = view_over("v", "b", "r");
+        let (ca, cb) = (cache.view_canon(&over_a), cache.view_canon(&over_b));
+        assert_eq!(ca.fingerprint, cb.fingerprint);
+        assert_eq!(ca.bindings.get("$t0"), Some("a"));
+        assert_eq!(cb.bindings.get("$t0"), Some("b"));
     }
 
     #[test]
@@ -677,7 +491,7 @@ mod tests {
         let (catalog, view) = setup();
         let src = sheet(r#"<xsl:template match="r"><o/></xsl:template>"#);
         let key = PlanKey::new(&view, &src, &RewriteOptions::default());
-        let mut cache = PlanCache::default();
+        let cache = exclusive(DEFAULT_PLAN_CACHE_BYTES);
         cache.insert(key.clone(), plan(&view, &src), catalog.generation());
         assert!(cache.lookup(&key, catalog.generation()).is_some());
         cache.clear();

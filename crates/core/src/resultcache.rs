@@ -1,8 +1,8 @@
-//! ResultCache: a byte-bounded, lock-striped cache of **serialized
+//! SharedResultCache: a byte-bounded, lock-striped cache of **serialized
 //! transform output** with read-set invalidation.
 //!
 //! The paper's publishing views make a transform's output a pure function
-//! of (stylesheet × structure × data). The plan caches amortise the first
+//! of (stylesheet × structure × data). The plan cache amortises the first
 //! two factors; this module amortises the third: once a request has
 //! streamed its bytes, an identical request can be served from memory
 //! without re-entering the degradation lattice at all — *as long as no
@@ -21,8 +21,8 @@
 //!   since the fill drops the entry (counted as an invalidation) and the
 //!   request falls through to a fresh execution. Writes to tables outside
 //!   the read-set are invisible — that is the point.
-//! * **Budgeting** — byte-bounded LRU per shard, like the plan caches; the
-//!   dominant cost is the output bytes themselves. An output larger than a
+//! * **Budgeting** — the same striped, byte-bounded LRU as the plan cache;
+//!   the dominant cost is the output bytes themselves. An output larger than a
 //!   shard's slice is not admitted (counted `uncacheable`).
 //! * **What is never cached** — errors and guard trips produce no bytes to
 //!   cache: only complete, successful outputs are admitted, so a trip or a
@@ -30,23 +30,23 @@
 //!   caller's guard and ledger accounting (see
 //!   `serve::FrontDoor`), so a cached byte is charged like a fresh one.
 
-// Guard-bearing hot path: a stray unwrap here is a latent panic the
-// serving layer would have to contain. Keep it impossible.
+// Guard-bearing hot path: a stray unwrap or expect here is a latent panic
+// the serving layer would have to contain. Keep it impossible.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::expect_used))]
 
+use crate::lru::StripedLru;
 use crate::pipeline::Tier;
 use crate::plancache::fnv64;
 use crate::xqgen::RewriteOptions;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use xsltdb_relstore::{CacheSnapshot, CacheStats, Catalog, TableVersion};
+use std::sync::Arc;
+use xsltdb_relstore::{CacheSnapshot, Catalog, TableVersion};
 
 // The serving layer shares one cache across every worker thread.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<ResultKey>();
     assert_send_sync::<CachedResult>();
-    assert_send_sync::<ResultCache>();
     assert_send_sync::<SharedResultCache>();
 };
 
@@ -116,8 +116,6 @@ struct Entry {
     /// Version coordinates of every table the producing plan read, at the
     /// instant the bytes were computed.
     reads: Vec<TableVersion>,
-    cost: usize,
-    last_used: u64,
 }
 
 /// Default capacity for the serving layer: roomy enough for the whole
@@ -125,146 +123,13 @@ struct Entry {
 /// a tested code path.
 pub const DEFAULT_RESULT_CACHE_BYTES: usize = 32 * 1024 * 1024;
 
-/// One shard: a byte-bounded LRU of serialized outputs with read-set
-/// revalidation on every lookup. Use [`SharedResultCache`] for concurrent
-/// sessions.
-pub struct ResultCache {
-    capacity: usize,
-    entries: HashMap<ResultKey, Entry>,
-    bytes: usize,
-    clock: u64,
-    stats: Arc<CacheStats>,
-}
-
-impl Default for ResultCache {
-    fn default() -> Self {
-        ResultCache::new(DEFAULT_RESULT_CACHE_BYTES)
-    }
-}
-
-impl ResultCache {
-    pub fn new(capacity: usize) -> ResultCache {
-        ResultCache::with_stats(capacity, Arc::new(CacheStats::new()))
-    }
-
-    /// A cache charging externally owned counters — the shard constructor
-    /// used by [`SharedResultCache`].
-    pub fn with_stats(capacity: usize, stats: Arc<CacheStats>) -> ResultCache {
-        ResultCache { capacity, entries: HashMap::new(), bytes: 0, clock: 0, stats }
-    }
-
-    pub fn capacity_bytes(&self) -> usize {
-        self.capacity
-    }
-
-    pub fn bytes_in_use(&self) -> usize {
-        self.bytes
-    }
-
-    pub fn entry_count(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn stats(&self) -> CacheSnapshot {
-        self.stats.snapshot()
-    }
-
-    pub fn reset_stats(&self) {
-        self.stats.reset();
-    }
-
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.bytes = 0;
-    }
-
-    /// Look up the memoised output for `key`, revalidating its read-set
-    /// against `catalog`. Counts exactly one hit or one miss; an entry
-    /// whose read-set moved additionally counts an invalidation and is
-    /// dropped before returning, so no later lookup can observe it.
-    pub fn lookup(&mut self, key: &ResultKey, catalog: &Catalog) -> Option<CachedResult> {
-        match self.entries.get_mut(key) {
-            Some(entry) if catalog.versions_current(&entry.reads) => {
-                self.clock += 1;
-                entry.last_used = self.clock;
-                self.stats.add_hit();
-                Some(CachedResult { bytes: Arc::clone(&entry.bytes), tier: entry.tier })
-            }
-            Some(_) => {
-                let stale = self
-                    .entries
-                    .remove(key)
-                    .expect("entry present under the same borrow");
-                self.bytes -= stale.cost;
-                self.stats.add_invalidation();
-                self.stats.add_miss();
-                None
-            }
-            None => {
-                self.stats.add_miss();
-                None
-            }
-        }
-    }
-
-    /// Admit a complete, successful output together with the read-set
-    /// snapshot it was computed under. Evicts LRU entries until the budget
-    /// fits; an output that alone exceeds the capacity is not admitted.
-    ///
-    /// The caller must snapshot `reads` from the same catalog borrow the
-    /// execution ran against — the catalog is immutable for the duration
-    /// of a request, so the snapshot and the bytes are mutually consistent
-    /// by construction.
-    pub fn insert(
-        &mut self,
-        key: ResultKey,
-        bytes: Arc<[u8]>,
-        tier: Tier,
-        reads: Vec<TableVersion>,
-    ) {
-        let cost = key.cost()
-            + bytes.len()
-            + reads
-                .iter()
-                .map(|v| v.table.len() + 2 * std::mem::size_of::<u64>())
-                .sum::<usize>();
-        if cost > self.capacity {
-            self.stats.add_uncacheable();
-            return;
-        }
-        if let Some(old) = self.entries.remove(&key) {
-            self.bytes -= old.cost;
-        }
-        while self.bytes + cost > self.capacity {
-            let victim = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-                .expect("bytes > 0 implies at least one entry");
-            let evicted = self.entries.remove(&victim).expect("victim present");
-            self.bytes -= evicted.cost;
-            self.stats.add_eviction();
-        }
-        self.clock += 1;
-        self.entries
-            .insert(key, Entry { bytes, tier, reads, cost, last_used: self.clock });
-        self.bytes += cost;
-    }
-}
-
 /// Default shard count, matching the plan cache's striping.
 pub const DEFAULT_RESULT_CACHE_SHARDS: usize = 8;
 
-/// See `plancache::lock`: a poisoned shard's inner state is still coherent
-/// (all mutations happen without intervening panics) and is used as-is.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// A thread-safe, lock-striped [`ResultCache`]: N independent shards, each
-/// a byte-bounded LRU guarded by its own mutex, all charging one shared
-/// [`CacheStats`] (so `hits + misses == lookups` holds in every snapshot).
+/// A thread-safe cache of serialized outputs: the crate's striped LRU
+/// (each shard a byte-bounded LRU behind its own mutex, all charging one
+/// set of counters, so `hits + misses == lookups` holds in every
+/// snapshot) with read-set revalidation on every lookup.
 ///
 /// A key's [content digest](ResultKey::digest) picks its shard; the
 /// freshness check runs under the shard lock against the catalog borrow
@@ -272,9 +137,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// served from it. Capacity 0 disables the cache: every insert is
 /// uncacheable and every lookup is a miss.
 pub struct SharedResultCache {
-    shards: Box<[Mutex<ResultCache>]>,
-    stats: Arc<CacheStats>,
-    capacity: usize,
+    lru: StripedLru<ResultKey, Entry>,
 }
 
 impl Default for SharedResultCache {
@@ -291,63 +154,67 @@ impl SharedResultCache {
     /// `capacity` estimated bytes over exactly `shards` lock stripes
     /// (≥ 1); each shard enforces `capacity / shards` independently.
     pub fn with_shards(capacity: usize, shards: usize) -> SharedResultCache {
-        assert!(shards >= 1, "a cache needs at least one shard");
-        let stats = Arc::new(CacheStats::new());
-        let per_shard = capacity / shards;
-        let shards: Vec<Mutex<ResultCache>> = (0..shards)
-            .map(|_| Mutex::new(ResultCache::with_stats(per_shard, Arc::clone(&stats))))
-            .collect();
-        SharedResultCache { shards: shards.into_boxed_slice(), stats, capacity }
-    }
-
-    fn shard(&self, key: &ResultKey) -> &Mutex<ResultCache> {
-        &self.shards[(key.digest() as usize) % self.shards.len()]
+        SharedResultCache { lru: StripedLru::new(capacity, shards) }
     }
 
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.lru.shard_count()
     }
 
     pub fn capacity_bytes(&self) -> usize {
-        self.capacity
+        self.lru.capacity_bytes()
     }
 
     /// Is the cache able to hold anything at all? Capacity 0 is the
     /// "disabled" configuration.
     pub fn enabled(&self) -> bool {
-        self.capacity > 0
+        self.capacity_bytes() > 0
     }
 
     pub fn bytes_in_use(&self) -> usize {
-        self.shards.iter().map(|s| lock(s).bytes_in_use()).sum()
+        self.lru.bytes_in_use()
     }
 
     pub fn entry_count(&self) -> usize {
-        self.shards.iter().map(|s| lock(s).entry_count()).sum()
+        self.lru.entry_count()
     }
 
     /// Point-in-time copy of the shared counters; `hits + misses ==
     /// lookups` holds in every snapshot even while other threads charge.
     pub fn stats(&self) -> CacheSnapshot {
-        self.stats.snapshot()
+        self.lru.stats()
     }
 
     pub fn reset_stats(&self) {
-        self.stats.reset();
+        self.lru.reset_stats();
     }
 
     pub fn clear(&self) {
-        for s in self.shards.iter() {
-            lock(s).clear();
-        }
+        self.lru.clear();
     }
 
-    /// [`ResultCache::lookup`] under the key's shard lock.
+    /// Look up the memoised output for `key`, revalidating its read-set
+    /// against `catalog` under the key's shard lock. Counts exactly one hit
+    /// or one miss; an entry whose read-set moved additionally counts an
+    /// invalidation and is dropped before returning, so no later lookup can
+    /// observe it.
     pub fn lookup(&self, key: &ResultKey, catalog: &Catalog) -> Option<CachedResult> {
-        lock(self.shard(key)).lookup(key, catalog)
+        self.lru.lookup(key, key.digest(), |e| {
+            catalog
+                .versions_current(&e.reads)
+                .then(|| CachedResult { bytes: Arc::clone(&e.bytes), tier: e.tier })
+        })
     }
 
-    /// [`ResultCache::insert`] under the key's shard lock.
+    /// Admit a complete, successful output together with the read-set
+    /// snapshot it was computed under, into its key's shard. Evicts that
+    /// shard's LRU entries until its slice fits; an output that alone
+    /// exceeds the slice is not admitted.
+    ///
+    /// The caller must snapshot `reads` from the same catalog borrow the
+    /// execution ran against — the catalog is immutable for the duration
+    /// of a request, so the snapshot and the bytes are mutually consistent
+    /// by construction.
     pub fn insert(
         &self,
         key: ResultKey,
@@ -355,8 +222,14 @@ impl SharedResultCache {
         tier: Tier,
         reads: Vec<TableVersion>,
     ) {
-        let shard = self.shard(&key);
-        lock(shard).insert(key, bytes, tier, reads);
+        let cost = key.cost()
+            + bytes.len()
+            + reads
+                .iter()
+                .map(|v| v.table.len() + 2 * std::mem::size_of::<u64>())
+                .sum::<usize>();
+        let digest = key.digest();
+        self.lru.insert(key, digest, Entry { bytes, tier, reads }, cost);
     }
 }
 
@@ -388,10 +261,15 @@ mod tests {
         Arc::from(s.as_bytes().to_vec().into_boxed_slice())
     }
 
+    /// The exclusive cache: one LRU, one lock.
+    fn exclusive(capacity: usize) -> SharedResultCache {
+        SharedResultCache::with_shards(capacity, 1)
+    }
+
     #[test]
     fn round_trip_hits_while_reads_unchanged() {
         let c = catalog_ab();
-        let mut cache = ResultCache::new(1 << 16);
+        let cache = exclusive(1 << 16);
         let k = key("sheet", &["a"]);
         assert!(cache.lookup(&k, &c).is_none());
         cache.insert(k.clone(), bytes("<r/>"), Tier::Sql, c.versions_of(["a"]));
@@ -406,7 +284,7 @@ mod tests {
     #[test]
     fn dml_on_a_read_table_invalidates() {
         let mut c = catalog_ab();
-        let mut cache = ResultCache::new(1 << 16);
+        let cache = exclusive(1 << 16);
         let k = key("sheet", &["a"]);
         cache.insert(k.clone(), bytes("<r/>"), Tier::Sql, c.versions_of(["a"]));
         c.table_mut("a").unwrap().insert(vec![Datum::Int(2)]).unwrap();
@@ -418,7 +296,7 @@ mod tests {
     #[test]
     fn dml_outside_the_read_set_does_not_invalidate() {
         let mut c = catalog_ab();
-        let mut cache = ResultCache::new(1 << 16);
+        let cache = exclusive(1 << 16);
         let k = key("sheet", &["a"]);
         cache.insert(k.clone(), bytes("<r/>"), Tier::Sql, c.versions_of(["a"]));
         // DML on b and DDL on b: both invisible to a read-set of {a}.
@@ -433,7 +311,7 @@ mod tests {
     #[test]
     fn ddl_on_a_read_table_invalidates() {
         let mut c = catalog_ab();
-        let mut cache = ResultCache::new(1 << 16);
+        let cache = exclusive(1 << 16);
         let k = key("sheet", &["a"]);
         cache.insert(k.clone(), bytes("<r/>"), Tier::Sql, c.versions_of(["a"]));
         c.create_index("a", "x").unwrap();
@@ -444,7 +322,7 @@ mod tests {
     #[test]
     fn same_shape_different_bindings_do_not_share_results() {
         let c = catalog_ab();
-        let mut cache = ResultCache::new(1 << 16);
+        let cache = exclusive(1 << 16);
         let ka = key("sheet", &["a"]);
         let kb = key("sheet", &["b"]);
         assert_ne!(ka, kb);
@@ -459,7 +337,7 @@ mod tests {
         let c = catalog_ab();
         let payload = "x".repeat(256);
         let one = key("s0", &["a"]).cost() + payload.len();
-        let mut cache = ResultCache::new(one * 2 + one / 2);
+        let cache = exclusive(one * 2 + one / 2);
         for i in 0..3 {
             cache.insert(
                 key(&format!("s{i}"), &["a"]),
@@ -476,6 +354,20 @@ mod tests {
         let huge = "y".repeat(one * 4);
         cache.insert(key("huge", &["a"]), bytes(&huge), Tier::Sql, c.versions_of(["a"]));
         assert_eq!(cache.stats().uncacheable, 1);
+    }
+
+    #[test]
+    fn reinserting_a_key_keeps_one_entry_and_one_cost() {
+        let c = catalog_ab();
+        let cache = exclusive(1 << 16);
+        let k = key("sheet", &["a"]);
+        cache.insert(k.clone(), bytes("<old/>"), Tier::Sql, c.versions_of(["a"]));
+        let reads = c.versions_of(["a"]);
+        let cost = k.cost() + "<new/>".len() + reads[0].table.len() + 16;
+        cache.insert(k.clone(), bytes("<new/>"), Tier::Sql, reads);
+        assert_eq!(cache.entry_count(), 1);
+        assert_eq!(cache.bytes_in_use(), cost);
+        assert_eq!(&*cache.lookup(&k, &c).expect("hit").bytes, b"<new/>");
     }
 
     #[test]

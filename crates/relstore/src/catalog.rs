@@ -59,8 +59,6 @@ pub struct Catalog {
     generation: u64,
     /// Per-table DDL stamp + DML data generation.
     meta: HashMap<String, TableMeta>,
-    /// Global-clock stamp of each view's registration.
-    view_stamps: HashMap<String, u64>,
     /// When set, this catalog is *paged*: tables registered into it are
     /// migrated to heap pages and every table and index draws frames from
     /// this one shared pool — the catalog-wide memory budget. `None` (the
@@ -177,10 +175,8 @@ impl Catalog {
     }
 
     pub fn add_view(&mut self, view: XmlView) {
-        let name = view.name.clone();
-        self.views.insert(name.clone(), view);
+        self.views.insert(view.name.clone(), view);
         self.generation += 1;
-        self.view_stamps.insert(name, self.generation);
     }
 
     pub fn view(&self, name: &str) -> Result<&XmlView, StoreError> {
@@ -205,14 +201,6 @@ impl Catalog {
     /// report 0.
     pub fn table_ddl_stamp(&self, table: &str) -> u64 {
         self.meta.get(table).map_or(0, |m| m.ddl_stamp)
-    }
-
-    /// The global-clock stamp of `view`'s registration (0 if unknown).
-    /// A plan memoised for a view definition stays valid while this stamp
-    /// does not move — re-registering the view is the only way to change
-    /// what the planner would see.
-    pub fn view_stamp(&self, view: &str) -> u64 {
-        self.view_stamps.get(view).copied().unwrap_or(0)
     }
 
     /// The newest [`table_ddl_stamp`](Self::table_ddl_stamp) over `tables`:
@@ -392,29 +380,5 @@ mod tests {
         // DDL on a read table: stale again.
         c.create_index("b", "x").unwrap();
         assert!(!c.versions_current(&reads));
-    }
-
-    #[test]
-    fn view_stamps_track_registration() {
-        use crate::exec::Conjunction;
-        use crate::pubexpr::{PubExpr, SqlXmlQuery};
-        let mut c = Catalog::new();
-        assert_eq!(c.view_stamp("vu"), 0);
-        c.add_table(Table::new("t", &[("a", ColType::Int)]));
-        let q = SqlXmlQuery {
-            base_table: "t".into(),
-            where_clause: Conjunction::default(),
-            order_by: Vec::new(),
-            select: PubExpr::elem("row", vec![PubExpr::col("t", "a")]),
-        };
-        c.add_view(XmlView::new("vu", q.clone()));
-        let s1 = c.view_stamp("vu");
-        assert_eq!(s1, c.generation());
-        // Unrelated DDL does not move the view stamp.
-        c.add_table(Table::new("zz", &[("a", ColType::Int)]));
-        assert_eq!(c.view_stamp("vu"), s1);
-        // Re-registering does.
-        c.add_view(XmlView::new("vu", q));
-        assert!(c.view_stamp("vu") > s1);
     }
 }

@@ -214,7 +214,7 @@ impl FrontDoor {
         // flight instead of the worst-case output cap. With the cache off
         // no key is built at all (it copies the stylesheet).
         let key = if self.results.enabled() {
-            let canon = self.cache.view_canon(view, catalog.view_stamp(&view.name));
+            let canon = self.cache.view_canon(view);
             let key = ResultKey::new(
                 canon.fingerprint,
                 stylesheet_src,
@@ -358,7 +358,7 @@ fn reservation_units(limits: Limits) -> (u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xsltdb_xsltmark::{db_catalog, dbonerow_stylesheet, existing_id};
+    use xsltdb_xsltmark::{db_catalog, db_catalog_family, dbonerow_stylesheet, existing_id};
 
     fn small_door(streams: u64) -> FrontDoor {
         let mut cfg = FrontDoorConfig::server_default();
@@ -426,6 +426,24 @@ mod tests {
         // The lattice ran exactly once: one plan-cache lookup in total.
         assert_eq!(door.cache().stats().lookups(), 1);
         assert!(door.is_quiesced());
+    }
+
+    #[test]
+    fn same_named_views_are_served_their_own_bytes() {
+        // Renamed to one name, neither view is the registered definition.
+        let (catalog, mut views) = db_catalog_family(2, 24, 7);
+        for view in &mut views {
+            view.name = "v".into();
+        }
+        let sheet = dbonerow_stylesheet(existing_id(24));
+        let opts = RewriteOptions::default();
+        let door = small_door(4);
+        for (i, view) in views.iter().enumerate() {
+            let own = small_door(4).transform(&catalog, view, &sheet, &opts).expect("serves");
+            let out = door.transform(&catalog, view, &sheet, &opts).expect("serves");
+            assert!(!out.cached, "view {i} was served another view's result");
+            assert_eq!(out.bytes, own.bytes);
+        }
     }
 
     #[test]

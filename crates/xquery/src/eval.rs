@@ -194,6 +194,22 @@ pub fn evaluate_query_guarded_with_vars(
     extra_vars: Vec<(String, Sequence)>,
     guard: Guard,
 ) -> Result<Sequence, XqError> {
+    let mut env = query_env(q, input, extra_vars, guard)?;
+    eval(&q.body, &mut env)
+}
+
+/// The prologue both query entry points share: fire the XQuery-tier fault
+/// point, set up the environment (the input as context item, the external
+/// variables) and bind the prolog variables. Prolog variables are
+/// re-inspection position by definition: their values are bound, not
+/// emitted — fresh trees they build spill later if a sink-mode body emits
+/// them.
+fn query_env(
+    q: &XQuery,
+    input: Option<NodeHandle>,
+    extra_vars: Vec<(String, Sequence)>,
+    guard: Guard,
+) -> Result<EvalEnv<'_>, XqError> {
     if let Some(kind) = guard.take_fault(FaultPoint::XQueryExec) {
         match kind {
             FaultKind::Error => return Err(XqError("injected fault at XQuery tier".into())),
@@ -215,12 +231,7 @@ pub fn evaluate_query_guarded_with_vars(
         let val = eval(&v.value, &mut env)?;
         env.vars.push((v.name.clone(), val));
     }
-    let mut out = EvalOutput::Items(Vec::new());
-    eval_into(&q.body, &mut env, &mut out)?;
-    match out {
-        EvalOutput::Items(items) => Ok(items),
-        EvalOutput::Sink(_) => Err(XqError("internal: evaluation output mode changed".into())),
-    }
+    Ok(env)
 }
 
 /// Evaluate with additional externally bound variables (used by index-
@@ -939,16 +950,6 @@ pub struct SinkRun {
     pub peak_spilled_nodes: u64,
 }
 
-/// Where an expression's value goes: events into a sink (emission
-/// position) or a materialised sequence (re-inspection position). The
-/// recursive emitter narrows `Sink` to `Items` at exactly the
-/// subexpressions whose values must be re-inspected — the dynamic twin of
-/// the static analysis in [`crate::emission`].
-pub(crate) enum EvalOutput<'s, 'e> {
-    Sink(&'s mut Emitter<'e>),
-    Items(Sequence),
-}
-
 /// Sink-mode evaluation state threaded through the emitting recursion:
 /// the sink itself, the space-join adjacency flag (the same `prev_atomic`
 /// rule [`build_content`] applies to materialised content), and the spill
@@ -1023,23 +1024,6 @@ impl<'s> Emitter<'s> {
             }
         }
         Ok(())
-    }
-}
-
-/// Evaluate `e` into `out`: in `Items` mode this is exactly [`eval`]; in
-/// `Sink` mode constructors in emission position become events and
-/// everything else spills through [`eval`] and replays.
-pub(crate) fn eval_into(
-    e: &XqExpr,
-    env: &mut EvalEnv<'_>,
-    out: &mut EvalOutput<'_, '_>,
-) -> Result<(), XqError> {
-    match out {
-        EvalOutput::Items(items) => {
-            items.extend(eval(e, env)?);
-            Ok(())
-        }
-        EvalOutput::Sink(em) => emit(e, env, em),
     }
 }
 
@@ -1258,12 +1242,6 @@ pub fn evaluate_query_to_sink(
     guard: Guard,
     sink: &mut dyn XmlSink,
 ) -> Result<SinkRun, XqError> {
-    if let Some(kind) = guard.take_fault(FaultPoint::XQueryExec) {
-        match kind {
-            FaultKind::Error => return Err(XqError("injected fault at XQuery tier".into())),
-            FaultKind::Panic => panic!("injected panic at XQuery tier"),
-        }
-    }
     let mut input_docs = Vec::new();
     if let Some(n) = &input {
         input_docs.push(Rc::as_ptr(&n.doc) as *const () as usize);
@@ -1278,27 +1256,9 @@ pub fn evaluate_query_to_sink(
             }
         }
     }
-    let functions: HashMap<String, &FunctionDecl> =
-        q.functions.iter().map(|f| (f.name.clone(), f)).collect();
-    let mut env = EvalEnv {
-        functions,
-        vars: extra_vars,
-        ctx: input.map(Item::Node),
-        pos: 1,
-        size: 1,
-        depth: 0,
-        guard,
-    };
-    // Prolog variables are re-inspection position by definition: their
-    // values are bound, not emitted. Fresh trees they build spill later
-    // if the body emits them.
-    for v in &q.variables {
-        let val = eval(&v.value, &mut env)?;
-        env.vars.push((v.name.clone(), val));
-    }
+    let mut env = query_env(q, input, extra_vars, guard)?;
     let mut em = Emitter::new(sink, input_docs);
-    let mut out = EvalOutput::Sink(&mut em);
-    eval_into(&q.body, &mut env, &mut out)?;
+    emit(&q.body, &mut env, &mut em)?;
     Ok(em.run())
 }
 

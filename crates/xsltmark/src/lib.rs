@@ -27,7 +27,6 @@ pub use docgen::{
     db_struct_info, db_xml, existing_id, DbRow, DB_DTD,
 };
 pub use suite::{
-    dbonerow_stylesheet, inline_statistics, run_case, run_suite, run_suite_planned,
-    run_suite_planned_shared, tier_statistics, CaseRun, PlannedRun,
-    EXPECTED_FULLY_INLINED,
+    dbonerow_stylesheet, inline_statistics, run_case, run_suite, run_suite_planned_shared,
+    tier_statistics, CaseRun, PlannedRun, EXPECTED_FULLY_INLINED,
 };

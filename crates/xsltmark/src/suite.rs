@@ -3,14 +3,11 @@
 
 use crate::cases::{all_cases, Case};
 use crate::docgen::{db_struct_info, db_xml};
-use xsltdb::pipeline::{
-    no_rewrite_transform, plan_bound, plan_cached, plan_cached_shared, plan_transform,
-    BoundPlan, Tier,
-};
-use xsltdb::plancache::{PlanCache, SharedPlanCache};
+use xsltdb::pipeline::{no_rewrite_transform, plan_bound, plan_cached_shared, plan_transform, Tier};
+use xsltdb::plancache::SharedPlanCache;
 use xsltdb::xqgen::{rewrite, RewriteMode, RewriteOptions};
-use xsltdb::{Guard, PipelineError};
-use xsltdb_relstore::{Catalog, ExecStats, XmlView};
+use xsltdb::Guard;
+use xsltdb_relstore::ExecStats;
 use xsltdb_xml::{parse_trimmed, to_string};
 use xsltdb_xquery::{evaluate_query, sequence_to_document, NodeHandle};
 use xsltdb_xslt::{compile_str, transform};
@@ -146,9 +143,9 @@ pub fn tier_statistics(rows: usize, seed: u64) -> (usize, usize, usize) {
     counts
 }
 
-/// Outcome of one case planned through a [`PlanCache`] over the
+/// Outcome of one case planned through a [`SharedPlanCache`] over the
 /// relationally backed `db_vu` view — the differential evidence the cache
-/// correctness suite asserts on.
+/// correctness suites assert on.
 #[derive(Debug, Clone)]
 pub struct PlannedRun {
     pub name: &'static str,
@@ -158,54 +155,41 @@ pub struct PlannedRun {
     pub matches_fresh: bool,
     /// The cached-plan output is byte-identical to the no-rewrite baseline.
     pub matches_vm: bool,
-    /// [`BoundPlan::execute_to_writer`] produced exactly the bytes of the
-    /// serialized `execute` documents — the streaming differential.
+    /// [`BoundPlan::execute_to_writer`](xsltdb::BoundPlan::execute_to_writer)
+    /// produced exactly the bytes of the serialized `execute` documents —
+    /// the streaming differential.
     pub matches_streamed: bool,
     pub note: Option<String>,
 }
 
-/// Run every case through [`plan_cached`] over the db view at `(rows,
-/// seed)`, comparing each cached plan's output against a freshly planned
-/// run *and* the functional (no-rewrite) baseline. Calling this twice with
-/// the same cache serves the whole second pass from prepared plans — one
-/// `plan_cached` lookup per case, so cache hit counters are directly
+/// Run every case through [`plan_cached_shared`] over the db view at
+/// `(rows, seed)`, comparing each cached plan's output against a freshly
+/// planned run *and* the functional (no-rewrite) baseline. Calling this
+/// twice with the same cache serves the whole second pass from prepared
+/// plans — one lookup per case, so cache hit counters are directly
 /// interpretable.
-pub fn run_suite_planned(rows: usize, seed: u64, cache: &mut PlanCache) -> Vec<PlannedRun> {
-    run_suite_planned_with(rows, seed, |catalog, view, src| {
-        plan_cached(cache, catalog, view, src, &RewriteOptions::default())
-    })
-}
-
-/// [`run_suite_planned`] through a thread-safe [`SharedPlanCache`]: the
-/// per-thread body of the concurrent differential harness. Any number of
-/// threads can run this against **one** cache simultaneously — each call
-/// builds its own catalog/view (sessions share plans, not data handles)
-/// and compares every cached plan's output against a fresh plan and the
-/// VM baseline, exactly like the single-threaded runner.
+///
+/// Any number of threads can run this against **one** cache
+/// simultaneously — each call builds its own catalog/view (sessions share
+/// plans, not data handles): the per-thread body of the concurrent
+/// differential harness.
 pub fn run_suite_planned_shared(
     rows: usize,
     seed: u64,
     cache: &SharedPlanCache,
-) -> Vec<PlannedRun> {
-    run_suite_planned_with(rows, seed, |catalog, view, src| {
-        plan_cached_shared(cache, catalog, view, src, &RewriteOptions::default())
-    })
-}
-
-/// The differential body shared by the exclusive and concurrent runners;
-/// `planner` is the only thing that differs (which cache front door serves
-/// the prepared plan).
-fn run_suite_planned_with(
-    rows: usize,
-    seed: u64,
-    mut planner: impl FnMut(&Catalog, &XmlView, &str) -> Result<BoundPlan, PipelineError>,
 ) -> Vec<PlannedRun> {
     let (catalog, view) = crate::docgen::db_catalog(rows, seed);
     let stats = ExecStats::new();
     all_cases()
         .iter()
         .map(|c| {
-            let cached = match planner(&catalog, &view, &c.stylesheet) {
+            let cached = match plan_cached_shared(
+                cache,
+                &catalog,
+                &view,
+                &c.stylesheet,
+                &RewriteOptions::default(),
+            ) {
                 Ok(p) => p,
                 Err(e) => {
                     return PlannedRun {
@@ -305,8 +289,8 @@ mod tests {
     #[test]
     fn planned_suite_reuses_prepared_plans() {
         on_big_stack(|| {
-            let mut cache = PlanCache::default();
-            let first = run_suite_planned(15, 9, &mut cache);
+            let cache = SharedPlanCache::with_shards(xsltdb::DEFAULT_PLAN_CACHE_BYTES, 1);
+            let first = run_suite_planned_shared(15, 9, &cache);
             for run in &first {
                 assert!(run.matches_fresh, "case {} diverges: {:?}", run.name, run.note);
                 assert!(run.matches_vm, "case {} diverges from VM: {:?}", run.name, run.note);
@@ -321,7 +305,7 @@ mod tests {
             assert_eq!(after_first.misses as usize, first.len());
             // The second pass is served entirely from prepared plans and
             // still produces identical output everywhere.
-            let second = run_suite_planned(15, 9, &mut cache);
+            let second = run_suite_planned_shared(15, 9, &cache);
             for run in &second {
                 assert!(run.matches_fresh, "cached case {} diverges: {:?}", run.name, run.note);
             }

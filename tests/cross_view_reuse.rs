@@ -8,14 +8,16 @@
 //! every view's output is byte-identical to a freshly planned, uncached
 //! run over that view. Negative test: two views with the same element tags
 //! but different structure canonicalise apart and get distinct entries.
-//! Property test (deterministic proptest stub): rebinding a shared plan
-//! across views never mixes one view's rows into another's output.
+//! Regression test: two different views sharing one name each bind (and
+//! print) their own tables. Property test (deterministic proptest stub):
+//! rebinding a shared plan across views never mixes one view's rows into
+//! another's output.
 
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::sync::Arc;
-use xsltdb::pipeline::{plan_bound, plan_cached, plan_cached_shared};
-use xsltdb::plancache::{PlanCache, SharedPlanCache};
+use xsltdb::pipeline::{plan_bound, plan_cached_shared};
+use xsltdb::plancache::SharedPlanCache;
 use xsltdb::xqgen::RewriteOptions;
 use xsltdb_relstore::exec::Conjunction;
 use xsltdb_relstore::pubexpr::{PubExpr, SqlXmlQuery};
@@ -86,22 +88,25 @@ fn eight_views_forty_sheets_build_exactly_forty_plans() {
     });
 }
 
+/// Lists every row's last name: a data-bearing stylesheet whose output
+/// differs across the family's views.
+const LASTNAMES: &str = r#"<xsl:stylesheet version="1.0"
+    xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
+    <xsl:template match="table"><o><xsl:apply-templates select="row"/></o></xsl:template>
+    <xsl:template match="row"><n><xsl:value-of select="lastname"/></n></xsl:template>
+    </xsl:stylesheet>"#;
+
 /// The family carries *different* data per view on purpose: a reuse bug
 /// that mixes one view's rows into another's output is visible in the
 /// bytes. Check the precondition holds for a data-bearing stylesheet.
 #[test]
 fn family_views_produce_distinct_outputs() {
     let (catalog, views) = db_catalog_family(8, 10, 0xFA1);
-    let sheet = r#"<xsl:stylesheet version="1.0"
-        xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
-        <xsl:template match="table"><o><xsl:apply-templates select="row"/></o></xsl:template>
-        <xsl:template match="row"><n><xsl:value-of select="lastname"/></n></xsl:template>
-        </xsl:stylesheet>"#;
     let cache = SharedPlanCache::default();
     let outputs: Vec<Vec<String>> = views
         .iter()
         .map(|v| {
-            let b = plan_cached_shared(&cache, &catalog, v, sheet, &RewriteOptions::default())
+            let b = plan_cached_shared(&cache, &catalog, v, LASTNAMES, &RewriteOptions::default())
                 .expect("plans");
             render(&catalog, &b)
         })
@@ -157,10 +162,10 @@ fn same_tags_different_shape_get_distinct_entries() {
         xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
         <xsl:template match="r"><out><xsl:value-of select="."/></out></xsl:template>
         </xsl:stylesheet>"#;
-    let mut cache = PlanCache::default();
-    let a = plan_cached(&mut cache, &catalog, &flat, src, &RewriteOptions::default())
+    let cache = SharedPlanCache::with_shards(xsltdb::DEFAULT_PLAN_CACHE_BYTES, 1);
+    let a = plan_cached_shared(&cache, &catalog, &flat, src, &RewriteOptions::default())
         .expect("flat plans");
-    let b = plan_cached(&mut cache, &catalog, &nested, src, &RewriteOptions::default())
+    let b = plan_cached_shared(&cache, &catalog, &nested, src, &RewriteOptions::default())
         .expect("nested plans");
     assert!(
         !Arc::ptr_eq(&a.plan, &b.plan),
@@ -169,6 +174,34 @@ fn same_tags_different_shape_get_distinct_entries() {
     assert_ne!(a.plan.canonical_fp, b.plan.canonical_fp);
     assert_eq!(cache.stats().misses, 2);
     assert_eq!(cache.entry_count(), 2);
+}
+
+// ---------------------------------------------------------------------------
+// Regression: two different views that share a name keep their own tables.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn same_named_views_keep_their_own_bindings() {
+    // Renamed to one name, neither view is the registered definition.
+    let (catalog, mut views) = db_catalog_family(2, 10, 0xFA2);
+    for view in &mut views {
+        view.name = "v".into();
+    }
+    let cache = SharedPlanCache::default();
+    let opts = RewriteOptions::default();
+    let outputs: Vec<Vec<String>> = views
+        .iter()
+        .map(|view| {
+            let cached =
+                plan_cached_shared(&cache, &catalog, view, LASTNAMES, &opts).expect("plans");
+            let fresh = plan_bound(&catalog, view, LASTNAMES, &opts).expect("plans");
+            assert_eq!(render(&catalog, &cached), render(&catalog, &fresh));
+            render(&catalog, &cached)
+        })
+        .collect();
+    assert_ne!(outputs[0], outputs[1], "seeded data must differ per view");
+    // Same shape: the two views still share one prepared plan.
+    assert_eq!(cache.stats().misses, 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-//! Cache-correctness suite for the PlanCache: the cache must be *proven*
-//! equivalent to the uncached path, not just fast.
+//! Cache-correctness suite for the plan cache, run through a one-shard
+//! (exclusive) [`SharedPlanCache`]: the cache must be *proven* equivalent
+//! to the uncached path, not just fast.
 //!
 //! Differential tests: for every XSLTMark case, the output of a cached
 //! plan is byte-identical to a freshly planned run; a DDL generation bump
@@ -12,13 +13,13 @@
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
-use xsltdb::pipeline::{no_rewrite_transform, plan_cached};
-use xsltdb::plancache::PlanCache;
+use xsltdb::pipeline::{no_rewrite_transform, plan_cached_shared};
+use xsltdb::plancache::SharedPlanCache;
 use xsltdb::xqgen::RewriteOptions;
 use xsltdb::{Guard, Limits};
 use xsltdb_relstore::ExecStats;
 use xsltdb_xml::to_string;
-use xsltdb_xsltmark::{db_catalog, dbonerow_stylesheet, existing_id, run_suite_planned};
+use xsltdb_xsltmark::{db_catalog, dbonerow_stylesheet, existing_id, run_suite_planned_shared};
 
 /// Recursive suite cases need more stack than the 2 MiB test threads get.
 fn on_big_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
@@ -28,6 +29,11 @@ fn on_big_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T 
         .expect("spawn")
         .join()
         .expect("suite thread panicked")
+}
+
+/// The exclusive cache: one LRU holding the whole byte budget.
+fn exclusive(capacity: usize) -> SharedPlanCache {
+    SharedPlanCache::with_shards(capacity, 1)
 }
 
 fn wrap(body: &str) -> String {
@@ -51,7 +57,7 @@ fn named_sheet(name: &str) -> String {
 #[test]
 fn repeated_workload_hit_rate_is_at_least_90_percent() {
     let (catalog, view) = db_catalog(50, 0xCAFE);
-    let mut cache = PlanCache::default();
+    let cache = exclusive(xsltdb::DEFAULT_PLAN_CACHE_BYTES);
     let sheets: Vec<String> =
         ["a", "b", "c", "d", "e"].iter().map(|n| named_sheet(n)).collect();
     let stats = ExecStats::new();
@@ -59,7 +65,7 @@ fn repeated_workload_hit_rate_is_at_least_90_percent() {
     // applied over and over to the same XMLType.
     for round in 0..20 {
         for src in &sheets {
-            let plan = plan_cached(&mut cache, &catalog, &view, src, &RewriteOptions::default())
+            let plan = plan_cached_shared(&cache, &catalog, &view, src, &RewriteOptions::default())
                 .expect("plans");
             let docs = plan.execute(&catalog, &stats).expect("executes");
             assert_eq!(docs.len(), 1, "round {round}");
@@ -85,9 +91,9 @@ fn repeated_workload_hit_rate_is_at_least_90_percent() {
 #[test]
 fn cached_output_is_byte_identical_across_the_suite() {
     on_big_stack(|| {
-        let mut cache = PlanCache::default();
+        let cache = exclusive(xsltdb::DEFAULT_PLAN_CACHE_BYTES);
         for pass in 0..2 {
-            let runs = run_suite_planned(12, 0xD1FF, &mut cache);
+            let runs = run_suite_planned_shared(12, 0xD1FF, &cache);
             assert_eq!(runs.len(), 40);
             for run in &runs {
                 assert!(
@@ -117,11 +123,11 @@ fn cached_output_is_byte_identical_across_the_suite() {
 fn ddl_generation_bump_invalidates_and_replans_identically() {
     let rows = 60;
     let (mut catalog, view) = db_catalog(rows, 0xDD1);
-    let mut cache = PlanCache::default();
+    let cache = exclusive(xsltdb::DEFAULT_PLAN_CACHE_BYTES);
     let src = dbonerow_stylesheet(existing_id(rows));
     let stats = ExecStats::new();
 
-    let before = plan_cached(&mut cache, &catalog, &view, &src, &RewriteOptions::default())
+    let before = plan_cached_shared(&cache, &catalog, &view, &src, &RewriteOptions::default())
         .expect("plans");
     let out_before: Vec<String> =
         before.execute(&catalog, &stats).expect("executes").iter().map(to_string).collect();
@@ -129,7 +135,7 @@ fn ddl_generation_bump_invalidates_and_replans_identically() {
     // DDL: a new index. The lookup must miss, count an invalidation, and
     // replan. The tier chosen may change; the output must not.
     catalog.create_index("db_rows", "city").expect("column exists");
-    let after = plan_cached(&mut cache, &catalog, &view, &src, &RewriteOptions::default())
+    let after = plan_cached_shared(&cache, &catalog, &view, &src, &RewriteOptions::default())
         .expect("replans");
     assert!(!Arc::ptr_eq(&before.plan, &after.plan), "stale plan must not be served after DDL");
     let snap = cache.stats();
@@ -142,7 +148,7 @@ fn ddl_generation_bump_invalidates_and_replans_identically() {
     assert_eq!(out_before, out_after, "replanned output differs after DDL");
 
     // And the replanned entry is a normal cache citizen again.
-    let third = plan_cached(&mut cache, &catalog, &view, &src, &RewriteOptions::default())
+    let third = plan_cached_shared(&cache, &catalog, &view, &src, &RewriteOptions::default())
         .expect("hits");
     assert!(Arc::ptr_eq(&after.plan, &third.plan));
     assert_eq!(cache.stats().hits, 1);
@@ -156,7 +162,7 @@ fn ddl_generation_bump_invalidates_and_replans_identically() {
 fn guard_trip_never_poisons_the_cached_entry() {
     let rows = 120;
     let (catalog, view) = db_catalog(rows, 0x6A12);
-    let mut cache = PlanCache::default();
+    let cache = exclusive(xsltdb::DEFAULT_PLAN_CACHE_BYTES);
     // The identity case walks every row: plenty of fuel to burn.
     let src = wrap(
         r#"<xsl:template match="@*|node()">
@@ -164,7 +170,7 @@ fn guard_trip_never_poisons_the_cached_entry() {
            </xsl:template>"#,
     );
     let stats = ExecStats::new();
-    let plan = plan_cached(&mut cache, &catalog, &view, &src, &RewriteOptions::default())
+    let plan = plan_cached_shared(&cache, &catalog, &view, &src, &RewriteOptions::default())
         .expect("plans");
 
     // Execution #1: starved budget → guard trip, reported as such.
@@ -175,7 +181,7 @@ fn guard_trip_never_poisons_the_cached_entry() {
     assert!(tripped.is_guard_trip(), "expected a guard trip, got {tripped:?}");
 
     // The entry is still cached and still the same prepared plan.
-    let again = plan_cached(&mut cache, &catalog, &view, &src, &RewriteOptions::default())
+    let again = plan_cached_shared(&cache, &catalog, &view, &src, &RewriteOptions::default())
         .expect("still cached");
     assert!(Arc::ptr_eq(&plan.plan, &again.plan), "trip must not drop or rebuild the entry");
     assert_eq!(cache.stats().hits, 1);
@@ -209,7 +215,7 @@ proptest! {
         annotate in any::<bool>(),
     ) {
         let (catalog, view) = db_catalog(3, 0xA11);
-        let mut cache = PlanCache::default();
+        let cache = exclusive(xsltdb::DEFAULT_PLAN_CACHE_BYTES);
         let mut seen: HashMap<(String, bool), Arc<xsltdb::TransformPlan>> = HashMap::new();
         for name in &names {
             for flip in [false, true] {
@@ -219,7 +225,7 @@ proptest! {
                     ..RewriteOptions::default()
                 };
                 let src = named_sheet(name);
-                let plan = plan_cached(&mut cache, &catalog, &view, &src, &opts)
+                let plan = plan_cached_shared(&cache, &catalog, &view, &src, &opts)
                     .expect("plans");
                 seen.entry((src, inline ^ flip)).or_insert(plan.plan);
             }
@@ -229,7 +235,7 @@ proptest! {
         // …and every triple still maps to its own prepared plan.
         for ((src, inl), expected) in &seen {
             let opts = RewriteOptions { inline: *inl, annotate, ..RewriteOptions::default() };
-            let got = plan_cached(&mut cache, &catalog, &view, src, &opts).expect("hits");
+            let got = plan_cached_shared(&cache, &catalog, &view, src, &opts).expect("hits");
             prop_assert!(Arc::ptr_eq(expected, &got.plan), "triple served a different plan");
         }
     }
@@ -244,10 +250,10 @@ proptest! {
         names in proptest::collection::vec("[a-z]{1,6}", 5..12),
     ) {
         let (catalog, view) = db_catalog(3, 0xB22);
-        let mut cache = PlanCache::new(capacity);
+        let cache = exclusive(capacity);
         for name in &names {
             let src = named_sheet(name);
-            let _ = plan_cached(&mut cache, &catalog, &view, &src, &RewriteOptions::default())
+            let _ = plan_cached_shared(&cache, &catalog, &view, &src, &RewriteOptions::default())
                 .expect("plans");
             prop_assert!(
                 cache.bytes_in_use() <= cache.capacity_bytes(),
@@ -274,7 +280,7 @@ proptest! {
         ops in proptest::collection::vec((0usize..4, any::<bool>()), 1..40),
     ) {
         let (mut catalog, view) = db_catalog(3, 0xC33);
-        let mut cache = PlanCache::default();
+        let cache = exclusive(xsltdb::DEFAULT_PLAN_CACHE_BYTES);
         let sheets = ["aa", "bb", "cc", "dd"].map(named_sheet);
         // Columns cycled through by the invalidation op (rebuilding an
         // existing index is DDL too and bumps the generation).
@@ -285,8 +291,8 @@ proptest! {
                 catalog.create_index("db_rows", columns[i % columns.len()])
                     .expect("column exists");
             }
-            let _ = plan_cached(
-                &mut cache,
+            let _ = plan_cached_shared(
+                &cache,
                 &catalog,
                 &view,
                 &sheets[sheet_idx],
