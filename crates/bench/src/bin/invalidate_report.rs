@@ -1,16 +1,10 @@
 //! Invalidation report: warm transform-result-cache hits versus fresh
-//! execution, and exact eviction targeting under DML/DDL.
+//! execution, across the XSLTMark suite through the front door.
 //!
-//! Two verdicts, both CI-gated (exit 1 on failure):
-//!
-//! * **Latency** — across the XSLTMark suite, the median warm hit through
-//!   the front door must cost at most 5% of the median uncached
-//!   execution of the same request.
-//! * **Targeting** — in a family of same-shaped views over disjoint
-//!   tables, DML on one view's row table evicts *exactly one* cached
-//!   result, index-add DDL on another evicts *exactly one* more, and DDL
-//!   on a table outside every read set evicts *zero* — counts asserted
-//!   exactly against the shared cache's eviction counters.
+//! Informational: the numbers depend on the host, so nothing here gates.
+//! The warm-hit cost is also the benchmark's `core.resultcache_hit_us`;
+//! exact eviction targeting under DML/DDL is a test
+//! (`result_cache_churn::mutations_evict_exactly_the_read_set_affected_entries`).
 //!
 //! `--smoke` shrinks the run (CI bit-rot check); `--json` also writes
 //! `BENCH_invalidate.json`.
@@ -18,11 +12,8 @@
 use std::time::Instant;
 use xsltdb::xqgen::RewriteOptions;
 use xsltdb_bench::{write_bench_json, CHAOS_STACK};
-use xsltdb_relstore::{ColType, Datum, Table};
 use xsltdb_serve::{FrontDoor, FrontDoorConfig};
-use xsltdb_xsltmark::{all_cases, db_catalog, db_catalog_family};
-
-const HIT_THRESHOLD: f64 = 0.05;
+use xsltdb_xsltmark::{all_cases, db_catalog};
 
 fn median(mut v: Vec<u64>) -> u64 {
     if v.is_empty() {
@@ -37,16 +28,15 @@ struct LatencyPoint {
     uncached_p50_us: u64,
     warm_hit_p50_us: u64,
     ratio: f64,
-    holds: bool,
 }
 
 /// Median uncached vs. warm-hit latency over the suite, both through the
 /// same front-door serving path.
 fn latency_point(smoke: bool) -> LatencyPoint {
-    // The 5% gate needs the full case mix even in smoke: the suite's
-    // cheap prefix alone pushes the uncached median down to the hit
-    // path's fixed overhead and the ratio loses its meaning. Smoke
-    // shrinks repetitions and data, not coverage.
+    // The full case mix even in smoke: the suite's cheap prefix alone
+    // pushes the uncached median down to the hit path's fixed overhead
+    // and the ratio loses its meaning. Smoke shrinks repetitions and
+    // data, not coverage.
     let (catalog, view) = db_catalog(if smoke { 32 } else { 48 }, 7);
     let cases = all_cases();
     let take = cases.len();
@@ -97,89 +87,7 @@ fn latency_point(smoke: bool) -> LatencyPoint {
         uncached_p50_us,
         warm_hit_p50_us,
         ratio,
-        holds: ratio <= HIT_THRESHOLD,
     }
-}
-
-struct EvictionRow {
-    mutation: &'static str,
-    expected: u64,
-    observed: u64,
-    survivors_served: u64,
-}
-
-/// Exact eviction targeting: each mutation against a warm 4-view family
-/// must cost exactly the predicted number of entries, and every survivor
-/// must still serve from the cache afterwards.
-fn eviction_rows(smoke: bool) -> Vec<EvictionRow> {
-    let views_n = 4;
-    let (mut catalog, views) = db_catalog_family(views_n, if smoke { 8 } else { 24 }, 7);
-    let case = &all_cases()[0];
-    let opts = RewriteOptions::default();
-    let door = FrontDoor::new(FrontDoorConfig::server_default());
-
-    let warm_all = |catalog: &xsltdb_relstore::Catalog| {
-        for v in &views {
-            door.transform(catalog, v, &case.stylesheet, &opts)
-                .unwrap_or_else(|e| panic!("{}: warm fill failed: {e}", v.name));
-        }
-    };
-    // Fill one entry per view, then confirm all four serve warm.
-    warm_all(&catalog);
-    warm_all(&catalog);
-
-    let mut rows = Vec::new();
-    let mut last_invalidations = door.stats().result_invalidations;
-    let mut probe = |name: &'static str,
-                     expected: u64,
-                     catalog: &xsltdb_relstore::Catalog,
-                     door: &FrontDoor| {
-        // Serve every view once: evicted entries re-execute, survivors hit.
-        let mut survivors = 0;
-        for v in &views {
-            let out = door
-                .transform(catalog, v, &case.stylesheet, &opts)
-                .unwrap_or_else(|e| panic!("{}: post-mutation serve failed: {e}", v.name));
-            if out.cached {
-                survivors += 1;
-            }
-        }
-        let now = door.stats().result_invalidations;
-        rows.push(EvictionRow {
-            mutation: name,
-            expected,
-            observed: now - last_invalidations,
-            survivors_served: survivors,
-        });
-        last_invalidations = now;
-    };
-
-    // DML on view 0's row table: exactly its one entry dies.
-    catalog
-        .table_mut("db_rows_0")
-        .expect("table exists")
-        .insert(vec![
-            Datum::Int(900_001),
-            Datum::Text("Churn".into()),
-            Datum::Text("Writer".into()),
-            Datum::Text("1 Churn St".into()),
-            Datum::Text("Churnville".into()),
-            Datum::Text("ZZ".into()),
-            Datum::Int(99_999),
-        ])
-        .expect("schema");
-    catalog.reindex("db_rows_0").expect("reindex");
-    probe("dml db_rows_0", 1, &catalog, &door);
-
-    // Index-add DDL on view 1's row table: exactly its one entry dies.
-    catalog.create_index("db_rows_1", "firstname").expect("index DDL");
-    probe("create_index db_rows_1", 1, &catalog, &door);
-
-    // DDL on a table outside every read set: nothing dies.
-    catalog.add_table(Table::new("invalidate_scratch", &[("tick", ColType::Int)]));
-    probe("add_table scratch", 0, &catalog, &door);
-
-    rows
 }
 
 fn main() {
@@ -187,67 +95,25 @@ fn main() {
     let json = std::env::args().any(|a| a == "--json");
 
     // Suite cases recurse; run the whole report on a big stack.
-    let (latency, evictions) = std::thread::Builder::new()
+    let latency = std::thread::Builder::new()
         .stack_size(CHAOS_STACK)
-        .spawn(move || (latency_point(smoke), eviction_rows(smoke)))
+        .spawn(move || latency_point(smoke))
         .expect("spawn report thread")
         .join()
         .expect("report thread panicked");
 
-    println!("Transform-result cache — warm hits vs fresh execution, eviction targeting");
+    println!("Transform-result cache — warm hits vs fresh execution");
     println!();
     println!(
-        "latency over {} cases: uncached p50 {} µs, warm hit p50 {} µs, ratio {:.3} (threshold {HIT_THRESHOLD})",
+        "latency over {} cases: uncached p50 {} µs, warm hit p50 {} µs, ratio {:.3}",
         latency.cases, latency.uncached_p50_us, latency.warm_hit_p50_us, latency.ratio,
-    );
-    println!();
-    println!(
-        "{:<24} | {:>8} | {:>8} | {:>9}",
-        "mutation", "expected", "observed", "survivors"
-    );
-    println!("{}", "-".repeat(60));
-    let mut targeting_ok = true;
-    for r in &evictions {
-        targeting_ok &= r.expected == r.observed;
-        println!(
-            "{:<24} | {:>8} | {:>8} | {:>9}",
-            r.mutation, r.expected, r.observed, r.survivors_served
-        );
-    }
-
-    let ok = latency.holds && targeting_ok;
-    println!();
-    println!("Expected shape: a warm hit costs ≤ 5% of an uncached execution, and");
-    println!("each mutation evicts exactly the read-set-affected entries — no");
-    println!("collateral eviction, no survivor re-executed.");
-    println!(
-        "Shape check [{}]: hit-latency bound and exact eviction targeting held: {ok}.",
-        if ok { "OK" } else { "REGRESSION" },
     );
 
     if json {
-        let eviction_rows_json: Vec<String> = evictions
-            .iter()
-            .map(|r| {
-                format!(
-                    r#"{{"mutation":"{}","expected_evictions":{},"observed_evictions":{},"survivors_served":{}}}"#,
-                    r.mutation, r.expected, r.observed, r.survivors_served
-                )
-            })
-            .collect();
         let body = format!(
-            "{{\n  \"bench\": \"invalidate\",\n  \"smoke\": {smoke},\n  \"latency\": {{\"cases\": {}, \"uncached_p50_us\": {}, \"warm_hit_p50_us\": {}, \"ratio\": {:.4}, \"threshold\": {HIT_THRESHOLD}, \"holds\": {}}},\n  \"evictions\": [\n    {}\n  ],\n  \"holds\": {ok}\n}}\n",
-            latency.cases,
-            latency.uncached_p50_us,
-            latency.warm_hit_p50_us,
-            latency.ratio,
-            latency.holds,
-            eviction_rows_json.join(",\n    "),
+            "{{\n  \"bench\": \"invalidate\",\n  \"smoke\": {smoke},\n  \"latency\": {{\"cases\": {}, \"uncached_p50_us\": {}, \"warm_hit_p50_us\": {}, \"ratio\": {:.4}}}\n}}\n",
+            latency.cases, latency.uncached_p50_us, latency.warm_hit_p50_us, latency.ratio,
         );
         write_bench_json("BENCH_invalidate.json", &body);
-    }
-
-    if !ok {
-        std::process::exit(1);
     }
 }

@@ -55,6 +55,7 @@ mod lru;
 pub mod pe;
 pub mod pipeline;
 pub mod plancache;
+pub mod projection;
 pub mod resultcache;
 pub mod sqlrewrite;
 pub mod translate;

@@ -32,6 +32,7 @@
 use crate::error::{PipelineError, TierFailure};
 use crate::guard::Guard;
 use crate::plancache::{PlanKey, SharedPlanCache};
+use crate::projection::Projection;
 use crate::sqlrewrite::rewrite_to_sql;
 use crate::xqgen::{rewrite, RewriteOptions, RewriteOutcome};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -83,6 +84,9 @@ pub struct TransformPlan {
     /// and how many must spill to a tree. `spill_free()` plans stream the
     /// XQuery tier with zero arena nodes built for the result.
     pub emission: Option<EmissionReport>,
+    /// The part of the view the XQuery tier materialises: what the
+    /// rewritten query can reach ([`Projection::Full`] without a rewrite).
+    pub projection: Projection,
 }
 
 /// A [`TransformPlan`] bound to one concrete view: the shared plan, the
@@ -198,6 +202,7 @@ pub fn plan_compiled(
                 slot_count: 0,
                 fallback_reason: canon.note,
                 emission: None,
+                projection: Projection::Full,
             })
         }
     };
@@ -209,6 +214,10 @@ pub fn plan_compiled(
         Err(e) => (Tier::Vm, None, None, Some(e.to_string())),
     };
     let emission = rewrite_out.as_ref().map(|o| analyze_query(&o.query));
+    // Every rewritten plan can reach the XQuery tier: SQL plans by fallback.
+    let projection = rewrite_out
+        .as_ref()
+        .map_or(Projection::Full, |o| Projection::of_query(&o.query, &info));
     Ok(TransformPlan {
         tier,
         sheet,
@@ -218,6 +227,7 @@ pub fn plan_compiled(
         slot_count: canon.slot_count,
         fallback_reason,
         emission,
+        projection,
     })
 }
 
@@ -606,7 +616,10 @@ impl BoundPlan {
                     .as_ref()
                     .ok_or_else(|| PipelineError::internal("no rewrite outcome in plan"))?;
                 let (mut spilled, mut peak_spill) = (0, 0);
-                for doc in self.view.materialize_guarded(catalog, stats, guard)? {
+                // Only what the query can reach: the bound view's own query,
+                // pruned by the plan's projection.
+                let input = self.plan.projection.apply(&self.view);
+                for doc in input.materialize_guarded(catalog, stats, guard)? {
                     let input = NodeHandle::document(doc);
                     let run = evaluate_query_to_sink(
                         &outcome.query,

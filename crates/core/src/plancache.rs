@@ -156,6 +156,7 @@ pub fn plan_cost(key: &PlanKey, plan: &TransformPlan) -> usize {
         + PER_XQUERY_BYTE * xquery
         + PER_SQL_BYTE * sql
         + fallback
+        + plan.projection.heap_bytes()
 }
 
 struct Entry {

@@ -23,7 +23,7 @@
 use crate::error::RewriteError;
 use crate::xqgen::ROOT_VAR;
 use std::collections::HashMap;
-use xsltdb_relstore::exec::{CmpOp, ColumnCmp, Conjunction};
+use xsltdb_relstore::exec::{CmpOp, ColumnCmp};
 use xsltdb_relstore::pubexpr::{AggFunc, AggOrder, AggPredTerm, PubExpr, SqlXmlQuery};
 use xsltdb_relstore::Datum;
 use xsltdb_structinfo::{ContentBinding, ElemDecl, Origin, StructInfo};
@@ -33,7 +33,7 @@ use xsltdb_xquery::{Clause, CompOp, PathStart, XQuery, XqExpr, XqStep};
 /// Rewrite an (inline-mode) XQuery over a publishing-view structure into a
 /// SQL/XML query.
 pub fn rewrite_to_sql(query: &XQuery, info: &StructInfo) -> Result<SqlXmlQuery, RewriteError> {
-    let Origin::View { base_table } = &info.origin else {
+    let Origin::View { base_table, where_clause, order_by } = &info.origin else {
         return Err(RewriteError::new(
             "SQL rewrite requires view-derived structural information",
         ));
@@ -56,10 +56,12 @@ pub fn rewrite_to_sql(query: &XQuery, info: &StructInfo) -> Result<SqlXmlQuery, 
         }
     }
     let select = tr.expr(&query.body)?;
+    // The view's own row filter and row order decide which documents exist
+    // and in what order: the rewritten query keeps both.
     Ok(SqlXmlQuery {
         base_table: base_table.clone(),
-        where_clause: Conjunction::default(),
-        order_by: Vec::new(),
+        where_clause: where_clause.clone(),
+        order_by: order_by.clone(),
         select,
     })
 }
@@ -449,6 +451,9 @@ impl<'a> SqlTr<'a> {
                             numeric: o.numeric,
                         });
                     }
+                    // `xsl:sort` is stable over document order, which is
+                    // the view's row order: its keys break the ties.
+                    orders.extend(rs.order_by.iter().cloned());
                     let body = self.flwor_inner(rest, None, &[], ret)?;
                     let mut predicate = rs.predicate.clone();
                     predicate.extend(extra);
@@ -456,6 +461,7 @@ impl<'a> SqlTr<'a> {
                         table: table.clone(),
                         predicate,
                         order_by: orders,
+                        limit: None,
                         body: Box::new(body),
                     })
                 })();
@@ -826,6 +832,7 @@ fn flip(op: CompOp) -> CompOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xsltdb_relstore::exec::Conjunction;
     use xsltdb_relstore::pubexpr::SqlXmlQuery;
     use xsltdb_relstore::XmlView;
     use xsltdb_structinfo::struct_of_view;
@@ -853,6 +860,7 @@ mod tests {
                                     outer_column: "id".into(),
                                 }],
                                 order_by: Vec::new(),
+                                limit: None,
                                 body: Box::new(PubExpr::elem(
                                     "i",
                                     vec![PubExpr::elem("v", vec![PubExpr::col("item", "v")])],

@@ -203,19 +203,25 @@ pub fn scan(
     table_name: &str,
     pred: &Conjunction,
 ) -> Result<(Vec<RowId>, AccessPath), StoreError> {
-    scan_guarded(catalog, stats, table_name, pred, &Guard::unlimited())
+    scan_guarded(catalog, stats, table_name, pred, &Guard::unlimited(), None)
 }
 
 /// Like [`scan`], but every row pulled (full scan) or surfaced by an index
 /// probe is charged against `guard`, so a runaway scan trips the fuel
 /// budget instead of running to completion.
+///
+/// `limit` keeps only the first `k` qualifying rows in heap order
+/// (`FETCH FIRST k ROWS ONLY`): a full scan stops pulling once it has
+/// them, and an index probe's residual filter stops at the `k`-th match.
 pub fn scan_guarded(
     catalog: &Catalog,
     stats: &ExecStats,
     table_name: &str,
     pred: &Conjunction,
     guard: &Guard,
+    limit: Option<usize>,
 ) -> Result<(Vec<RowId>, AccessPath), StoreError> {
+    let limit = limit.unwrap_or(usize::MAX);
     let table = catalog.table(table_name)?;
 
     // Prefer an equality probe, then the first range probe, then a full scan.
@@ -258,20 +264,22 @@ pub fn scan_guarded(
                     .collect(),
             };
             if residual.is_empty() {
+                rows.truncate(limit);
                 Ok((rows, path))
             } else {
                 // Residual filtering visits each candidate row.
                 stats.add_rows_scanned(rows.len() as u64);
                 let source = IndexRows { rows: rows.into_iter() };
                 let filter = FilterRows { input: source, table, pred: residual };
-                let out = filter.collect::<Result<Vec<RowId>, _>>()?;
+                let out = filter.take(limit).collect::<Result<Vec<RowId>, _>>()?;
                 Ok((out, path))
             }
         }
         None => {
-            let source = FullScan { table, stats, next: 0 };
+            let mut source = FullScan { table, stats, next: 0 };
             let mut out = Vec::new();
-            for r in source {
+            while out.len() < limit {
+                let Some(r) = source.next() else { break };
                 guard.charge(1).map_err(guard_err)?;
                 if pred.is_empty() || pred.matches(table, r)? {
                     out.push(r);
@@ -395,12 +403,37 @@ mod tests {
     }
 
     #[test]
+    fn limit_stops_the_scan_after_k_qualifying_rows() {
+        let c = catalog();
+        let g = Guard::unlimited();
+        // Full scan: sal != 1300 qualifies rows 0, 2, 3; the scan stops
+        // after pulling row 2, the second match.
+        let stats = ExecStats::new();
+        let ne = Conjunction::single("sal", CmpOp::Ne, Datum::Int(1300));
+        let (rows, _) = scan_guarded(&c, &stats, "emp", &ne, &g, Some(2)).unwrap();
+        assert_eq!(rows, vec![0, 2]);
+        assert_eq!(stats.snapshot().rows_scanned, 3);
+        // Index probe, with and without a residual filter.
+        let gt = Conjunction::single("sal", CmpOp::Gt, Datum::Int(2000));
+        let (rows, _) = scan_guarded(&c, &ExecStats::new(), "emp", &gt, &g, Some(1)).unwrap();
+        assert_eq!(rows, vec![0]);
+        let both = Conjunction::of(vec![
+            ColumnCmp::new("deptno", CmpOp::Eq, Datum::Int(40)),
+            ColumnCmp::new("sal", CmpOp::Gt, Datum::Int(2000)),
+        ]);
+        let (rows, _) = scan_guarded(&c, &ExecStats::new(), "emp", &both, &g, Some(1)).unwrap();
+        assert_eq!(rows, vec![2]);
+        let (rows, _) = scan_guarded(&c, &ExecStats::new(), "emp", &both, &g, Some(0)).unwrap();
+        assert!(rows.is_empty());
+    }
+
+    #[test]
     fn guard_fuel_trips_full_scan() {
         use xsltdb_xml::{Limits, Resource};
         let c = catalog();
         let stats = ExecStats::new();
         let guard = Guard::new(Limits::UNLIMITED.with_fuel(2));
-        let err = scan_guarded(&c, &stats, "emp", &Conjunction::default(), &guard).unwrap_err();
+        let err = scan_guarded(&c, &stats, "emp", &Conjunction::default(), &guard, None).unwrap_err();
         assert!(err.message().contains("fuel"), "unexpected error: {}", err.message());
         let trip = guard.trip().expect("trip recorded");
         assert_eq!(trip.resource, Resource::Fuel);
@@ -420,6 +453,7 @@ mod tests {
             "emp",
             &Conjunction::single("sal", CmpOp::Gt, Datum::Int(2000)),
             &guard,
+            None,
         )
         .unwrap_err();
         assert!(err.message().contains("fuel"), "unexpected error: {}", err.message());
@@ -434,7 +468,7 @@ mod tests {
         let stats = ExecStats::new();
         let guard = Guard::new(Limits::UNLIMITED.with_deadline(Duration::from_secs(0)));
         std::thread::sleep(Duration::from_millis(2));
-        let err = scan_guarded(&c, &stats, "emp", &Conjunction::default(), &guard).unwrap_err();
+        let err = scan_guarded(&c, &stats, "emp", &Conjunction::default(), &guard, None).unwrap_err();
         assert!(err.message().contains("deadline"), "unexpected error: {}", err.message());
         assert_eq!(guard.trip().unwrap().resource, Resource::Deadline);
     }

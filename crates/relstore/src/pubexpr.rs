@@ -73,11 +73,15 @@ pub enum PubExpr {
     ColumnRef { table: String, column: String },
     /// SQL `||` string concatenation (text content).
     StrConcat(Vec<PubExpr>),
-    /// Correlated `(SELECT XMLAgg(body) FROM table WHERE ...)`.
+    /// Correlated `(SELECT XMLAgg(body ORDER BY ...) FROM table WHERE ...
+    /// FETCH FIRST limit ROWS ONLY)`. The limit applies after the predicate
+    /// and the ordering: it keeps the first `limit` rows the aggregate
+    /// would otherwise publish.
     Agg {
         table: String,
         predicate: Vec<AggPredTerm>,
         order_by: Vec<AggOrder>,
+        limit: Option<usize>,
         body: Box<PubExpr>,
     },
     /// Numeric arithmetic over scalar subexpressions, published as text
@@ -324,17 +328,22 @@ pub(crate) fn eval_pub<'a>(
             let branch = if cond.holds(d) { then } else { els };
             eval_pub(branch, catalog, stats, bindings, out, guard, slots)
         }
-        PubExpr::Agg { table, predicate, order_by, body } => {
+        PubExpr::Agg { table, predicate, order_by, limit, body } => {
             let table = slots.resolve(table)?;
-            let rows = agg_rows(table, predicate, catalog, stats, bindings, guard, slots)?;
-            let rows = order_rows(rows, table, order_by, catalog)?;
+            // Unordered, the scan itself can stop at the limit; ordered, the
+            // sort needs every qualifying row first.
+            let scan_limit = if order_by.is_empty() { *limit } else { None };
+            let rows =
+                agg_rows(table, predicate, scan_limit, catalog, stats, bindings, guard, slots)?;
+            let mut rows = order_rows(rows, table, order_by, catalog)?;
+            rows.truncate(limit.unwrap_or(usize::MAX));
             bindings.each_row(table, catalog.table(table)?, rows, |bindings| {
                 eval_pub(body, catalog, stats, bindings, out, guard, slots)
             })
         }
         PubExpr::ScalarAgg { func, column, table, predicate } => {
             let table = slots.resolve(table)?;
-            let rows = agg_rows(table, predicate, catalog, stats, bindings, guard, slots)?;
+            let rows = agg_rows(table, predicate, None, catalog, stats, bindings, guard, slots)?;
             let text = match func {
                 AggFunc::Count => (rows.len() as i64).to_string(),
                 AggFunc::Sum => {
@@ -393,6 +402,7 @@ pub(crate) fn eval_to_text<'a>(
 fn agg_rows(
     table: &str,
     predicate: &[AggPredTerm],
+    limit: Option<usize>,
     catalog: &Catalog,
     stats: &ExecStats,
     bindings: &Bindings,
@@ -411,7 +421,7 @@ fn agg_rows(
             }
         }
     }
-    let (rows, _path) = scan_guarded(catalog, stats, table, &conj, guard)?;
+    let (rows, _path) = scan_guarded(catalog, stats, table, &conj, guard, limit)?;
     Ok(rows)
 }
 
@@ -553,7 +563,7 @@ impl SqlXmlQuery {
         }
         let base_table = slots.resolve(&self.base_table)?;
         let (rows, _path) =
-            scan_guarded(catalog, stats, base_table, &self.where_clause, guard)?;
+            scan_guarded(catalog, stats, base_table, &self.where_clause, guard, None)?;
         let rows = order_rows(rows, base_table, &self.order_by, catalog)?;
         let base = catalog.table(base_table)?;
         Bindings::default().each_row(base_table, base, rows, |bindings| {
@@ -585,6 +595,7 @@ impl SqlXmlQuery {
             base,
             &self.where_clause,
             &Guard::unlimited(),
+            None,
         )?;
         if path == AccessPath::FullScan {
             if let Some(o) = self.order_by.first() {
@@ -681,6 +692,7 @@ mod tests {
                             outer_column: "deptno".into(),
                         }],
                         order_by: Vec::new(),
+                        limit: None,
                         body: Box::new(PubExpr::elem(
                             "emp",
                             vec![
@@ -756,6 +768,7 @@ mod tests {
                             },
                         ],
                         order_by: Vec::new(),
+                        limit: None,
                         body: Box::new(PubExpr::elem(
                             "tr",
                             vec![PubExpr::elem("td", vec![PubExpr::col("emp", "ename")])],
@@ -829,11 +842,41 @@ mod tests {
                     descending: false,
                     numeric: false,
                 }],
+                limit: None,
                 body: Box::new(PubExpr::elem("s", vec![PubExpr::col("emp", "sal")])),
             },
         };
         let docs = q.execute(&c, &stats).unwrap();
         assert_eq!(xsltdb_xml::to_string(&docs[0]), "<s>1300</s><s>2450</s>");
+    }
+
+    #[test]
+    fn agg_limit_applies_after_predicate_and_order() {
+        let c = paper_catalog();
+        let agg = |order_by: Vec<AggOrder>, limit| SqlXmlQuery {
+            base_table: "dept".into(),
+            where_clause: Conjunction::single("deptno", CmpOp::Eq, Datum::Int(10)),
+            order_by: Vec::new(),
+            select: PubExpr::Agg {
+                table: "emp".into(),
+                predicate: vec![AggPredTerm::Correlate {
+                    inner_column: "deptno".into(),
+                    outer_table: "dept".into(),
+                    outer_column: "deptno".into(),
+                }],
+                order_by,
+                limit,
+                body: Box::new(PubExpr::elem("s", vec![PubExpr::col("emp", "sal")])),
+            },
+        };
+        let run = |q: &SqlXmlQuery| xsltdb_xml::to_string(&q.execute(&c, &ExecStats::new()).unwrap()[0]);
+        let sal = AggOrder { column: "sal".into(), descending: false, numeric: true };
+        assert_eq!(run(&agg(Vec::new(), Some(1))), "<s>2450</s>");
+        assert_eq!(run(&agg(vec![sal.clone()], Some(1))), "<s>1300</s>");
+        assert_eq!(run(&agg(vec![sal], Some(5))), "<s>1300</s><s>2450</s>");
+        assert_eq!(run(&agg(Vec::new(), Some(0))), "");
+        let text = crate::sqlpretty::sql_text(&agg(Vec::new(), Some(1)));
+        assert!(text.contains("FETCH FIRST 1 ROWS ONLY"), "{text}");
     }
 
     #[test]

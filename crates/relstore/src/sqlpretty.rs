@@ -90,7 +90,7 @@ fn pub_text(e: &PubExpr, level: usize) -> String {
                 format!("XMLElement(\n{inner})")
             }
         }
-        PubExpr::Agg { table, predicate, order_by, body } => {
+        PubExpr::Agg { table, predicate, order_by, limit, body } => {
             let mut s = format!(
                 "(SELECT XMLAgg({}{})\n{}FROM {}",
                 pub_text(body, level + 1),
@@ -104,6 +104,9 @@ fn pub_text(e: &PubExpr, level: usize) -> String {
             );
             if !predicate.is_empty() {
                 s.push_str(&format!("\n{}WHERE {}", pad(level), agg_pred_text(predicate)));
+            }
+            if let Some(k) = limit {
+                s.push_str(&format!("\n{}FETCH FIRST {k} ROWS ONLY", pad(level)));
             }
             s.push(')');
             s
@@ -190,6 +193,7 @@ mod tests {
                         },
                     ],
                     order_by: Vec::new(),
+                    limit: None,
                     body: Box::new(PubExpr::elem("tr", vec![PubExpr::col("emp", "empno")])),
                 },
             ]),

@@ -29,7 +29,11 @@ pub fn struct_of_view(view: &XmlView) -> Result<StructInfo, DeriveError> {
     })?;
     Ok(StructInfo {
         root,
-        origin: Origin::View { base_table: view.query.base_table.clone() },
+        origin: Origin::View {
+            base_table: view.query.base_table.clone(),
+            where_clause: view.query.where_clause.clone(),
+            order_by: view.query.order_by.clone(),
+        },
     })
 }
 
@@ -90,12 +94,20 @@ fn collect_children(
                         .into(),
                 ))
             }
-            PubExpr::Agg { table, predicate, body, .. } => {
+            PubExpr::Agg { limit: Some(_), .. } => {
+                return Err(DeriveError(
+                    "XMLAgg row limits are not supported in view definitions".into(),
+                ))
+            }
+            PubExpr::Agg { table, predicate, order_by, limit: None, body } => {
                 let mut child = elem_of_pub(body)?.ok_or_else(|| {
                     DeriveError("XMLAgg body must construct an element".into())
                 })?;
-                child.row_source =
-                    Some(RowSource { table: table.clone(), predicate: predicate.clone() });
+                child.row_source = Some(RowSource {
+                    table: table.clone(),
+                    predicate: predicate.clone(),
+                    order_by: order_by.clone(),
+                });
                 decl.children.push(ChildDecl { decl: child, card: Cardinality::Many });
             }
         }
@@ -131,6 +143,7 @@ mod tests {
                                     outer_column: "deptno".into(),
                                 }],
                                 order_by: Vec::new(),
+                                limit: None,
                                 body: Box::new(PubExpr::elem(
                                     "emp",
                                     vec![
@@ -154,7 +167,7 @@ mod tests {
         let info = struct_of_view(&dept_emp_view()).unwrap();
         assert_eq!(info.root.name, "dept");
         assert_eq!(info.root.children.len(), 3);
-        assert_eq!(info.origin, Origin::View { base_table: "dept".into() });
+        assert!(matches!(&info.origin, Origin::View { base_table, .. } if base_table == "dept"));
         let dname = info.root.child("dname").unwrap();
         assert_eq!(dname.card, Cardinality::One);
         assert!(dname.decl.has_text);

@@ -3,7 +3,8 @@
 //! SQL/XML publishing view — bindings back to relational columns and row
 //! sources, which are what the XQuery→SQL/XML rewrite consumes.
 
-use xsltdb_relstore::pubexpr::{AggPredTerm, PubExpr};
+use xsltdb_relstore::exec::Conjunction;
+use xsltdb_relstore::pubexpr::{AggOrder, AggPredTerm, PubExpr};
 
 /// Children model group (XML Schema terminology).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,6 +51,8 @@ pub struct RowSource {
     pub table: String,
     /// The subquery's predicate terms (correlation + constants).
     pub predicate: Vec<AggPredTerm>,
+    /// The subquery's `ORDER BY`: the view's document order of the rows.
+    pub order_by: Vec<AggOrder>,
 }
 
 /// Where an element's text content comes from.
@@ -138,8 +141,10 @@ pub enum Origin {
     Schema,
     /// DTD of the XMLType (bullet 1).
     Dtd,
-    /// SQL/XML publishing view over relational data (bullet 2).
-    View { base_table: String },
+    /// SQL/XML publishing view over relational data (bullet 2): the base
+    /// table with the view's own row filter and row order, which decide
+    /// which documents exist and in what order.
+    View { base_table: String, where_clause: Conjunction, order_by: Vec<AggOrder> },
     /// Static typing of an upstream XQuery/XSLT (bullets 3–4).
     StaticTyping,
     /// Hand-constructed (tests, examples).

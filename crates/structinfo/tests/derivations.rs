@@ -66,6 +66,7 @@ fn view_info() -> StructInfo {
                                 outer_column: "deptno".into(),
                             }],
                             order_by: Vec::new(),
+                            limit: None,
                             body: Box::new(PubExpr::elem(
                                 "emp",
                                 vec![PubExpr::elem("sal", vec![PubExpr::col("emp", "sal")])],

@@ -163,6 +163,7 @@ fn add_db_tables(
                     table: rows_table.into(),
                     predicate: Vec::new(),
                     order_by: Vec::new(),
+                    limit: None,
                     body: Box::new(PubExpr::elem(
                         "row",
                         vec![

@@ -59,6 +59,7 @@ fn setup() -> (Catalog, XmlView) {
                                 outer_column: "deptno".into(),
                             }],
                             order_by: Vec::new(),
+                            limit: None,
                             body: Box::new(PubExpr::elem(
                                 "emp",
                                 vec![PubExpr::elem("ename", vec![PubExpr::col("emp", "ename")])],

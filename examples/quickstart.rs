@@ -77,6 +77,7 @@ fn main() {
                                 outer_column: "deptno".into(),
                             }],
                             order_by: Vec::new(),
+                            limit: None,
                             body: Box::new(PubExpr::elem(
                                 "emp",
                                 vec![

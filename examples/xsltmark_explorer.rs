@@ -1,15 +1,18 @@
 //! Explore an XSLTMark case: show its stylesheet, the generated XQuery,
-//! the rewrite mode and the equivalence check against the XSLTVM.
+//! the rewrite mode and the equivalence check against the XSLTVM, then the
+//! plan over the relationally backed `db` view: its tier, why it fell
+//! below the SQL tier, and what of the view the XQuery tier materialises.
 //!
 //! Run with: `cargo run --example xsltmark_explorer [case-name]`
 //! (default case: `dbonerow`; pass `--list` to see all forty).
 
 use std::rc::Rc;
+use xsltdb::pipeline::{plan_transform, Tier};
 use xsltdb::xqgen::{rewrite, RewriteOptions};
 use xsltdb_xml::{parse_trimmed, to_string, NodeId};
 use xsltdb_xquery::{evaluate_query, pretty_query, sequence_to_document, NodeHandle};
 use xsltdb_xslt::{compile_str, transform};
-use xsltdb_xsltmark::{all_cases, case, db_struct_info, db_xml};
+use xsltdb_xsltmark::{all_cases, case, db_catalog, db_struct_info, db_xml};
 
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "dbonerow".to_string());
@@ -54,5 +57,16 @@ fn main() {
             println!("--- the rewrite is not applicable ---\n{e}\n");
             println!("the case executes on the VM tier (functional evaluation).");
         }
+    }
+
+    let (_, view) = db_catalog(8, 0xDB);
+    let plan = plan_transform(&view, &c.stylesheet, &RewriteOptions::default()).expect("plans");
+    println!("\n--- plan over the db view ---");
+    println!("tier:            {:?}", plan.tier);
+    println!("fallback reason: {}", plan.fallback_reason.as_deref().unwrap_or("-"));
+    match plan.tier {
+        Tier::Sql => println!("materialises:    nothing ({} on a fallback)", plan.projection),
+        Tier::XQuery => println!("materialises:    {}", plan.projection),
+        Tier::Vm => println!("materialises:    the whole view"),
     }
 }

@@ -72,6 +72,7 @@ fn dept_emp_view() -> XmlView {
                                 outer_column: "deptno".into(),
                             }],
                             order_by: Vec::new(),
+                            limit: None,
                             body: Box::new(PubExpr::elem(
                                 "emp",
                                 vec![

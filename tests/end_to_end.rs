@@ -78,6 +78,7 @@ fn dept_emp_view() -> XmlView {
                                 outer_column: "deptno".into(),
                             }],
                             order_by: Vec::new(),
+                            limit: None,
                             body: Box::new(PubExpr::elem(
                                 "emp",
                                 vec![
@@ -318,7 +319,12 @@ fn assert_charges(
 /// `(fuel, output nodes, output bytes charged, bytes written)` per run.
 const DBTAIL_1K: (u64, u64, u64, u64) = (5_003, 1_001, 16_814, 16_814);
 const PAPER_SQL: (u64, u64, u64, u64) = (69, 30, 556, 554);
-const DEPT_XQ: (u64, u64, u64, u64) = (131, 25, 158, 84);
+/// The XQuery tier materialises only what the query reaches: `loc` and
+/// `empno` are projected away. Fuel drops 10 (an `XMLElement` and a
+/// column per pruned element: 2 `loc` + 3 `empno`), output nodes 5 (those
+/// elements), charged bytes 26 (their text: `NEW YORK`, `BOSTON` and three
+/// four-digit `empno`s). The bytes written do not move.
+const DEPT_XQ: (u64, u64, u64, u64) = (121, 20, 132, 84);
 
 #[test]
 fn guard_charges_are_pinned_for_dbtail_and_dept_emp() {

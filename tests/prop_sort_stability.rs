@@ -115,6 +115,7 @@ fn sort_catalog(rows: &[SortRow]) -> (Catalog, XmlView) {
                     table: "s_rows".into(),
                     predicate: Vec::new(),
                     order_by: Vec::new(),
+                    limit: None,
                     body: Box::new(PubExpr::elem(
                         "row",
                         vec![leaf("tag"), leaf("name"), leaf("num")],

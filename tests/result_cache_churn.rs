@@ -143,3 +143,43 @@ fn index_ddl_on_b_keeps_the_plan_warm_for_a() {
     door.transform(&catalog, &views[0], &case.stylesheet, &opts).expect("A reuses replan");
     assert_eq!(door.cache().stats().hits, 3);
 }
+
+/// The eviction-targeting gate over a warm 4-view family: DML on one
+/// view's row table evicts exactly one cached result, index-add DDL on
+/// another exactly one more, DDL on a table outside every read set none —
+/// and every survivor keeps serving from the cache.
+#[test]
+fn mutations_evict_exactly_the_read_set_affected_entries() {
+    let (mut catalog, views) = db_catalog_family(4, 8, 7);
+    let case = &all_cases()[0];
+    let opts = RewriteOptions::default();
+    let door = FrontDoor::new(FrontDoorConfig::server_default());
+    for _ in 0..2 {
+        for v in &views {
+            door.transform(&catalog, v, &case.stylesheet, &opts).expect("warm fill");
+        }
+    }
+    let mut last = door.stats().result_invalidations;
+    // Serve every view once: evicted entries re-execute, survivors hit.
+    let mut probe = |catalog: &xsltdb_relstore::Catalog, mutation: &str, expected: u64| {
+        let survivors = views
+            .iter()
+            .filter(|v| door.transform(catalog, v, &case.stylesheet, &opts).expect("serve").cached)
+            .count() as u64;
+        let now = door.stats().result_invalidations;
+        assert_eq!(now - last, expected, "{mutation}: evictions");
+        assert_eq!(survivors, views.len() as u64 - expected, "{mutation}: survivors");
+        last = now;
+    };
+
+    catalog.table_mut("db_rows_0").unwrap().insert(churn_row(900_001)).unwrap();
+    catalog.reindex("db_rows_0").unwrap();
+    probe(&catalog, "dml db_rows_0", 1);
+    catalog.create_index("db_rows_1", "firstname").unwrap();
+    probe(&catalog, "create_index db_rows_1", 1);
+    catalog.add_table(xsltdb_relstore::Table::new(
+        "invalidate_scratch",
+        &[("tick", xsltdb_relstore::ColType::Int)],
+    ));
+    probe(&catalog, "add_table scratch", 0);
+}

@@ -243,6 +243,7 @@ fn tagged_plan(generation: u64) -> Arc<TransformPlan> {
         slot_count: 0,
         fallback_reason: Some(format!("gen:{generation}")),
         emission: None,
+        projection: xsltdb::projection::Projection::Full,
     })
 }
 

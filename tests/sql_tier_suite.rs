@@ -5,7 +5,9 @@
 
 use xsltdb::pipeline::{no_rewrite_transform, plan_bound, Tier};
 use xsltdb::xqgen::RewriteOptions;
-use xsltdb_relstore::ExecStats;
+use xsltdb_relstore::exec::{CmpOp, Conjunction};
+use xsltdb_relstore::pubexpr::{AggOrder, PubExpr, SqlXmlQuery};
+use xsltdb_relstore::{Catalog, Datum, ExecStats, XmlView};
 use xsltdb_xml::to_string;
 use xsltdb_xsltmark::{all_cases, db_catalog};
 
@@ -72,4 +74,100 @@ fn xquery_planned_cases_match_baseline_too_inner() {
         let expected: Vec<String> = baseline.documents.iter().map(to_string).collect();
         assert_eq!(got, expected, "XQuery tier diverges for case {}", case.name);
     }
+}
+
+// ---- the view's own row order and row filter --------------------------
+
+/// The `db` view over `db_catalog`'s tables, with its own `XMLAgg` order
+/// and base-row filter.
+fn db_view_with(agg_order: Vec<AggOrder>, where_clause: Conjunction) -> XmlView {
+    let leaf = |n: &str| PubExpr::elem(n, vec![PubExpr::col("db_rows", n)]);
+    XmlView::new(
+        "db_ordered",
+        SqlXmlQuery {
+            base_table: "db_doc".into(),
+            where_clause,
+            order_by: Vec::new(),
+            select: PubExpr::elem(
+                "table",
+                vec![PubExpr::Agg {
+                    table: "db_rows".into(),
+                    predicate: Vec::new(),
+                    order_by: agg_order,
+                    limit: None,
+                    body: Box::new(PubExpr::elem(
+                        "row",
+                        ["id", "firstname", "lastname", "street", "city", "state", "zip"]
+                            .into_iter()
+                            .map(leaf)
+                            .collect(),
+                    )),
+                }],
+            ),
+        },
+    )
+}
+
+fn by(column: &str) -> AggOrder {
+    AggOrder { column: column.into(), descending: false, numeric: false }
+}
+
+/// Plan `sheet` over `view`, require the SQL tier, and return its output
+/// next to the VM's.
+fn sql_and_vm(catalog: &Catalog, view: &XmlView, sheet: &str) -> (String, String) {
+    let stats = ExecStats::new();
+    let plan = plan_bound(catalog, view, sheet, &RewriteOptions::default()).unwrap();
+    assert_eq!(plan.tier(), Tier::Sql, "fallback: {:?}", plan.fallback_reason());
+    let got = plan.execute(catalog, &stats).unwrap().iter().map(to_string).collect();
+    let vm = no_rewrite_transform(catalog, view, plan.sheet(), &stats).unwrap();
+    (got, vm.documents.iter().map(to_string).collect())
+}
+
+const LASTNAMES: &str = r#"<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
+<xsl:template match="table"><out><xsl:apply-templates select="row"/></out></xsl:template>
+<xsl:template match="row"><r><xsl:value-of select="lastname"/></r></xsl:template>
+</xsl:stylesheet>"#;
+
+#[test]
+fn sql_tier_publishes_rows_in_the_views_own_order() {
+    let (catalog, _) = db_catalog(6, 1);
+    let view = db_view_with(vec![by("lastname")], Conjunction::default());
+    let (sql, vm) = sql_and_vm(&catalog, &view, LASTNAMES);
+    assert_eq!(sql, vm);
+    assert!(vm.contains("<r>Aranow</r>"), "{vm}");
+}
+
+#[test]
+fn sql_tier_honours_the_views_base_row_filter() {
+    let (catalog, _) = db_catalog(6, 1);
+    let none = Conjunction::single("docid", CmpOp::Eq, Datum::Int(-1));
+    let (sql, vm) = sql_and_vm(&catalog, &db_view_with(Vec::new(), none), LASTNAMES);
+    assert_eq!((sql.as_str(), vm.as_str()), ("", ""));
+}
+
+#[test]
+fn stylesheet_sort_keys_break_ties_in_the_views_order() {
+    // Sorting by state leaves ties; xsl:sort is stable over document
+    // order, which is the view's lastname order.
+    let sheet = r#"<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
+<xsl:template match="table"><out><xsl:apply-templates select="row"><xsl:sort select="state"/></xsl:apply-templates></out></xsl:template>
+<xsl:template match="row"><r><xsl:value-of select="state"/> <xsl:value-of select="lastname"/></r></xsl:template>
+</xsl:stylesheet>"#;
+    let (catalog, _) = db_catalog(40, 3);
+    for order in [vec![by("lastname")], vec![by("firstname"), by("id")]] {
+        let (sql, vm) = sql_and_vm(&catalog, &db_view_with(order, Conjunction::default()), sheet);
+        assert_eq!(sql, vm);
+    }
+}
+
+#[test]
+fn ordered_and_unordered_views_do_not_share_a_plan() {
+    let (catalog, plain) = db_catalog(6, 1);
+    let ordered = db_view_with(vec![by("lastname")], Conjunction::default());
+    let cache = xsltdb::SharedPlanCache::default();
+    let opts = RewriteOptions::default();
+    for view in [&plain, &ordered] {
+        xsltdb::plan_cached_shared(&cache, &catalog, view, LASTNAMES, &opts).unwrap();
+    }
+    assert_eq!(cache.stats().misses, 2, "an ordered view must plan on its own");
 }

@@ -67,6 +67,7 @@ fn region_view() -> XmlView {
                             outer_column: "rid".into(),
                         }],
                         order_by: Vec::new(),
+                        limit: None,
                         body: Box::new(PubExpr::elem(
                             "dept",
                             vec![
@@ -79,6 +80,7 @@ fn region_view() -> XmlView {
                                         outer_column: "deptno".into(),
                                     }],
                                     order_by: Vec::new(),
+                                    limit: None,
                                     body: Box::new(PubExpr::elem(
                                         "emp",
                                         vec![
