@@ -13,12 +13,23 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::rc::Rc;
 use xsltdb::xqgen::{rewrite, rewrite_straightforward, RewriteOptions};
-use xsltdb_xml::{parse_trimmed, NodeId};
-use xsltdb_xquery::{evaluate_query, NodeHandle, XQuery};
+use xsltdb_xml::{parse_trimmed, Guard, NodeId, StreamWriter};
+use xsltdb_xquery::{evaluate_query_to_sink, NodeHandle, SinkRun, XQuery};
 use xsltdb_xslt::compile_str;
 use xsltdb_xsltmark::{case, db_struct_info, db_xml};
 
 const ROWS: usize = 1000;
+
+/// Run `q` over `doc` the way the XQuery tier does: streamed into a
+/// writer (here one that discards the bytes).
+fn run(q: &XQuery, doc: &Rc<xsltdb_xml::Document>) -> SinkRun {
+    let input = NodeHandle::new(Rc::clone(doc), NodeId::DOCUMENT);
+    let mut out = StreamWriter::new(std::io::sink(), Guard::unlimited());
+    let run = evaluate_query_to_sink(q, Some(input), Vec::new(), Guard::unlimited(), &mut out)
+        .expect("query runs");
+    out.finish().expect("output closes");
+    run
+}
 
 /// The apply-templates-heavy case where dispatch strategy matters most.
 const CASE: &str = "metric";
@@ -55,10 +66,7 @@ fn ablation(c: &mut Criterion) {
     group.sample_size(10);
     for (name, query) in variants() {
         group.bench_with_input(BenchmarkId::new(CASE, name), &query, |b, q| {
-            b.iter(|| {
-                let input = NodeHandle::new(Rc::clone(&doc), NodeId::DOCUMENT);
-                black_box(evaluate_query(q, Some(input)).expect("query runs"))
-            })
+            b.iter(|| black_box(run(q, &doc)))
         });
     }
     group.finish();
@@ -90,10 +98,7 @@ fn dead_templates(c: &mut Criterion) {
     group.sample_size(10);
     for (name, query) in [("removed_3_7", removed), ("kept", kept)] {
         group.bench_with_input(BenchmarkId::new("decoy", name), &query, |b, q| {
-            b.iter(|| {
-                let input = NodeHandle::new(Rc::clone(&doc), NodeId::DOCUMENT);
-                black_box(evaluate_query(q, Some(input)).expect("query runs"))
-            })
+            b.iter(|| black_box(run(q, &doc)))
         });
     }
     group.finish();

@@ -4,7 +4,6 @@
 //! combined optimisation — compose the two rewrites into the Table 11
 //! SQL/XML query and run it straight against the base tables.
 
-use std::rc::Rc;
 use xsltdb::combined::compose_over_xslt_view;
 use xsltdb::pipeline::no_rewrite_transform;
 use xsltdb::sqlrewrite::rewrite_to_sql;
@@ -12,8 +11,8 @@ use xsltdb::xqgen::{rewrite, RewriteOptions};
 use xsltdb_bench::median_micros;
 use xsltdb_relstore::ExecStats;
 use xsltdb_structinfo::struct_of_view;
-use xsltdb_xml::NodeId;
-use xsltdb_xquery::{evaluate_query, parse_query, NodeHandle};
+use xsltdb_xml::{Guard, StreamWriter};
+use xsltdb_xquery::{evaluate_query_to_sink, parse_query, NodeHandle};
 use xsltdb_xslt::compile_str;
 use xsltdb_xsltmark::db_catalog;
 
@@ -50,8 +49,10 @@ xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
     let naive = median_micros(iters, || {
         let run = no_rewrite_transform(&catalog, &view, &sheet, &stats).expect("baseline");
         for doc in run.documents {
-            let input = NodeHandle::new(Rc::new(doc), NodeId::DOCUMENT);
-            let _ = evaluate_query(&user_q, Some(input)).expect("user query runs");
+            let mut out = StreamWriter::new(std::io::sink(), Guard::unlimited());
+            let input = Some(NodeHandle::document(doc));
+            evaluate_query_to_sink(&user_q, input, Vec::new(), Guard::unlimited(), &mut out)
+                .expect("user query runs");
         }
     });
     let combined = median_micros(iters, || {

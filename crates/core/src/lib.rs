@@ -16,14 +16,13 @@
 //! * [`pipeline`] — the tiered execution engine and the no-rewrite
 //!   baseline used throughout the evaluation;
 //! * [`combined`] — cross-language composition of XQuery over XSLT views
-//!   (paper §2.2, Example 2);
-//! * [`docexec`] — index-assisted execution over stored documents (the
-//!   §7.4 storage-model study).
+//!   (paper §2.2, Example 2).
 //!
 //! ```
 //! use xsltdb::xqgen::{rewrite, RewriteOptions};
 //! use xsltdb_structinfo::struct_of_dtd;
-//! use xsltdb_xquery::{evaluate_query, sequence_to_document, NodeHandle};
+//! use xsltdb_xml::{Guard, StreamWriter};
+//! use xsltdb_xquery::{evaluate_query_to_sink, NodeHandle};
 //!
 //! // Structural information from a DTD (paper §3.2, bullet 1)…
 //! let info = struct_of_dtd(
@@ -42,13 +41,14 @@
 //! // …whose output equals the functional evaluation.
 //! let doc = xsltdb_xml::parse_xml("<emp><ename>CLARK</ename><sal>2450</sal></emp>").unwrap();
 //! let input = NodeHandle::document(doc);
-//! let seq = evaluate_query(&outcome.query, Some(input)).unwrap();
-//! assert_eq!(xsltdb_xml::to_string(&sequence_to_document(&seq)), "<p>CLARK</p>");
+//! let mut out = StreamWriter::new(Vec::new(), Guard::unlimited());
+//! evaluate_query_to_sink(&outcome.query, Some(input), Vec::new(), Guard::unlimited(), &mut out)
+//!     .unwrap();
+//! assert_eq!(out.finish().unwrap(), b"<p>CLARK</p>");
 //! ```
 
 pub mod admission;
 pub mod combined;
-pub mod docexec;
 pub mod error;
 pub mod guard;
 mod lru;
@@ -67,7 +67,6 @@ pub use admission::{
 };
 pub use error::{PipelineError, RewriteError, TierFailure};
 pub use guard::{FaultKind, FaultPoint, Guard, GuardExceeded, Limits, Resource};
-pub use docexec::{execute_indexed, index_assist, ProbeSpec, INDEXED_VAR};
 pub use pe::{partial_evaluate, ExecGraph, PeResult};
 pub use pipeline::{
     no_rewrite_transform, plan_bound, plan_cached_shared, plan_transform,

@@ -41,10 +41,7 @@ use xsltdb_relstore::pubexpr::SqlXmlQuery;
 use xsltdb_relstore::{slot_name, Catalog, ExecStats, SlotBindings, XmlView};
 use xsltdb_structinfo::{canonicalize_view, StructInfo, ViewCanon};
 use xsltdb_xml::{replay_subtree, Document, NodeId, StreamWriter, TreeSink, XmlSink};
-use xsltdb_xquery::{
-    analyze_query, evaluate_query, evaluate_query_to_sink, sequence_to_document, EmissionReport,
-    NodeHandle,
-};
+use xsltdb_xquery::{analyze_query, evaluate_query_to_sink, EmissionReport, NodeHandle};
 use xsltdb_xslt::{compile_str, transform, transform_with, NoTrace, Stylesheet, TransformOptions};
 
 /// Which execution strategy a plan uses.
@@ -676,25 +673,6 @@ pub fn no_rewrite_transform(
     Ok(BaselineRun { documents: out, materialized_nodes })
 }
 
-/// Rewrite-and-run over a plain document (DTD/XSD-derived structure): the
-/// XQuery tier for inputs that do not come from a view. Falls back to the
-/// VM when the rewrite fails.
-pub fn transform_document(
-    sheet: &Stylesheet,
-    info: &StructInfo,
-    doc: &Document,
-    opts: &RewriteOptions,
-) -> Result<(Document, Option<RewriteOutcome>), PipelineError> {
-    match rewrite(sheet, info, opts) {
-        Ok(outcome) => {
-            let input = NodeHandle::document(doc.clone());
-            let seq = evaluate_query(&outcome.query, Some(input))?;
-            Ok((sequence_to_document(&seq), Some(outcome)))
-        }
-        Err(_) => Ok((transform(sheet, doc)?, None)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -853,24 +831,6 @@ mod tests {
     fn bad_stylesheet_is_a_hard_error() {
         let (_c, view) = setup();
         assert!(plan_transform(&view, "<not-xslt/>", &RewriteOptions::default()).is_err());
-    }
-
-    #[test]
-    fn transform_document_uses_rewrite_when_possible() {
-        let info = xsltdb_structinfo::struct_of_dtd(
-            "<!ELEMENT r (v)> <!ELEMENT v (#PCDATA)>",
-            "r",
-        )
-        .unwrap();
-        let doc = xsltdb_xml::parse::parse("<r><v>9</v></r>").unwrap();
-        let sheet = xsltdb_xslt::compile_str(&wrap(
-            r#"<xsl:template match="r"><o><xsl:value-of select="v"/></o></xsl:template>"#,
-        ))
-        .unwrap();
-        let (out, outcome) =
-            transform_document(&sheet, &info, &doc, &RewriteOptions::default()).unwrap();
-        assert!(outcome.is_some());
-        assert_eq!(xsltdb_xml::to_string(&out), "<o>9</o>");
     }
 
     #[test]

@@ -27,7 +27,9 @@ use xsltdb_xpath::{Axis, NodeTest};
 use xsltdb_xquery::{
     Clause, FunctionDecl, OrderSpec, PathStart, SeqType, VarDecl, XQuery, XqExpr, XqStep,
 };
-use xsltdb_xslt::ast::{Op, SiteId, SortKey, Template, TemplateId, VarValueSource, WithParam};
+use xsltdb_xslt::ast::{
+    walk_ops, Op, SiteId, SortKey, Template, TemplateId, VarValueSource, WithParam,
+};
 use xsltdb_xslt::avt::{Avt, AvtPart};
 use xsltdb_xslt::{Stylesheet, BUILTIN_SITE};
 
@@ -108,9 +110,9 @@ pub fn rewrite(
     opts: &RewriteOptions,
 ) -> Result<RewriteOutcome, RewriteError> {
     match partial_evaluate(sheet, info) {
-        Ok(pe) if !pe.graph.recursive && opts.inline => {
-            // Inline generation can still hit constructs the trace cannot
-            // cover soundly (sibling-axis selects); degrade to functions.
+        Ok(pe) if !pe.graph.recursive && opts.inline && !sheet_uses_untraceable_axes(sheet) => {
+            // Inline generation can still hit constructs it has no shape
+            // for; degrade to functions.
             inline_generate(sheet, info, &pe, opts)
                 .or_else(|_| functions_generate(sheet, Some(&pe), opts))
         }
@@ -119,10 +121,48 @@ pub fn rewrite(
     }
 }
 
-/// Does an XPath expression navigate upward or sideways? The sample
-/// document carries a single instance per repeated element, so the trace
-/// cannot soundly cover sibling/ancestor selections — inline mode must
-/// refuse them (function mode dispatches at run time and stays correct).
+/// Does any node-selecting expression of the stylesheet — an
+/// apply-templates, for-each, variable, param or with-param select, local
+/// or global — navigate upward or sideways? The sample document carries a
+/// single instance per repeated element, so the trace never witnesses such
+/// a selection: an inline site would trace nothing, and a template reached
+/// only through one would look dead. When this holds, [`rewrite`] does not
+/// inline and function mode keeps every template (its run-time dispatch
+/// stays correct).
+fn sheet_uses_untraceable_axes(sheet: &Stylesheet) -> bool {
+    fn source_bad(v: &VarValueSource) -> bool {
+        match v {
+            VarValueSource::Select(e) => uses_untraceable_axes(e),
+            VarValueSource::Body(body) => body_bad(body),
+            VarValueSource::Empty => false,
+        }
+    }
+    fn body_bad(body: &[Op]) -> bool {
+        let mut bad = false;
+        walk_ops(body, &mut |op| {
+            bad |= match op {
+                Op::ApplyTemplates { select, with_params, .. } => {
+                    select.as_ref().is_some_and(uses_untraceable_axes)
+                        || with_params.iter().any(|wp| source_bad(&wp.value))
+                }
+                Op::CallTemplate { with_params, .. } => {
+                    with_params.iter().any(|wp| source_bad(&wp.value))
+                }
+                Op::ForEach { select, .. } => uses_untraceable_axes(select),
+                Op::Variable { value: VarValueSource::Select(e), .. } => uses_untraceable_axes(e),
+                _ => false,
+            }
+        });
+        bad
+    }
+    sheet.global_vars.iter().any(|(_, v)| source_bad(v))
+        || sheet
+            .templates
+            .iter()
+            .any(|t| body_bad(&t.body) || t.params.iter().any(|(_, v)| source_bad(v)))
+}
+
+/// Does an XPath expression navigate upward or sideways?
 fn uses_untraceable_axes(e: &xsltdb_xpath::Expr) -> bool {
     use xsltdb_xpath::Expr as XE;
     fn steps_bad(steps: &[xsltdb_xpath::Step]) -> bool {
@@ -935,16 +975,6 @@ impl<'a> InlineGen<'a> {
         sorts: &[SortKey],
         with_params: &[WithParam],
     ) -> Result<XqExpr, RewriteError> {
-        // Reject selects the single-instance sample cannot cover, even when
-        // the trace happens to be empty (a sibling select traces nothing on
-        // the sample but selects real nodes at run time).
-        if let Some(sel) = select {
-            if uses_untraceable_axes(sel) {
-                return Err(RewriteError::new(
-                    "apply-templates over sibling/ancestor axes cannot be inlined                      from a single-instance sample",
-                ));
-            }
-        }
         let st = self.pe.graph.state(env.state);
         let trans: Vec<Transition> =
             st.transitions.get(&site).cloned().unwrap_or_default();
@@ -966,11 +996,6 @@ impl<'a> InlineGen<'a> {
 
         match select {
             Some(sel) => {
-                if uses_untraceable_axes(sel) {
-                    return Err(RewriteError::new(
-                        "apply-templates over sibling/ancestor axes cannot be inlined                          from a single-instance sample",
-                    ));
-                }
                 let source = xpath_to_xq(sel, &cx)?;
                 if groups.len() == 1 {
                     let (node, targets) = groups.pop().expect("one group");
@@ -1288,20 +1313,15 @@ fn functions_generate(
 ) -> Result<RewriteOutcome, RewriteError> {
     let mut g = FuncGen { sheet, pe, opts, next_var: 1 };
 
+    // §3.7 trusts the trace; a sibling/ancestor selection it cannot
+    // witness may reach a template it never saw instantiated.
+    let keep_all = !opts.remove_dead_templates || sheet_uses_untraceable_axes(sheet);
     let included: Vec<TemplateId> = sheet
         .templates
         .iter()
         .enumerate()
         .map(|(i, _)| TemplateId(i as u32))
-        .filter(|tid| {
-            if !opts.remove_dead_templates {
-                return true;
-            }
-            match pe {
-                Some(p) => p.graph.instantiated.contains(tid),
-                None => true,
-            }
-        })
+        .filter(|tid| keep_all || pe.is_none_or(|p| p.graph.instantiated.contains(tid)))
         .collect();
 
     let mut functions = Vec::new();

@@ -4,10 +4,10 @@
 
 use std::rc::Rc;
 use xsltdb::translate::{xpath_to_xq, CtxRef, XlatCtx};
-use xsltdb_xml::{parse_xml, NodeId};
+use xsltdb_xml::{parse_xml, Guard, NodeId, TextSink};
 use xsltdb_xpath::eval::{Ctx, Env};
 use xsltdb_xpath::parse_expr;
-use xsltdb_xquery::{evaluate_query_with_vars, Item, NodeHandle, VarDecl, XQuery, XqExpr};
+use xsltdb_xquery::{evaluate_query_to_sink, Item, NodeHandle, VarDecl, XQuery, XqExpr};
 
 const DOC: &str = "<dept><dname>ACCOUNTING</dname><employees>\
     <emp><empno>1</empno><sal>100</sal></emp>\
@@ -39,16 +39,17 @@ fn agree(src: &str) {
         functions: Vec::new(),
         body: XqExpr::call("fn:string", vec![xq]),
     };
-    let seq = evaluate_query_with_vars(
+    // The query's one string item arrives as text: a `TextSink` holds it.
+    let mut out = TextSink::new(Guard::unlimited());
+    evaluate_query_to_sink(
         &q,
         Some(NodeHandle::new(Rc::clone(&rc), NodeId::DOCUMENT)),
         vec![("cur".into(), vec![Item::Node(NodeHandle::new(rc, root))])],
+        Guard::unlimited(),
+        &mut out,
     )
     .unwrap();
-    let xq_val = seq
-        .first()
-        .map(|i| i.to_string_value())
-        .unwrap_or_default();
+    let xq_val = out.into_string();
     assert_eq!(xq_val, xpath_val, "disagreement on `{src}` (translated: {printed})");
 }
 

@@ -34,7 +34,6 @@
 pub mod binding;
 pub mod catalog;
 pub mod datum;
-pub mod docstore;
 pub mod exec;
 pub mod index;
 pub mod page;
@@ -48,7 +47,6 @@ pub mod view;
 pub use binding::{fnv64, is_slot, slot_name, SlotBindings};
 pub use catalog::{Catalog, TableMeta, TableVersion};
 pub use datum::{ArithOp, ColType, Datum, DatumKey};
-pub use docstore::{DocStorageModel, PathHit, XmlDocStore};
 pub use exec::{scan_guarded, AccessPath, CmpOp, ColumnCmp, Conjunction};
 pub use index::Index;
 pub use page::PAGE_SIZE;

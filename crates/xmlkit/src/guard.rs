@@ -174,7 +174,7 @@ impl Default for Limits {
 pub enum FaultPoint {
     /// Start of SQL-tier execution (`SqlXmlQuery::execute`).
     SqlExec,
-    /// Start of XQuery-tier execution (`evaluate_query`).
+    /// Start of XQuery-tier execution (`evaluate_query_to_sink`).
     XQueryExec,
     /// Start of VM-tier execution (`transform`).
     VmExec,

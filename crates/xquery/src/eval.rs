@@ -107,7 +107,7 @@ impl Item {
 pub type Sequence = Vec<Item>;
 
 /// Effective boolean value.
-pub fn ebv(seq: &[Item]) -> Result<bool, XqError> {
+pub(crate) fn ebv(seq: &[Item]) -> Result<bool, XqError> {
     match seq {
         [] => Ok(false),
         [Item::Node(_), ..] => Ok(true),
@@ -123,33 +123,11 @@ pub fn ebv(seq: &[Item]) -> Result<bool, XqError> {
     }
 }
 
-/// Serialize a result sequence the way `XMLQuery(... RETURNING CONTENT)`
-/// would: nodes serialize as XML, atomics as their string values separated
-/// by spaces.
-pub fn serialize_sequence(seq: &[Item]) -> String {
-    let mut out = String::new();
-    let mut prev_atomic = false;
-    for item in seq {
-        match item {
-            Item::Node(n) => {
-                out.push_str(&xsltdb_xml::node_to_string(&n.doc, n.id));
-                prev_atomic = false;
-            }
-            other => {
-                if prev_atomic {
-                    out.push(' ');
-                }
-                out.push_str(&other.to_string_value());
-                prev_atomic = true;
-            }
-        }
-    }
-    out
-}
-
 /// Build a single document from a result sequence (the `RETURNING CONTENT`
-/// materialisation): nodes are deep-copied, atomics become text.
-pub fn sequence_to_document(seq: &[Item]) -> Document {
+/// materialisation): nodes are deep-copied, atomics become text. The
+/// reference the sink-mode evaluator is tested against.
+#[cfg(test)]
+fn sequence_to_document(seq: &[Item]) -> Document {
     let mut b = TreeBuilder::new();
     let mut prev_atomic = false;
     for item in seq {
@@ -170,40 +148,21 @@ pub fn sequence_to_document(seq: &[Item]) -> Document {
     b.finish_lenient()
 }
 
-/// Evaluate a full query against an optional input document (bound as the
-/// initial context item, like `XMLQuery(... PASSING doc)`).
-pub fn evaluate_query(q: &XQuery, input: Option<NodeHandle>) -> Result<Sequence, XqError> {
-    evaluate_query_with_vars(q, input, Vec::new())
+/// The materialising reference: evaluate the body to a sequence, build the
+/// `RETURNING CONTENT` document and serialize it. Sink-mode output through
+/// a `StreamWriter` must equal this byte for byte.
+#[cfg(test)]
+fn materialised_output(q: &XQuery, input: Option<NodeHandle>) -> Result<String, XqError> {
+    let mut env = query_env(q, input, Vec::new(), Guard::unlimited())?;
+    let seq = eval(&q.body, &mut env)?;
+    Ok(xsltdb_xml::to_string(&sequence_to_document(&seq)))
 }
 
-/// Like [`evaluate_query`], but every hot loop charges the supplied
-/// [`Guard`]. A trip surfaces as a stringly [`XqError`]; callers that need
-/// the structured [`GuardExceeded`] read it back via [`Guard::trip`].
-pub fn evaluate_query_guarded(
-    q: &XQuery,
-    input: Option<NodeHandle>,
-    guard: Guard,
-) -> Result<Sequence, XqError> {
-    evaluate_query_guarded_with_vars(q, input, Vec::new(), guard)
-}
-
-/// Guarded evaluation with externally bound variables.
-pub fn evaluate_query_guarded_with_vars(
-    q: &XQuery,
-    input: Option<NodeHandle>,
-    extra_vars: Vec<(String, Sequence)>,
-    guard: Guard,
-) -> Result<Sequence, XqError> {
-    let mut env = query_env(q, input, extra_vars, guard)?;
-    eval(&q.body, &mut env)
-}
-
-/// The prologue both query entry points share: fire the XQuery-tier fault
-/// point, set up the environment (the input as context item, the external
-/// variables) and bind the prolog variables. Prolog variables are
-/// re-inspection position by definition: their values are bound, not
-/// emitted — fresh trees they build spill later if a sink-mode body emits
-/// them.
+/// The query prologue: fire the XQuery-tier fault point, set up the
+/// environment (the input as context item, the external variables) and
+/// bind the prolog variables. Prolog variables are re-inspection position
+/// by definition: their values are bound, not emitted — fresh trees they
+/// build spill later if a sink-mode body emits them.
 fn query_env(
     q: &XQuery,
     input: Option<NodeHandle>,
@@ -232,30 +191,6 @@ fn query_env(
         env.vars.push((v.name.clone(), val));
     }
     Ok(env)
-}
-
-/// Evaluate with additional externally bound variables (used by index-
-/// assisted execution, which binds pre-probed node sequences).
-pub fn evaluate_query_with_vars(
-    q: &XQuery,
-    input: Option<NodeHandle>,
-    extra_vars: Vec<(String, Sequence)>,
-) -> Result<Sequence, XqError> {
-    evaluate_query_guarded_with_vars(q, input, extra_vars, Guard::unlimited())
-}
-
-/// Evaluate a standalone expression with a context item.
-pub fn evaluate_expr(e: &XqExpr, input: Option<NodeHandle>) -> Result<Sequence, XqError> {
-    let mut env = EvalEnv {
-        functions: HashMap::new(),
-        vars: Vec::new(),
-        ctx: input.map(Item::Node),
-        pos: 1,
-        size: 1,
-        depth: 0,
-        guard: Guard::unlimited(),
-    };
-    eval(e, &mut env)
 }
 
 pub(crate) struct EvalEnv<'q> {
@@ -1229,12 +1164,19 @@ fn emit(e: &XqExpr, env: &mut EvalEnv<'_>, em: &mut Emitter<'_>) -> Result<(), X
     }
 }
 
-/// Evaluate a full query straight into an [`XmlSink`]: the sink-mode twin
-/// of [`evaluate_query_guarded_with_vars`] + [`sequence_to_document`].
+/// Evaluate a full query straight into an [`XmlSink`] — the one way to run
+/// a query. `input` is bound as the initial context item (like
+/// `XMLQuery(... PASSING doc)`), `extra_vars` as external variables, and
+/// every hot loop charges `guard`: a trip surfaces as a stringly
+/// [`XqError`], and the structured [`GuardExceeded`] is read back via
+/// [`Guard::trip`]. The sink decides what the result is: a
+/// `StreamWriter` for bytes, a `TreeSink` for a document, a `TextSink`
+/// for its string value.
+///
 /// Constructors in emission position never materialise; spilled subtrees
 /// are counted in the returned [`SinkRun`]. The event stream is
 /// byte-identical (through a `StreamWriter`) to serializing the
-/// materialised evaluation — property-tested in `tests/prop_stream.rs`.
+/// materialised evaluation — property-tested in `eval::prop_stream`.
 pub fn evaluate_query_to_sink(
     q: &XQuery,
     input: Option<NodeHandle>,
@@ -1268,6 +1210,20 @@ pub(crate) mod internal {
 }
 
 #[cfg(test)]
+mod prop_stream;
+
+/// Run `src` over `xml` through [`evaluate_query_to_sink`] into a
+/// `StreamWriter`: the serialized result, or the evaluation error.
+#[cfg(test)]
+pub(crate) fn run_to_string(src: &str, xml: &str, guard: Guard) -> Result<String, XqError> {
+    let q = crate::parser::parse_query(src).unwrap();
+    let input = NodeHandle::document(xsltdb_xml::parse::parse(xml).unwrap());
+    let mut sw = xsltdb_xml::StreamWriter::new(Vec::new(), guard.clone());
+    evaluate_query_to_sink(&q, Some(input), Vec::new(), guard, &mut sw)?;
+    Ok(String::from_utf8(sw.finish().unwrap()).unwrap())
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse_query;
@@ -1277,9 +1233,7 @@ mod tests {
     }
 
     fn run(src: &str, xml: &str) -> String {
-        let q = parse_query(src).unwrap();
-        let seq = evaluate_query(&q, Some(input(xml))).unwrap();
-        serialize_sequence(&seq)
+        run_to_string(src, xml, Guard::unlimited()).unwrap()
     }
 
     #[test]
@@ -1334,9 +1288,8 @@ mod tests {
 
     #[test]
     fn recursive_function_detected() {
-        let q = parse_query("declare function local:f($n) { local:f($n) }; local:f(1)").unwrap();
-        let r = evaluate_query(&q, Some(input("<r/>")));
-        assert!(r.is_err());
+        let src = "declare function local:f($n) { local:f($n) }; local:f(1)";
+        assert!(run_to_string(src, "<r/>", Guard::unlimited()).is_err());
     }
 
     #[test]
@@ -1415,20 +1368,12 @@ mod tests {
     #[test]
     fn sequence_to_document_materialises() {
         let q = parse_query("(<a/>, 'x', <b/>)").unwrap();
-        let seq = evaluate_query(&q, Some(input("<r/>"))).unwrap();
-        let doc = sequence_to_document(&seq);
-        assert_eq!(xsltdb_xml::to_string(&doc), "<a/>x<b/>");
+        assert_eq!(materialised_output(&q, Some(input("<r/>"))).unwrap(), "<a/>x<b/>");
     }
 
     #[test]
     fn undefined_variable_is_error() {
-        let q = parse_query("$nope").unwrap();
-        assert!(evaluate_query(&q, Some(input("<r/>"))).is_err());
-    }
-
-    fn run_guarded(src: &str, xml: &str, guard: Guard) -> Result<Sequence, XqError> {
-        let q = parse_query(src).unwrap();
-        evaluate_query_guarded(&q, Some(input(xml)), guard)
+        assert!(run_to_string("$nope", "<r/>", Guard::unlimited()).is_err());
     }
 
     #[test]
@@ -1436,7 +1381,7 @@ mod tests {
         use xsltdb_xml::{Limits, Resource};
         let guard = Guard::new(Limits::UNLIMITED.with_fuel(40));
         let xml = "<r><a/><a/><a/><a/><a/><a/><a/><a/></r>";
-        let r = run_guarded(
+        let r = run_to_string(
             "for $x in /r/a for $y in /r/a return <p/>",
             xml,
             guard.clone(),
@@ -1452,7 +1397,7 @@ mod tests {
     fn guard_depth_trips_on_recursive_function() {
         use xsltdb_xml::{Limits, Resource};
         let guard = Guard::new(Limits::UNLIMITED.with_max_depth(8));
-        let r = run_guarded(
+        let r = run_to_string(
             "declare function local:f($n) { local:f($n) }; local:f(1)",
             "<r/>",
             guard.clone(),
@@ -1469,7 +1414,7 @@ mod tests {
         use xsltdb_xml::{Limits, Resource};
         let guard = Guard::new(Limits::UNLIMITED.with_deadline(Duration::from_secs(0)));
         std::thread::sleep(Duration::from_millis(2));
-        let r = run_guarded("for $x in /r/a return $x", "<r><a/></r>", guard.clone());
+        let r = run_to_string("for $x in /r/a return $x", "<r><a/></r>", guard.clone());
         assert!(r.is_err());
         let trip = guard.trip().expect("guard recorded the trip");
         assert_eq!(trip.resource, Resource::Deadline);
@@ -1480,7 +1425,7 @@ mod tests {
         use xsltdb_xml::{Limits, Resource};
         let guard = Guard::new(Limits::UNLIMITED.with_max_output_nodes(3));
         let xml = "<r><a/><a/><a/><a/><a/><a/></r>";
-        let r = run_guarded("for $x in /r/a return <p/>", xml, guard.clone());
+        let r = run_to_string("for $x in /r/a return <p/>", xml, guard.clone());
         assert!(r.is_err());
         let trip = guard.trip().expect("guard recorded the trip");
         assert_eq!(trip.resource, Resource::OutputNodes);
@@ -1489,22 +1434,22 @@ mod tests {
 
     #[test]
     fn guard_unlimited_keeps_queries_working() {
-        let seq = run_guarded(
+        let out = run_to_string(
             "for $e in /d/e return <o>{fn:string($e)}</o>",
             "<d><e>1</e><e>2</e></d>",
             Guard::unlimited(),
         )
         .unwrap();
-        assert_eq!(serialize_sequence(&seq), "<o>1</o><o>2</o>");
+        assert_eq!(out, "<o>1</o><o>2</o>");
     }
 
     #[test]
     fn injected_xquery_fault_errors_once() {
         let guard = Guard::unlimited().with_fault(FaultPoint::XQueryExec, FaultKind::Error);
-        let err = run_guarded("1", "<r/>", guard.clone()).unwrap_err();
+        let err = run_to_string("1", "<r/>", guard.clone()).unwrap_err();
         assert!(err.0.contains("injected fault"), "unexpected: {}", err.0);
         // One-shot: the same guard succeeds on retry.
-        assert!(run_guarded("1", "<r/>", guard).is_ok());
+        assert!(run_to_string("1", "<r/>", guard).is_ok());
     }
 
     /// Sink-mode evaluation through a StreamWriter, plus the materialised
@@ -1517,8 +1462,7 @@ mod tests {
             evaluate_query_to_sink(&q, Some(in_doc.clone()), Vec::new(), Guard::unlimited(), &mut sw)
                 .unwrap();
         let streamed = String::from_utf8(sw.finish().unwrap()).unwrap();
-        let seq = evaluate_query(&q, Some(in_doc)).unwrap();
-        let reference = xsltdb_xml::to_string(&sequence_to_document(&seq));
+        let reference = materialised_output(&q, Some(in_doc)).unwrap();
         (streamed, reference, sink_run)
     }
 

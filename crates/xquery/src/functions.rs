@@ -2,7 +2,7 @@
 
 use crate::ast::XqExpr;
 use crate::eval::internal::{ebv, eval, EvalEnv, Item, Sequence, XqError};
-use xsltdb_xpath::value::{num_to_string, str_to_num};
+use xsltdb_xpath::value::str_to_num;
 
 pub(crate) fn call_builtin(
     name: &str,
@@ -319,20 +319,13 @@ impl RemoveFirst for Vec<Sequence> {
     }
 }
 
-/// Format a number with the shared XPath/XQuery rules.
-pub fn format_number(n: f64) -> String {
-    num_to_string(n)
-}
-
 #[cfg(test)]
 mod tests {
-    use crate::eval::{evaluate_query, serialize_sequence, NodeHandle};
-    use crate::parser::parse_query;
+    use crate::eval::run_to_string;
+    use xsltdb_xml::Guard;
 
     fn run(src: &str, xml: &str) -> String {
-        let q = parse_query(src).unwrap();
-        let input = NodeHandle::document(xsltdb_xml::parse::parse(xml).unwrap());
-        serialize_sequence(&evaluate_query(&q, Some(input)).unwrap())
+        run_to_string(src, xml, Guard::unlimited()).unwrap()
     }
 
     #[test]
@@ -394,8 +387,6 @@ mod tests {
 
     #[test]
     fn unknown_function_is_error() {
-        let q = parse_query("fn:bogus(1)").unwrap();
-        let input = NodeHandle::document(xsltdb_xml::parse::parse("<r/>").unwrap());
-        assert!(evaluate_query(&q, Some(input)).is_err());
+        assert!(run_to_string("fn:bogus(1)", "<r/>", Guard::unlimited()).is_err());
     }
 }

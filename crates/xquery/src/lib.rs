@@ -11,13 +11,19 @@
 //! ([`typing`]) used when a transformation consumes the output of another
 //! query (paper Example 2).
 //!
+//! There is one way to run a query, [`evaluate_query_to_sink`]; the sink
+//! decides whether the result is bytes, a document or a string value.
+//!
 //! ```
-//! use xsltdb_xquery::{parse_query, evaluate_query, serialize_sequence, NodeHandle};
+//! use xsltdb_xml::{Guard, StreamWriter};
+//! use xsltdb_xquery::{parse_query, evaluate_query_to_sink, NodeHandle};
 //!
 //! let q = parse_query("for $e in /dept/emp where $e/sal > 2000 return <hi>{fn:string($e/sal)}</hi>").unwrap();
 //! let doc = xsltdb_xml::parse::parse("<dept><emp><sal>2450</sal></emp><emp><sal>1300</sal></emp></dept>").unwrap();
-//! let out = evaluate_query(&q, Some(NodeHandle::document(doc))).unwrap();
-//! assert_eq!(serialize_sequence(&out), "<hi>2450</hi>");
+//! let mut out = StreamWriter::new(Vec::new(), Guard::unlimited());
+//! evaluate_query_to_sink(&q, Some(NodeHandle::document(doc)), Vec::new(), Guard::unlimited(), &mut out)
+//!     .unwrap();
+//! assert_eq!(out.finish().unwrap(), b"<hi>2450</hi>");
 //! ```
 
 pub mod ast;
@@ -33,10 +39,6 @@ pub use ast::{
     XQuery, XqExpr, XqStep,
 };
 pub use emission::{analyze_expr, analyze_query, EmissionReport};
-pub use eval::{
-    ebv, evaluate_expr, evaluate_query, evaluate_query_guarded, evaluate_query_guarded_with_vars,
-    evaluate_query_to_sink, evaluate_query_with_vars, sequence_to_document,
-    serialize_sequence, Item, NodeHandle, Sequence, SinkRun, XqError,
-};
+pub use eval::{evaluate_query_to_sink, Item, NodeHandle, Sequence, SinkRun, XqError};
 pub use parser::{parse_expr as parse_xq_expr, parse_query, XqParseError};
 pub use pretty::{pretty, pretty_query};

@@ -1,20 +1,24 @@
 //! XQuery-subset conformance battery: constructor semantics, FLWOR corner
 //! cases, comparison rules and error behaviour beyond the unit tests.
 
-use xsltdb_xquery::{evaluate_query, parse_query, serialize_sequence, NodeHandle};
+use xsltdb_xml::{Guard, StreamWriter};
+use xsltdb_xquery::{evaluate_query_to_sink, parse_query, NodeHandle, XqError};
 
-fn run(src: &str, xml: &str) -> String {
+/// Run `src` over `xml` through the one entry point into a `StreamWriter`.
+fn eval(src: &str, xml: &str) -> Result<String, XqError> {
     let q = parse_query(src).unwrap_or_else(|e| panic!("parse failed for {src}: {e}"));
     let input = NodeHandle::document(xsltdb_xml::parse::parse(xml).unwrap());
-    let seq = evaluate_query(&q, Some(input))
-        .unwrap_or_else(|e| panic!("eval failed for {src}: {e}"));
-    serialize_sequence(&seq)
+    let mut out = StreamWriter::new(Vec::new(), Guard::unlimited());
+    evaluate_query_to_sink(&q, Some(input), Vec::new(), Guard::unlimited(), &mut out)?;
+    Ok(String::from_utf8(out.finish().unwrap()).unwrap())
+}
+
+fn run(src: &str, xml: &str) -> String {
+    eval(src, xml).unwrap_or_else(|e| panic!("eval failed for {src}: {e}"))
 }
 
 fn run_err(src: &str, xml: &str) -> String {
-    let q = parse_query(src).unwrap();
-    let input = NodeHandle::document(xsltdb_xml::parse::parse(xml).unwrap());
-    evaluate_query(&q, Some(input)).unwrap_err().to_string()
+    eval(src, xml).unwrap_err().to_string()
 }
 
 #[test]

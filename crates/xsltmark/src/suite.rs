@@ -8,8 +8,8 @@ use xsltdb::plancache::SharedPlanCache;
 use xsltdb::xqgen::{rewrite, RewriteMode, RewriteOptions};
 use xsltdb::Guard;
 use xsltdb_relstore::ExecStats;
-use xsltdb_xml::{parse_trimmed, to_string};
-use xsltdb_xquery::{evaluate_query, sequence_to_document, NodeHandle};
+use xsltdb_xml::{parse_trimmed, to_string, StreamWriter};
+use xsltdb_xquery::{evaluate_query_to_sink, NodeHandle};
 use xsltdb_xslt::{compile_str, transform};
 
 /// Outcome of one case under the rewrite.
@@ -83,10 +83,19 @@ pub fn run_case(case: &Case, rows: usize, seed: u64) -> CaseRun {
     match rewrite(&sheet, &info, &RewriteOptions::default()) {
         Ok(outcome) => {
             let input = NodeHandle::document(doc);
-            match evaluate_query(&outcome.query, Some(input)) {
-                Ok(seq) => {
-                    let got = to_string(&sequence_to_document(&seq));
-                    let matches = got == expected;
+            let mut out = StreamWriter::new(Vec::new(), Guard::unlimited());
+            let evaluated = evaluate_query_to_sink(
+                &outcome.query,
+                Some(input),
+                Vec::new(),
+                Guard::unlimited(),
+                &mut out,
+            )
+            .map_err(|e| e.to_string())
+            .and_then(|_| out.finish().map_err(|e| e.to_string()));
+            match evaluated {
+                Ok(got) => {
+                    let matches = got == expected.as_bytes();
                     CaseRun {
                         name: case.name,
                         mode: Some(outcome.mode),

@@ -9,11 +9,10 @@
 //!
 //! Run with: `cargo run --example schema_evolution`
 
-use std::rc::Rc;
 use xsltdb::xqgen::{rewrite, RewriteOptions};
 use xsltdb_structinfo::{struct_of_dtd, struct_of_xsd};
-use xsltdb_xml::{parse_trimmed, to_string, NodeId};
-use xsltdb_xquery::{evaluate_query, pretty_query, sequence_to_document, NodeHandle};
+use xsltdb_xml::{parse_trimmed, to_string, Guard, StreamWriter};
+use xsltdb_xquery::{evaluate_query_to_sink, pretty_query, NodeHandle};
 use xsltdb_xslt::compile_str;
 
 const STYLESHEET: &str = r#"<xsl:stylesheet version="1.0"
@@ -87,8 +86,11 @@ fn main() {
         ),
     ] {
         let doc = parse_trimmed(doc_text).expect("document parses");
-        let input = NodeHandle::new(Rc::new(doc), NodeId::DOCUMENT);
-        let seq = evaluate_query(query, Some(input)).expect("query runs");
-        println!("{label}: {}", to_string(&sequence_to_document(&seq)));
+        let mut out = StreamWriter::new(Vec::new(), Guard::unlimited());
+        let input = Some(NodeHandle::document(doc));
+        evaluate_query_to_sink(query, input, Vec::new(), Guard::unlimited(), &mut out)
+            .expect("query runs");
+        let bytes = out.finish().expect("output closes");
+        println!("{label}: {}", String::from_utf8_lossy(&bytes));
     }
 }

@@ -6,11 +6,10 @@
 //! Run with: `cargo run --example xsltmark_explorer [case-name]`
 //! (default case: `dbonerow`; pass `--list` to see all forty).
 
-use std::rc::Rc;
 use xsltdb::pipeline::{plan_transform, Tier};
 use xsltdb::xqgen::{rewrite, RewriteOptions};
-use xsltdb_xml::{parse_trimmed, to_string, NodeId};
-use xsltdb_xquery::{evaluate_query, pretty_query, sequence_to_document, NodeHandle};
+use xsltdb_xml::{parse_trimmed, to_string, Guard, StreamWriter};
+use xsltdb_xquery::{evaluate_query_to_sink, pretty_query, NodeHandle};
 use xsltdb_xslt::{compile_str, transform};
 use xsltdb_xsltmark::{all_cases, case, db_catalog, db_struct_info, db_xml};
 
@@ -43,10 +42,20 @@ fn main() {
 
             let doc = parse_trimmed(&db_xml(8, 0xDB)).expect("doc parses");
             let expected = to_string(&transform(&sheet, &doc).expect("VM runs"));
-            let input = NodeHandle::new(Rc::new(doc), NodeId::DOCUMENT);
-            match evaluate_query(&outcome.query, Some(input)) {
-                Ok(seq) => {
-                    let got = to_string(&sequence_to_document(&seq));
+            let mut out = StreamWriter::new(Vec::new(), Guard::unlimited());
+            let input = Some(NodeHandle::document(doc));
+            let evaluated = evaluate_query_to_sink(
+                &outcome.query,
+                input,
+                Vec::new(),
+                Guard::unlimited(),
+                &mut out,
+            )
+            .map_err(|e| e.to_string())
+            .and_then(|_| out.finish().map_err(|e| e.to_string()));
+            match evaluated {
+                Ok(bytes) => {
+                    let got = String::from_utf8_lossy(&bytes);
                     println!("--- output over an 8-row db document ---\n{got}\n");
                     println!("matches the XSLTVM output: {}", got == expected);
                 }

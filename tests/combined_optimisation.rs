@@ -12,8 +12,8 @@ use xsltdb_relstore::exec::Conjunction;
 use xsltdb_relstore::pubexpr::{AggPredTerm, PubExpr, SqlXmlQuery};
 use xsltdb_relstore::{Catalog, ColType, Datum, ExecStats, Table, XmlView};
 use xsltdb_structinfo::struct_of_view;
-use xsltdb_xml::to_string;
-use xsltdb_xquery::{evaluate_query, parse_query, sequence_to_document, NodeHandle};
+use xsltdb_xml::{to_string, Guard, StreamWriter};
+use xsltdb_xquery::{evaluate_query_to_sink, parse_query, NodeHandle};
 use xsltdb_xslt::compile_str;
 
 fn paper_catalog() -> Catalog {
@@ -154,8 +154,10 @@ fn composed_sql_matches_query_over_materialized_xslt_view() {
     let user_q = parse_query(USER_QUERY).unwrap();
     let mut expected = Vec::new();
     for doc in xslt_out.documents {
-        let seq = evaluate_query(&user_q, Some(NodeHandle::document(doc))).unwrap();
-        expected.push(to_string(&sequence_to_document(&seq)));
+        let mut out = StreamWriter::new(Vec::new(), Guard::unlimited());
+        let input = Some(NodeHandle::document(doc));
+        evaluate_query_to_sink(&user_q, input, Vec::new(), Guard::unlimited(), &mut out).unwrap();
+        expected.push(String::from_utf8(out.finish().unwrap()).unwrap());
     }
 
     // Optimised: compose and run as SQL.

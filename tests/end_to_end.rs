@@ -9,8 +9,8 @@ use xsltdb_relstore::exec::Conjunction;
 use xsltdb_relstore::pubexpr::{AggPredTerm, PubExpr, SqlXmlQuery};
 use xsltdb_relstore::{Catalog, ColType, Datum, ExecStats, Table, XmlView};
 use xsltdb_structinfo::struct_of_view;
-use xsltdb_xml::to_string;
-use xsltdb_xquery::{evaluate_query, sequence_to_document, NodeHandle};
+use xsltdb_xml::{to_string, Guard, StreamWriter};
+use xsltdb_xquery::{evaluate_query_to_sink, NodeHandle};
 use xsltdb_xslt::compile_str;
 
 /// Tables 1 and 2.
@@ -194,10 +194,12 @@ fn rewritten_xquery_equals_baseline_output() {
     let baseline = no_rewrite_transform(&catalog, &view, &sheet, &stats).unwrap();
     let docs = view.materialize(&catalog, &stats).unwrap();
     for (doc, expected) in docs.into_iter().zip(&baseline.documents) {
-        let seq = evaluate_query(&outcome.query, Some(NodeHandle::document(doc))).unwrap();
-        let got = sequence_to_document(&seq);
+        let mut out = StreamWriter::new(Vec::new(), Guard::unlimited());
+        let input = Some(NodeHandle::document(doc));
+        evaluate_query_to_sink(&outcome.query, input, Vec::new(), Guard::unlimited(), &mut out)
+            .unwrap();
         assert_eq!(
-            to_string(&got),
+            String::from_utf8(out.finish().unwrap()).unwrap(),
             to_string(expected),
             "rewritten XQuery must match the functional evaluation"
         );

@@ -16,7 +16,8 @@ use xsltdb::{
 use xsltdb_relstore::exec::Conjunction;
 use xsltdb_relstore::pubexpr::{PubExpr, SqlXmlQuery};
 use xsltdb_relstore::{Catalog, ColType, Datum, ExecStats, Table, XmlView};
-use xsltdb_xquery::{evaluate_query_guarded, parse_query, NodeHandle};
+use xsltdb_xml::StreamWriter;
+use xsltdb_xquery::{evaluate_query_to_sink, parse_query, NodeHandle};
 
 fn setup() -> (Catalog, XmlView) {
     let mut t = Table::new("t", &[("v", ColType::Int)]);
@@ -138,7 +139,9 @@ fn unbounded_flwor_expansion_trips_fuel() {
     .unwrap();
     let doc = xsltdb_xml::parse_xml("<r/>").unwrap();
     let guard = Guard::new(Limits::UNLIMITED.with_fuel(200));
-    let r = evaluate_query_guarded(&q, Some(NodeHandle::document(doc)), guard.clone());
+    let mut out = StreamWriter::new(Vec::new(), guard.clone());
+    let input = Some(NodeHandle::document(doc));
+    let r = evaluate_query_to_sink(&q, input, Vec::new(), guard.clone(), &mut out);
     assert!(r.is_err(), "runaway FLWOR must terminate with an error");
     assert_eq!(guard.trip().unwrap().resource, Resource::Fuel);
 }

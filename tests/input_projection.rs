@@ -182,6 +182,22 @@ fn adversarial() -> Vec<(&'static str, String, &'static str)> {
             "full",
         ),
         ("..", value_sheet("row[2]/zip/../id"), "full"),
+        // The trace never witnesses a sibling selection: the `row`
+        // template must survive §3.7 in function mode…
+        (
+            "apply-templates following-sibling::row",
+            rows_sheet("row[1]/following-sibling::row[1]"),
+            "full",
+        ),
+        // …and an inline site under a sibling for-each must not trace `()`.
+        (
+            "for-each following-sibling::row",
+            sheet(
+                r#"<xsl:template match="table"><o><xsl:for-each select="row[1]/following-sibling::row[1]"><xsl:apply-templates select="."/></xsl:for-each></o></xsl:template>
+                   <xsl:template match="row"><r><xsl:value-of select="id"/></r></xsl:template>"#,
+            ),
+            "full",
+        ),
     ]
 }
 
@@ -377,7 +393,8 @@ fn attributes_and_mixed_content_project_soundly() {
 #[test]
 fn hand_written_queries_read_the_same_from_the_projected_view() {
     use xsltdb::projection::Projection;
-    use xsltdb_xquery::{evaluate_query, parse_query, sequence_to_document, NodeHandle};
+    use xsltdb_xml::{Guard, StreamWriter};
+    use xsltdb_xquery::{evaluate_query_to_sink, parse_query, NodeHandle};
     let (catalog, view) = db_catalog(5, 0xAD);
     let info = xsltdb_structinfo::canonicalize_view(&view)
         .canonical
@@ -411,8 +428,11 @@ fn hand_written_queries_read_the_same_from_the_projected_view() {
             .materialize(&catalog, &ExecStats::new())
             .unwrap();
         let run = |doc: &xsltdb_xml::Document| {
-            let seq = evaluate_query(&query, Some(NodeHandle::document(doc.clone()))).unwrap();
-            to_string(&sequence_to_document(&seq))
+            let mut out = StreamWriter::new(Vec::new(), Guard::unlimited());
+            let input = Some(NodeHandle::document(doc.clone()));
+            evaluate_query_to_sink(&query, input, Vec::new(), Guard::unlimited(), &mut out)
+                .unwrap();
+            out.finish().unwrap()
         };
         assert_eq!(run(&pruned[0]), run(&full[0]), "{src}");
     }

@@ -6,8 +6,8 @@ use proptest::prelude::*;
 use std::rc::Rc;
 use xsltdb::xqgen::{rewrite, RewriteOptions};
 use xsltdb_structinfo::{struct_of_dtd, StructInfo};
-use xsltdb_xml::{parse_trimmed, to_string, NodeId};
-use xsltdb_xquery::{evaluate_query, sequence_to_document, NodeHandle};
+use xsltdb_xml::{parse_trimmed, to_string, Guard, NodeId, StreamWriter};
+use xsltdb_xquery::{evaluate_query_to_sink, NodeHandle};
 use xsltdb_xslt::{compile_str, transform};
 
 const DEPT_DTD: &str = r#"
@@ -65,8 +65,10 @@ fn check_equivalence(doc_text: &str, stylesheet: &str, info: &StructInfo) {
     let expected = to_string(&transform(&sheet, &doc).unwrap());
     let outcome = rewrite(&sheet, info, &RewriteOptions::default()).unwrap();
     let input = NodeHandle::new(Rc::new(doc), NodeId::DOCUMENT);
-    let seq = evaluate_query(&outcome.query, Some(input)).unwrap();
-    let got = to_string(&sequence_to_document(&seq));
+    let mut out = StreamWriter::new(Vec::new(), Guard::unlimited());
+    evaluate_query_to_sink(&outcome.query, Some(input), Vec::new(), Guard::unlimited(), &mut out)
+        .unwrap();
+    let got = String::from_utf8(out.finish().unwrap()).unwrap();
     assert_eq!(
         got,
         expected,

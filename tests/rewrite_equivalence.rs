@@ -3,11 +3,10 @@
 //! translation) must byte-for-byte match the functional XSLTVM evaluation.
 //! Structural information comes from a DTD, exercising §3.2 bullet 1.
 
-use std::rc::Rc;
 use xsltdb::xqgen::{rewrite, rewrite_straightforward, RewriteMode, RewriteOptions};
 use xsltdb_structinfo::{struct_of_dtd, StructInfo};
-use xsltdb_xml::{parse_trimmed, to_string, NodeId};
-use xsltdb_xquery::{evaluate_query, sequence_to_document, NodeHandle};
+use xsltdb_xml::{parse_trimmed, to_string, Document, Guard, StreamWriter};
+use xsltdb_xquery::{evaluate_query_to_sink, NodeHandle, XQuery};
 use xsltdb_xslt::{compile_str, transform};
 
 const DEPT_DTD: &str = r#"
@@ -37,6 +36,16 @@ fn dept_info() -> StructInfo {
     struct_of_dtd(DEPT_DTD, "dept").unwrap()
 }
 
+/// Run a rewritten query over `doc` the way the XQuery tier does: through
+/// `evaluate_query_to_sink` into a `StreamWriter`.
+fn run_query(q: &XQuery, doc: Document) -> Result<String, String> {
+    let mut out = StreamWriter::new(Vec::new(), Guard::unlimited());
+    let input = Some(NodeHandle::document(doc));
+    evaluate_query_to_sink(q, input, Vec::new(), Guard::unlimited(), &mut out)
+        .map_err(|e| e.to_string())?;
+    Ok(String::from_utf8(out.finish().map_err(|e| e.to_string())?).unwrap())
+}
+
 /// Assert the inline rewrite output equals the VM output; returns the mode.
 fn assert_equivalent(body: &str, doc_text: &str, info: &StructInfo) -> RewriteMode {
     let sheet = compile_str(&wrap(body)).unwrap();
@@ -45,14 +54,12 @@ fn assert_equivalent(body: &str, doc_text: &str, info: &StructInfo) -> RewriteMo
 
     let outcome = rewrite(&sheet, info, &RewriteOptions::default())
         .unwrap_or_else(|e| panic!("rewrite failed for:\n{body}\n{e}"));
-    let input = NodeHandle::new(Rc::new(doc.clone()), NodeId::DOCUMENT);
-    let seq = evaluate_query(&outcome.query, Some(input)).unwrap_or_else(|e| {
+    let got = run_query(&outcome.query, doc.clone()).unwrap_or_else(|e| {
         panic!(
             "evaluation failed for:\n{}\n{e}",
             xsltdb_xquery::pretty_query(&outcome.query)
         )
     });
-    let got = to_string(&sequence_to_document(&seq));
     assert_eq!(
         got,
         expected,
@@ -62,14 +69,12 @@ fn assert_equivalent(body: &str, doc_text: &str, info: &StructInfo) -> RewriteMo
 
     // The straightforward translation must agree too.
     let sf = rewrite_straightforward(&sheet).unwrap();
-    let input = NodeHandle::new(Rc::new(doc), NodeId::DOCUMENT);
-    let seq = evaluate_query(&sf.query, Some(input)).unwrap_or_else(|e| {
+    let got = run_query(&sf.query, doc).unwrap_or_else(|e| {
         panic!(
             "straightforward evaluation failed for:\n{}\n{e}",
             xsltdb_xquery::pretty_query(&sf.query)
         )
     });
-    let got = to_string(&sequence_to_document(&seq));
     assert_eq!(got, expected, "straightforward output differs for:\n{body}");
 
     outcome.mode
@@ -334,9 +339,7 @@ fn recursive_stylesheet_falls_back_but_matches() {
     let expected = to_string(&transform(&sheet, &doc).unwrap());
     let outcome = rewrite(&sheet, &dept_info(), &RewriteOptions::default()).unwrap();
     assert_ne!(outcome.mode, RewriteMode::Inline);
-    let input = NodeHandle::new(Rc::new(doc), NodeId::DOCUMENT);
-    let seq = evaluate_query(&outcome.query, Some(input)).unwrap();
-    assert_eq!(to_string(&sequence_to_document(&seq)), expected);
+    assert_eq!(run_query(&outcome.query, doc).unwrap(), expected);
 }
 
 #[test]
@@ -462,8 +465,6 @@ fn multiple_docs_same_query() {
         body.push_str("</employees></dept>");
         let doc = parse_trimmed(&body).unwrap();
         let expected = to_string(&transform(&sheet, &doc).unwrap());
-        let input = NodeHandle::new(Rc::new(doc), NodeId::DOCUMENT);
-        let seq = evaluate_query(&outcome.query, Some(input)).unwrap();
-        assert_eq!(to_string(&sequence_to_document(&seq)), expected);
+        assert_eq!(run_query(&outcome.query, doc).unwrap(), expected);
     }
 }
