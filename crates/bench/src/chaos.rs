@@ -33,7 +33,7 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError, RwLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use xsltdb::pipeline::{plan_bound, Tier};
 use xsltdb::xqgen::RewriteOptions;
 use xsltdb::{FaultKind, FaultPoint, Guard, Limits};
@@ -208,8 +208,6 @@ pub struct ChaosReport {
     pub stale_serves: u64,
     /// Catalog mutations the churn writers landed (0 without churn).
     pub writer_mutations: u64,
-    /// Wall-clock latency of every served request, microseconds.
-    pub latencies_us: Vec<u64>,
     /// Front-door counters at the end of the run.
     pub stats: FrontDoorStats,
     /// Buffer-pool counters at the end of the run, when the serving
@@ -220,30 +218,9 @@ pub struct ChaosReport {
     /// reservations and (in a paged run) the buffer pool held zero pinned
     /// frames.
     pub quiesced: bool,
-    /// Wall-clock of the whole run, microseconds.
-    pub wall_us: u64,
 }
 
 impl ChaosReport {
-    /// Fraction of requests shed at the door.
-    pub fn shed_rate(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.shed as f64 / self.total as f64
-        }
-    }
-
-    /// Fraction of lookups the transform-result cache answered.
-    pub fn result_hit_rate(&self) -> f64 {
-        let lookups = self.stats.result_hits + self.stats.result_misses;
-        if lookups == 0 {
-            0.0
-        } else {
-            self.stats.result_hits as f64 / lookups as f64
-        }
-    }
-
     /// The invariants the chaos suite (and CI) hold this run to.
     pub fn holds(&self) -> bool {
         self.mismatches == 0
@@ -256,7 +233,7 @@ impl ChaosReport {
 
 /// Fresh single-threaded reference output for every case: one plan, one
 /// unlimited guard, no cache, no concurrency.
-pub fn reference_outputs(catalog: &Catalog, view: &XmlView) -> Vec<Vec<u8>> {
+fn reference_outputs(catalog: &Catalog, view: &XmlView) -> Vec<Vec<u8>> {
     let opts = RewriteOptions::default();
     all_cases()
         .iter()
@@ -341,7 +318,6 @@ fn apply_churn(cat: &mut Catalog, writer: usize, tick: u64, r: u64) {
 
 /// Run the chaos schedule and aggregate the verdict.
 pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
-    let started = Instant::now();
     let (catalog, view) = if cfg.pool_frames > 0 {
         db_catalog_paged(cfg.rows, cfg.seed, cfg.pool_frames)
     } else {
@@ -384,7 +360,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     let writer_mutations = AtomicU64::new(0);
     let readers_done = AtomicUsize::new(0);
     let first_mismatch: Mutex<Option<String>> = Mutex::new(None);
-    let latencies: Mutex<Vec<u64>> = Mutex::new(Vec::new());
 
     std::thread::scope(|s| {
         for writer in 0..cfg.churn_writers {
@@ -437,7 +412,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
             let guard_trip_retries = &guard_trip_retries;
             let guard_trips = &guard_trips;
             let first_mismatch = &first_mismatch;
-            let latencies = &latencies;
             let cfg = *cfg;
             std::thread::Builder::new()
                 .stack_size(CHAOS_STACK)
@@ -452,7 +426,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
                     }
                     let _done = DoneTick(readers_done);
                     let opts = RewriteOptions::default();
-                    let mut local_lat = Vec::with_capacity(cfg.requests_per_client);
                     for request in 0..cfg.requests_per_client {
                         let case_idx =
                             (client * cfg.requests_per_client + request) % cases.len();
@@ -462,7 +435,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
                         } else {
                             Chaos::None
                         };
-                        let t0 = Instant::now();
                         // The catalog read lock pins the data for the whole
                         // request: the served bytes and (under churn) the
                         // fresh differential below see the same state.
@@ -520,7 +492,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
                         );
                         match result {
                             Ok(out) => {
-                                local_lat.push(t0.elapsed().as_micros() as u64);
                                 if chaos == Chaos::TripBudget {
                                     // A 2-byte budget must trip on every
                                     // case in the suite; success means the
@@ -592,10 +563,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
                             }
                         }
                     }
-                    latencies
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .extend(local_lat);
                 })
                 .expect("spawn chaos client");
         }
@@ -617,10 +584,8 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
         guard_trips: guard_trips.into_inner(),
         stale_serves: stale_serves.into_inner(),
         writer_mutations: writer_mutations.into_inner(),
-        latencies_us: latencies.into_inner().unwrap_or_else(|e| e.into_inner()),
         stats: door.stats(),
         pool,
         quiesced,
-        wall_us: started.elapsed().as_micros() as u64,
     }
 }

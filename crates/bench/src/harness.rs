@@ -5,8 +5,7 @@
 
 use std::sync::Arc;
 use std::time::Instant;
-use xsltdb::pipeline::{no_rewrite_transform, plan_cached_shared, plan_compiled, BoundPlan, Tier};
-use xsltdb::plancache::SharedPlanCache;
+use xsltdb::pipeline::{no_rewrite_transform, plan_compiled, BoundPlan, Tier};
 use xsltdb::xqgen::RewriteOptions;
 use xsltdb_relstore::{Catalog, ExecStats, StatsSnapshot, XmlView};
 use xsltdb_xml::Document;
@@ -15,18 +14,15 @@ use xsltdb_xsltmark::{case, db_catalog, dbonerow_stylesheet, existing_id};
 
 /// A prepared workload: the relational backing plus the two plans.
 pub struct Workload {
-    pub name: String,
-    pub rows: usize,
     pub catalog: Catalog,
     pub view: XmlView,
-    pub stylesheet_src: String,
     pub sheet: Stylesheet,
     pub bound: BoundPlan,
 }
 
 impl Workload {
     /// Build a workload from a stylesheet over the db view at `rows`.
-    pub fn new(name: &str, rows: usize, stylesheet: &str) -> Workload {
+    fn new(rows: usize, stylesheet: &str) -> Workload {
         let (catalog, view) = db_catalog(rows, 0xDB);
         let sheet = compile_str(stylesheet).expect("stylesheet compiles");
         let plan = Arc::new(
@@ -34,25 +30,17 @@ impl Workload {
                 .expect("planning succeeds"),
         );
         let bound = plan.bind(&view, &catalog).expect("binding succeeds");
-        Workload {
-            name: name.to_string(),
-            rows,
-            catalog,
-            view,
-            stylesheet_src: stylesheet.to_string(),
-            sheet,
-            bound,
-        }
+        Workload { catalog, view, sheet, bound }
     }
 
     /// The `dbonerow` workload of Figure 2 at a given row count.
     pub fn dbonerow(rows: usize) -> Workload {
-        Workload::new("dbonerow", rows, &dbonerow_stylesheet(existing_id(rows)))
+        Workload::new(rows, &dbonerow_stylesheet(existing_id(rows)))
     }
 
     /// One of the named XSLTMark cases (Figure 3) at a given row count.
     pub fn xsltmark(name: &str, rows: usize) -> Workload {
-        Workload::new(name, rows, &case(name).stylesheet)
+        Workload::new(rows, &case(name).stylesheet)
     }
 
     /// Execute the rewrite path once; returns the documents and counters.
@@ -68,19 +56,6 @@ impl Workload {
         let run = no_rewrite_transform(&self.catalog, &self.view, &self.sheet, &stats)
             .expect("baseline runs");
         (run.documents, stats.snapshot())
-    }
-
-    /// The prepared plan for this workload, bound to its view, through
-    /// `cache` (planning only on a miss).
-    pub fn plan_cached_shared(&self, cache: &SharedPlanCache) -> BoundPlan {
-        plan_cached_shared(
-            cache,
-            &self.catalog,
-            &self.view,
-            &self.stylesheet_src,
-            &RewriteOptions::default(),
-        )
-        .expect("planning succeeds")
     }
 
     pub fn tier(&self) -> Tier {
@@ -136,38 +111,6 @@ mod tests {
             let bls: Vec<String> = bl.iter().map(xsltdb_xml::to_string).collect();
             assert_eq!(rws, bls, "{name} rewrite disagrees with baseline");
         }
-    }
-
-    fn render(docs: &[Document]) -> Vec<String> {
-        docs.iter().map(xsltdb_xml::to_string).collect()
-    }
-
-    #[test]
-    fn cached_and_uncached_calls_agree() {
-        let w = Workload::dbonerow(100);
-        let cache = SharedPlanCache::default();
-        // The workload's own plan was built without a cache.
-        let (uncached, _) = w.run_rewrite();
-        for _ in 0..3 {
-            let cached = w.plan_cached_shared(&cache).execute(&w.catalog, &ExecStats::new());
-            assert_eq!(render(&cached.unwrap()), render(&uncached));
-        }
-        let snap = cache.stats();
-        assert_eq!((snap.hits, snap.misses), (2, 1));
-    }
-
-    #[test]
-    fn shared_cached_calls_agree_with_exclusive_ones() {
-        let w = Workload::dbonerow(100);
-        let shared = SharedPlanCache::default();
-        let exclusive = SharedPlanCache::with_shards(xsltdb::DEFAULT_PLAN_CACHE_BYTES, 1);
-        let expected = w.plan_cached_shared(&exclusive).execute(&w.catalog, &ExecStats::new());
-        let expected = render(&expected.unwrap());
-        for _ in 0..3 {
-            let docs = w.plan_cached_shared(&shared).execute(&w.catalog, &ExecStats::new());
-            assert_eq!(render(&docs.unwrap()), expected);
-        }
-        assert_eq!((shared.stats().hits, shared.stats().misses), (2, 1));
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Acceptance tests for the serving front door under chaos.
 //!
-//! These drive the same harness as `serve_report` and pin the PR's
-//! contract: at 8 concurrent clients with faults injected at every
-//! lattice edge, every admitted-and-served request is byte-identical to
-//! the fresh single-threaded result, shed requests get typed rejections,
-//! guard trips are never retried, and the global ledger returns to zero
-//! reservations once the fleet quiesces.
+//! These drive the chaos harness (`xsltdb_bench::run_chaos`) and pin the
+//! front door's contract: at 8 concurrent clients with faults injected at
+//! every lattice edge, every admitted-and-served request is byte-identical
+//! to the fresh single-threaded result, shed requests get typed
+//! rejections, guard trips are never retried, and the global ledger
+//! returns to zero reservations once the fleet quiesces. The same
+//! contract under DML/DDL churn is `tests/result_cache_churn.rs`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;

@@ -12,7 +12,8 @@
 //! All integers are big-endian. `status` is [`Status`]: `Ok` bodies are
 //! the complete transform output (never partial — a failed attempt's
 //! bytes are discarded before the response is framed); `Rejected` and
-//! `Error` bodies are UTF-8 diagnostics.
+//! `Error` bodies are UTF-8 diagnostics. No frame exceeds [`MAX_FRAME`]
+//! bytes of body: a larger response goes out as an `Error` naming its size.
 //!
 //! Every frame leaves in one `write` where it can. Split across writes, a
 //! small frame's tail waits for the peer to ACK its head (Nagle), and the
@@ -134,8 +135,17 @@ pub fn write_request(w: &mut dyn Write, req: &Request) -> io::Result<()> {
 }
 
 /// Write one response frame: one write up to [`COALESCE_LIMIT`] bytes of
-/// body, the 5-byte header then the uncopied body above it.
+/// body, the 5-byte header then the uncopied body above it. A body over
+/// [`MAX_FRAME`], which [`read_response`] would refuse, is replaced by an
+/// `Error` frame that names its size.
 pub fn write_frame(w: &mut dyn Write, resp: &Response) -> io::Result<()> {
+    if resp.body.len() > MAX_FRAME as usize {
+        let body = format!(
+            "response of {} bytes exceeds the {MAX_FRAME}-byte frame bound",
+            resp.body.len()
+        );
+        return write_frame(w, &Response { status: Status::Error, body: body.into_bytes() });
+    }
     let mut header = [resp.status as u8, 0, 0, 0, 0];
     header[1..].copy_from_slice(&len_prefix(&resp.body));
     if resp.body.len() <= COALESCE_LIMIT {
@@ -255,6 +265,18 @@ mod tests {
         assert_eq!(w.calls[1], (resp.body.as_ptr(), resp.body.len()), "body was copied");
         assert_eq!(w.bytes, expected_response(&resp));
         assert_eq!(read_response(&mut w.bytes.as_slice()).unwrap(), resp);
+    }
+
+    #[test]
+    fn oversized_response_is_written_as_a_readable_error() {
+        let resp = Response { status: Status::Ok, body: vec![b'z'; MAX_FRAME as usize + 1] };
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &resp).unwrap();
+        let got = read_response(&mut buf.as_slice()).expect("the peer can read the frame");
+        assert_eq!(got.status, Status::Error);
+        let msg = String::from_utf8(got.body).unwrap();
+        assert!(msg.contains(&resp.body.len().to_string()), "{msg}");
+        assert!(msg.contains(&MAX_FRAME.to_string()), "{msg}");
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //! The analysis is the static twin of the per-expression decision the
 //! sink-mode evaluator ([`crate::evaluate_query_to_sink`]) takes
 //! dynamically: a query whose [`EmissionReport::spill_sites`] is zero is
-//! *guaranteed* to build zero arena nodes while streaming, which is the
-//! gate `stream_report` enforces per XSLTMark case.
+//! *guaranteed* to build zero arena nodes while streaming, which
+//! `tests/streaming.rs` asserts for every XSLTMark case.
 
 use crate::ast::{AttrValuePart, Clause, PathStart, XQuery, XqExpr};
 

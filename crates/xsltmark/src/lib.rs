@@ -28,5 +28,5 @@ pub use docgen::{
 };
 pub use suite::{
     dbonerow_stylesheet, inline_statistics, run_case, run_suite, run_suite_planned_shared,
-    tier_statistics, CaseRun, PlannedRun, EXPECTED_FULLY_INLINED,
+    tier_statistics, CaseRun, PlannedRun, EXPECTED_FULLY_INLINED, EXPECTED_TIER_SPLIT,
 };

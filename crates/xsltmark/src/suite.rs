@@ -37,6 +37,13 @@ pub struct CaseRun {
 /// constant and the experiment record need updating together.
 pub const EXPECTED_FULLY_INLINED: usize = 29;
 
+/// Where the forty cases plan over the relationally backed `db_vu` view,
+/// as `(sql, xquery, vm)` — the split [`tier_statistics`] returns. Only
+/// `functions` (`generate-id()`) stays on the VM. Asserted exactly like
+/// [`EXPECTED_FULLY_INLINED`]: a case leaving the SQL tier is a lowering
+/// regression, a case reaching it means this constant needs re-recording.
+pub const EXPECTED_TIER_SPLIT: (usize, usize, usize) = (23, 16, 1);
+
 /// A parameterised `dbonerow` stylesheet targeting a specific id (benches
 /// point it at an id that exists for their row count).
 pub fn dbonerow_stylesheet(target_id: i64) -> String {
@@ -337,13 +344,23 @@ mod tests {
 
     #[test]
     fn tier_statistics_cover_all_cases() {
-        let (sql, xq, vm) = on_big_stack(|| tier_statistics(10, 2));
-        assert_eq!(sql + xq + vm, 40);
-        // A solid majority of the inline-able cases push all the way to SQL;
-        // with positional/comment/PI lowering only `functions`
-        // (generate-id) stays untranslatable on the VM tier.
-        assert!(sql >= 22, "only {sql} cases reached the SQL tier");
-        assert!(vm >= 1, "expected the untranslatable cases on the VM tier");
+        // The cases the join-graph lowering (ORDER BY on row sources,
+        // positional context, comment/PI constructors) commits to SQL.
+        let (_catalog, view) = crate::docgen::db_catalog(10, 2);
+        for name in ["comments", "processes", "position", "trend", "stringsort"] {
+            let plan = plan_transform(
+                &view,
+                &crate::cases::case(name).stylesheet,
+                &RewriteOptions::default(),
+            )
+            .expect("case compiles");
+            assert_eq!(plan.tier, Tier::Sql, "{name} left the SQL tier: {:?}", plan.fallback_reason);
+        }
+        let split = on_big_stack(|| tier_statistics(10, 2));
+        assert_eq!(
+            split, EXPECTED_TIER_SPLIT,
+            "(sql, xquery, vm) tier split drifted from the recorded {EXPECTED_TIER_SPLIT:?}"
+        );
     }
 
     #[test]

@@ -3,13 +3,17 @@
 //! produce byte-identical output to the functional (no-rewrite) baseline
 //! over the relationally backed db view.
 
-use xsltdb::pipeline::{no_rewrite_transform, plan_bound, Tier};
+use xsltdb::pipeline::{no_rewrite_transform, plan_bound, BoundPlan, Tier};
 use xsltdb::xqgen::RewriteOptions;
+use xsltdb::Guard;
 use xsltdb_relstore::exec::{CmpOp, Conjunction};
 use xsltdb_relstore::pubexpr::{AggOrder, PubExpr, SqlXmlQuery};
 use xsltdb_relstore::{Catalog, Datum, ExecStats, XmlView};
 use xsltdb_xml::to_string;
-use xsltdb_xsltmark::{all_cases, db_catalog};
+use xsltdb_xsltmark::{
+    all_cases, db_catalog, db_catalog_paged, db_catalog_unindexed, dbonerow_stylesheet,
+    existing_id,
+};
 
 /// Planning partially evaluates recursive cases to their depth limit, which
 /// needs more stack than the default 2 MiB test threads provide.
@@ -170,4 +174,55 @@ fn ordered_and_unordered_views_do_not_share_a_plan() {
         xsltdb::plan_cached_shared(&cache, &catalog, view, LASTNAMES, &opts).unwrap();
     }
     assert_eq!(cache.stats().misses, 2, "an ordered view must plan on its own");
+}
+
+// ---- paged storage behind a fixed frame budget ------------------------
+
+/// Frames in the buffer pool at every scale: the rows grow 4×, the pool
+/// does not.
+const POOL_FRAMES: usize = 16;
+
+/// Pool pages a `dbonerow` point lookup may touch: root-to-leaf descent,
+/// the heap page and the anchor scan, with slack for a leaf step — far
+/// below the heap pages a scan of the table reads.
+const PROBE_PAGE_CAP: u64 = 16;
+
+fn stream(catalog: &Catalog, view: &XmlView, sheet: &str) -> (BoundPlan, Vec<u8>) {
+    let bound = plan_bound(catalog, view, sheet, &RewriteOptions::default()).unwrap();
+    let mut out = Vec::new();
+    bound.execute_to_writer(catalog, &ExecStats::new(), &Guard::unlimited(), &mut out).unwrap();
+    (bound, out)
+}
+
+/// A paged catalog serves `dbtail` and `dbonerow` with the in-memory bytes
+/// while its pool stays inside the frame budget; the scan at the larger
+/// scale evicts, and the point lookup stays an index probe that touches a
+/// handful of pages at every scale.
+#[test]
+fn paged_catalog_stays_within_its_frame_budget() {
+    for rows in [500, 2_000] {
+        let (paged, paged_view) = db_catalog_paged(rows, 0xDB, POOL_FRAMES);
+        let (mem, mem_view) = db_catalog_unindexed(rows, 0xDB);
+        let pool = || paged.pool_stats().expect("paged catalog has a pool");
+
+        let before = pool();
+        let (_, tail) = stream(&paged, &paged_view, LASTNAMES);
+        let scan = pool().delta_since(&before);
+        assert_eq!(tail, stream(&mem, &mem_view, LASTNAMES).1, "dbtail@{rows} differs from Mem");
+        if rows == 2_000 {
+            assert!(scan.evictions > 0, "dbtail@{rows} fit in {POOL_FRAMES} frames: {scan:?}");
+        }
+
+        let onerow = dbonerow_stylesheet(existing_id(rows));
+        let before = pool();
+        let (probe, hit) = stream(&paged, &paged_view, &onerow);
+        let touched = pool().delta_since(&before);
+        assert_eq!(probe.tier(), Tier::Sql, "{:?}", probe.fallback_reason());
+        assert_eq!(hit, stream(&mem, &mem_view, &onerow).1, "dbonerow@{rows} differs from Mem");
+        let pages = touched.page_reads + touched.pool_hits;
+        assert!(pages <= PROBE_PAGE_CAP, "dbonerow@{rows} touched {pages} pool pages");
+
+        let peak = pool().peak_resident_frames;
+        assert!(peak <= POOL_FRAMES as u64, "{peak} frames resident at {rows} rows");
+    }
 }

@@ -8,9 +8,12 @@
 //!    `to_string` of `execute`'s documents and of the XSLTVM baseline, both
 //!    for freshly planned runs and for plans served out of a
 //!    [`SharedPlanCache`].
-//! 2. **Zero materialisation** — the SQL tier streams without building a
-//!    single DOM node (`peak_materialized_nodes == 0`,
-//!    `streamed_bytes > 0`).
+//! 2. **Zero materialisation** — every SQL-tier case streams without
+//!    building a single DOM node (`peak_materialized_nodes == 0`,
+//!    `streamed_bytes > 0`); an XQuery-tier plan whose static emission
+//!    census has no spill site never spills at run time, and at least
+//!    [`MIN_SPILL_FREE_XQUERY_CASES`] XQuery-tier cases stream with zero
+//!    spilled subtrees.
 //! 3. **Guarded mid-stream** — `max_output_bytes` trips while the bytes
 //!    are leaving, and the partial output never exceeds the cap.
 //! 4. **Same degradation lattice** — an injected SQL-tier fault falls back
@@ -27,6 +30,10 @@ use xsltdb_xml::{to_string, StreamWriter};
 use xsltdb_xsltmark::{
     all_cases, db_catalog, dbonerow_stylesheet, existing_id, run_suite_planned_shared,
 };
+
+/// Floor on the XQuery-tier cases that stream with zero spilled result
+/// subtrees (all 16 of them at the time of writing).
+const MIN_SPILL_FREE_XQUERY_CASES: usize = 10;
 
 /// The recursive suite cases need more stack than the 2 MiB test threads
 /// get.
@@ -45,6 +52,7 @@ fn all_forty_cases_stream_byte_identically_when_freshly_planned() {
         let (catalog, view) = db_catalog(12, 0x57AB);
         let stats = ExecStats::new();
         let mut by_tier = (0usize, 0usize, 0usize);
+        let mut spill_free_xquery = 0usize;
         for case in all_cases() {
             let bound = plan_bound(&catalog, &view, &case.stylesheet, &RewriteOptions::default())
                 .unwrap_or_else(|e| panic!("case {} fails to plan: {e}", case.name));
@@ -54,9 +62,10 @@ fn all_forty_cases_stream_byte_identically_when_freshly_planned() {
                 .iter()
                 .map(to_string)
                 .collect();
+            let stream_stats = ExecStats::new();
             let mut streamed = Vec::new();
             let run = bound
-                .execute_to_writer(&catalog, &stats, &Guard::unlimited(), &mut streamed)
+                .execute_to_writer(&catalog, &stream_stats, &Guard::unlimited(), &mut streamed)
                 .unwrap_or_else(|e| panic!("case {} fails to stream: {e}", case.name));
             assert_eq!(
                 String::from_utf8(streamed).expect("stream output is UTF-8"),
@@ -75,12 +84,35 @@ fn all_forty_cases_stream_byte_identically_when_freshly_planned() {
                 .collect();
             assert_eq!(expected, baseline, "case {} differs from the VM", case.name);
             assert!(run.fallbacks.is_empty(), "case {} fell back: {:?}", case.name, run.fallbacks);
+            let snap = stream_stats.snapshot();
             match run.tier {
-                Tier::Sql => by_tier.0 += 1,
-                Tier::XQuery => by_tier.1 += 1,
+                Tier::Sql => {
+                    by_tier.0 += 1;
+                    assert_eq!(
+                        snap.peak_materialized_nodes, 0,
+                        "SQL-tier case {} built DOM nodes while streaming",
+                        case.name
+                    );
+                }
+                Tier::XQuery => {
+                    by_tier.1 += 1;
+                    let spill_free = bound.plan().emission.is_some_and(|e| e.spill_free());
+                    assert!(
+                        !spill_free || snap.spilled_subtrees == 0,
+                        "case {} has no static spill site but spilled {} subtrees",
+                        case.name,
+                        snap.spilled_subtrees
+                    );
+                    spill_free_xquery += usize::from(snap.spilled_subtrees == 0);
+                }
                 Tier::Vm => by_tier.2 += 1,
             }
         }
+        assert!(
+            spill_free_xquery >= MIN_SPILL_FREE_XQUERY_CASES,
+            "only {spill_free_xquery} of {} XQuery-tier cases streamed without spilling",
+            by_tier.1
+        );
         // The differential must have exercised true streaming, not just the
         // materialising fallbacks.
         assert!(by_tier.0 >= 15, "only {} cases streamed on the SQL tier", by_tier.0);
