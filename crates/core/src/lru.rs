@@ -84,6 +84,7 @@ impl<K: Hash + Eq + Clone, V> StripedLru<K, V> {
         &self.shards[(digest as usize) % self.shards.len()]
     }
 
+    #[cfg(test)]
     pub(crate) fn shard_count(&self) -> usize {
         self.shards.len()
     }
@@ -106,10 +107,6 @@ impl<K: Hash + Eq + Clone, V> StripedLru<K, V> {
 
     pub(crate) fn stats(&self) -> CacheSnapshot {
         self.stats.snapshot()
-    }
-
-    pub(crate) fn reset_stats(&self) {
-        self.stats.reset();
     }
 
     /// Drop every entry (counters are kept).

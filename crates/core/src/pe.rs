@@ -52,7 +52,7 @@ impl ExecGraph {
     }
 
     /// True when no user template ever ran — the §3.6 built-in-only case.
-    pub fn builtin_only(&self) -> bool {
+    pub(crate) fn builtin_only(&self) -> bool {
         self.instantiated.is_empty()
     }
 }

@@ -369,7 +369,7 @@ impl TransformPlan {
     /// differs from the plan's, and [`PipelineError::UnboundSlot`] when a
     /// slot the plan references has no binding; every bound table must
     /// exist in `catalog`.
-    pub fn bind_with(
+    pub(crate) fn bind_with(
         self: &Arc<Self>,
         view: &XmlView,
         catalog: &Catalog,

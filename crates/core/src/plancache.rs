@@ -227,10 +227,6 @@ impl SharedPlanCache {
         }
     }
 
-    pub fn shard_count(&self) -> usize {
-        self.lru.shard_count()
-    }
-
     /// The requested global capacity. The enforced bound is the sum of the
     /// per-shard slices (`capacity / shards × shards`), which never exceeds
     /// this.
@@ -254,10 +250,6 @@ impl SharedPlanCache {
     /// [`CacheStats`](xsltdb_relstore::CacheStats)).
     pub fn stats(&self) -> CacheSnapshot {
         self.lru.stats()
-    }
-
-    pub fn reset_stats(&self) {
-        self.lru.reset_stats();
     }
 
     /// Drop every entry and canonicalisation memo (counters are kept).
@@ -505,7 +497,7 @@ mod tests {
     fn shared_cache_round_trips_and_counts() {
         let (catalog, view) = setup();
         let cache = SharedPlanCache::default();
-        assert_eq!(cache.shard_count(), DEFAULT_PLAN_CACHE_SHARDS);
+        assert_eq!(cache.lru.shard_count(), DEFAULT_PLAN_CACHE_SHARDS);
         let src = sheet(r#"<xsl:template match="r"><o/></xsl:template>"#);
         let key = PlanKey::new(&view, &src, &RewriteOptions::default());
         assert!(cache.lookup(&key, catalog.generation()).is_none());

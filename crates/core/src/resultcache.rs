@@ -157,10 +157,6 @@ impl SharedResultCache {
         SharedResultCache { lru: StripedLru::new(capacity, shards) }
     }
 
-    pub fn shard_count(&self) -> usize {
-        self.lru.shard_count()
-    }
-
     pub fn capacity_bytes(&self) -> usize {
         self.lru.capacity_bytes()
     }
@@ -183,10 +179,6 @@ impl SharedResultCache {
     /// lookups` holds in every snapshot even while other threads charge.
     pub fn stats(&self) -> CacheSnapshot {
         self.lru.stats()
-    }
-
-    pub fn reset_stats(&self) {
-        self.lru.reset_stats();
     }
 
     pub fn clear(&self) {

@@ -3,20 +3,24 @@
 //! Fokoue et al. \[9\] used when no structural information is available (and
 //! as an ablation baseline).
 //!
-//! Three modes:
+//! One body translator (`OpGen`) turns every XSLT instruction into XQuery
+//! the same way in every mode. The modes differ only in how a template is
+//! invoked (`Invoke`), the two ways of §4.4:
 //!
-//! * **Inline** (§4.4 "inline mode"): the execution graph is acyclic; every
-//!   activated template body is inlined at its call sites. Uses model-group
-//!   specialisation (§3.4), FOR/LET cardinality selection (§3.4), residual
-//!   pattern predicates (Tables 18/19), dead-template removal (§3.7) and
-//!   built-in-only compaction (§3.6).
-//! * **Functions** (§4.4 "non-inline mode"): the graph is recursive; one
-//!   XQuery function per *instantiated* template, dispatch limited to the
-//!   traced candidates.
-//! * **Straightforward** (\[9\]): no structural information; one function per
-//!   template and a full runtime pattern-matching conditional chain at every
-//!   apply site — including the backward parent-axis tests that §3.5
-//!   eliminates when structure is known.
+//! * **Inline** ("inline mode"): the execution graph is acyclic; every
+//!   `xsl:apply-templates` / `xsl:call-template` expands the traced target
+//!   template at its call site. Uses model-group specialisation (§3.4),
+//!   FOR/LET cardinality selection (§3.4), residual pattern predicates
+//!   (Tables 18/19), dead-template removal (§3.7) and built-in-only
+//!   compaction (§3.6).
+//! * **Functions** ("non-inline mode"): one XQuery function per
+//!   *instantiated* template, called through a run-time pattern-matching
+//!   chain. Used when the graph is recursive, when a select navigates
+//!   where the trace cannot follow, or when inlining is switched off.
+//! * **Straightforward** (\[9\]): function mode without structural
+//!   information — every template is kept, and every dispatch keeps the
+//!   backward parent-axis tests that §3.5 eliminates when structure is
+//!   known.
 
 use crate::error::RewriteError;
 use crate::pe::{partial_evaluate, PeResult, StateId, Transition};
@@ -479,7 +483,15 @@ fn kind_test(var: &str, test: &NodeTest) -> Result<XqExpr, RewriteError> {
         }
         NodeTest::Star => XqExpr::InstanceOf(v, SeqType::Element(None)),
         NodeTest::Text => XqExpr::InstanceOf(v, SeqType::Text),
-        NodeTest::Node => XqExpr::call("fn:true", vec![]),
+        // The `node()` pattern is `child::node()`: a node with a parent that
+        // is not an attribute — never the document node.
+        NodeTest::Node => XqExpr::And(
+            Box::new(XqExpr::call("fn:exists", vec![parent_path(var)])),
+            Box::new(XqExpr::call(
+                "fn:not",
+                vec![XqExpr::InstanceOf(v, SeqType::Attribute(None))],
+            )),
+        ),
         NodeTest::Comment | NodeTest::Pi(_) => {
             return Err(RewriteError::new(
                 "comment()/processing-instruction() dispatch is not supported",
@@ -554,10 +566,7 @@ fn and_all(mut conds: Vec<XqExpr>) -> XqExpr {
 
 /// The dynamic `xsl:copy` translation (shallow copy of the current node).
 fn dynamic_copy(ctx: &CtxRef, content: Vec<XqExpr>) -> XqExpr {
-    let v = match ctx {
-        CtxRef::Var(v) => XqExpr::var(v),
-        CtxRef::ContextItem => XqExpr::ContextItem,
-    };
+    let v = ctx_expr(ctx);
     let name_of = XqExpr::call("fn:name", vec![v.clone()]);
     XqExpr::If {
         cond: Box::new(XqExpr::InstanceOf(Box::new(v.clone()), SeqType::Element(None))),
@@ -580,11 +589,12 @@ fn dynamic_copy(ctx: &CtxRef, content: Vec<XqExpr>) -> XqExpr {
 }
 
 // --------------------------------------------------------------------------
-// Inline mode
+// The op translator, shared by every mode
 // --------------------------------------------------------------------------
 
 #[derive(Clone)]
 struct Env {
+    /// The traced state of the current node (inline mode only).
     state: StateId,
     ctx: CtxRef,
     /// Variables bound to RTF wrapper elements (for `copy-of`).
@@ -598,185 +608,56 @@ struct Env {
 }
 
 impl Env {
+    /// A template function's entry environment: `ctx` is its node, with no
+    /// positional context.
+    fn at(ctx: CtxRef) -> Env {
+        Env { state: 0, ctx, rtf_vars: Vec::new(), pos_var: None, last_var: None }
+    }
+
     fn xlat(&self) -> XlatCtx {
         XlatCtx::new(self.ctx.clone(), ROOT_VAR)
             .with_position(self.pos_var.clone(), self.last_var.clone())
     }
 }
 
-struct InlineGen<'a> {
+/// The translator of template bodies (§4.4). Every instruction translates
+/// the same way in every mode; `M` decides only how a template is invoked
+/// ([`Invoke`]).
+struct OpGen<'a, M> {
     sheet: &'a Stylesheet,
-    info: &'a StructInfo,
-    pe: &'a PeResult,
     opts: &'a RewriteOptions,
     next_var: u32,
+    mode: M,
+}
+
+/// How `xsl:apply-templates` and `xsl:call-template` become XQuery.
+trait Invoke {
+    fn invoke(&mut self, op: &Op, env: &Env) -> Result<XqExpr, RewriteError>;
+}
+
+/// Inline mode: expand the traced target state at its call site.
+struct Inline<'a> {
+    info: &'a StructInfo,
+    pe: &'a PeResult,
     depth: usize,
 }
 
-const MAX_INLINE_DEPTH: usize = 64;
-
-fn inline_generate(
-    sheet: &Stylesheet,
-    info: &StructInfo,
-    pe: &PeResult,
-    opts: &RewriteOptions,
-) -> Result<RewriteOutcome, RewriteError> {
-    let match_template_count = sheet.match_templates().count();
-    let removed = match_template_count.saturating_sub(pe.graph.instantiated.len());
-
-    let body = if opts.builtin_compaction && pe.graph.builtin_only() {
-        // §3.6 / Table 21: the whole document uses built-in templates.
-        let inner = XqExpr::Flwor {
-            clauses: vec![Clause::For {
-                var: "var001".into(),
-                at: None,
-                source: XqExpr::Path {
-                    start: PathStart::Expr(Box::new(XqExpr::var(ROOT_VAR))),
-                    steps: vec![
-                        XqStep {
-                            axis: Axis::DescendantOrSelf,
-                            test: NodeTest::Node,
-                            predicates: Vec::new(),
-                        },
-                        XqStep { axis: Axis::Child, test: NodeTest::Text, predicates: Vec::new() },
-                    ],
-                },
-            }],
-            where_clause: None,
-            order_by: Vec::new(),
-            ret: Box::new(XqExpr::string_of(XqExpr::var("var001"))),
-        };
-        let joined = XqExpr::call(
-            "fn:string-join",
-            vec![inner, XqExpr::StrLit(String::new())],
-        );
-        if opts.annotate {
-            XqExpr::Annotated { comment: "builtin template".into(), expr: Box::new(joined) }
-        } else {
-            joined
-        }
-    } else {
-        let mut g = InlineGen { sheet, info, pe, opts, next_var: 1, depth: 0 };
-        g.gen_state(pe.graph.root, CtxRef::var(ROOT_VAR), Vec::new(), None, None)?
-    };
-
-    Ok(RewriteOutcome {
-        query: XQuery {
-            variables: vec![VarDecl { name: ROOT_VAR.into(), value: XqExpr::ContextItem }],
-            functions: Vec::new(),
-            body,
-        },
-        mode: RewriteMode::Inline,
-        removed_templates: removed,
-        recursive: false,
-    })
+/// Function mode and the straightforward translation: each template in
+/// `included` is one XQuery function; apply-templates picks the function
+/// by a run-time dispatch chain. The straightforward translation has no
+/// trace (`pe` is `None`).
+struct Functions<'a> {
+    pe: Option<&'a PeResult>,
+    included: Vec<TemplateId>,
 }
 
-impl<'a> InlineGen<'a> {
+impl<M> OpGen<'_, M>
+where
+    Self: Invoke,
+{
     fn fresh_var(&mut self) -> String {
         self.next_var += 1;
         format!("var{:03}", self.next_var)
-    }
-
-    fn decl_of(&self, node: &SampleNode) -> Option<&'a ElemDecl> {
-        match node {
-            SampleNode::Element(path) => Some(SampleDoc::decl_at(self.info, path)),
-            SampleNode::Root => None,
-            _ => None,
-        }
-    }
-
-    /// Generate the inlined expression for a state with the given context
-    /// binding, parameter lets, and positional context (the `at`/count
-    /// variables of the iteration that bound this node, if any).
-    fn gen_state(
-        &mut self,
-        state: StateId,
-        ctx: CtxRef,
-        param_lets: Vec<(String, XqExpr)>,
-        pos_var: Option<String>,
-        last_var: Option<String>,
-    ) -> Result<XqExpr, RewriteError> {
-        self.depth += 1;
-        if self.depth > MAX_INLINE_DEPTH {
-            self.depth -= 1;
-            return Err(RewriteError::new("inline expansion too deep"));
-        }
-        let r = self.gen_state_inner(state, ctx, param_lets, pos_var, last_var);
-        self.depth -= 1;
-        r
-    }
-
-    fn gen_state_inner(
-        &mut self,
-        state: StateId,
-        ctx: CtxRef,
-        mut param_lets: Vec<(String, XqExpr)>,
-        pos_var: Option<String>,
-        last_var: Option<String>,
-    ) -> Result<XqExpr, RewriteError> {
-        let st = self.pe.graph.state(state).clone();
-        match st.template {
-            None => {
-                // Built-in rule.
-                match &st.node {
-                    SampleNode::Text(_) | SampleNode::Attribute(..) => Ok(XqExpr::CompText(
-                        Box::new(XqExpr::string_of(ctx_expr(&ctx))),
-                    )),
-                    SampleNode::Element(_) | SampleNode::Root => {
-                        let env = Env { state, ctx, rtf_vars: Vec::new(), pos_var, last_var };
-                        self.gen_apply_site(&env, BUILTIN_SITE, None, &[], &[])
-                    }
-                }
-            }
-            Some(tid) => {
-                let t = self.sheet.template(tid);
-                // Defaults for parameters not passed.
-                for (pname, default) in &t.params {
-                    if param_lets.iter().any(|(n, _)| n == pname) {
-                        continue;
-                    }
-                    let env = Env {
-                        state,
-                        ctx: ctx.clone(),
-                        rtf_vars: Vec::new(),
-                        pos_var: pos_var.clone(),
-                        last_var: last_var.clone(),
-                    };
-                    let v = self.var_source_expr(default, &env)?;
-                    param_lets.push((pname.clone(), v));
-                }
-                let env = Env {
-                    state,
-                    ctx: ctx.clone(),
-                    rtf_vars: Vec::new(),
-                    pos_var,
-                    last_var,
-                };
-                let items = self.gen_ops(&t.body, &env)?;
-                let mut body = seq_of(items);
-                if !param_lets.is_empty() {
-                    body = XqExpr::Flwor {
-                        clauses: param_lets
-                            .into_iter()
-                            .map(|(var, value)| Clause::Let { var, value })
-                            .collect(),
-                        where_clause: None,
-                        order_by: Vec::new(),
-                        ret: Box::new(body),
-                    };
-                }
-                if self.opts.annotate {
-                    let label = match (&t.pattern, &t.name) {
-                        (Some(p), _) => format!("<xsl:template match=\"{p}\">"),
-                        (None, Some(n)) => format!("<xsl:template name=\"{n}\">"),
-                        _ => "<xsl:template>".to_string(),
-                    };
-                    body = XqExpr::Annotated { comment: label, expr: Box::new(body) };
-                }
-                Ok(body)
-            }
-        }
     }
 
     fn var_source_expr(
@@ -890,11 +771,110 @@ impl<'a> InlineGen<'a> {
                     ret: Box::new(seq_of(items)),
                 })
             }
+            Op::ApplyTemplates { .. } | Op::CallTemplate { .. } => self.invoke(op, env),
+            Op::Copy { body } => {
+                let content = self.gen_ops(body, env)?;
+                Ok(dynamic_copy(&env.ctx, content))
+            }
+            Op::CopyOf(e) => {
+                if let xsltdb_xpath::Expr::Var(v) = e {
+                    if env.rtf_vars.contains(v) {
+                        // Copy the RTF wrapper's children.
+                        return Ok(child_node_path(&CtxRef::var(v)));
+                    }
+                }
+                xpath_to_xq(e, &cx)
+            }
+            Op::Comment { body } => {
+                let items = self.gen_ops(body, env)?;
+                Ok(XqExpr::CompComment(Box::new(items_to_string_expr(items))))
+            }
+            Op::Pi { name, body } => {
+                let target = name.as_constant().ok_or_else(|| {
+                    RewriteError::new(
+                        "computed processing-instruction targets are not supported by the rewrite",
+                    )
+                })?;
+                let items = self.gen_ops(body, env)?;
+                Ok(XqExpr::CompPi { target, content: Box::new(items_to_string_expr(items)) })
+            }
+            Op::Message { .. } => Ok(XqExpr::Empty),
+            Op::Variable { .. } => unreachable!("handled in gen_ops"),
+        }
+    }
+}
+
+// --------------------------------------------------------------------------
+// Inline mode
+// --------------------------------------------------------------------------
+
+const MAX_INLINE_DEPTH: usize = 64;
+
+fn inline_generate(
+    sheet: &Stylesheet,
+    info: &StructInfo,
+    pe: &PeResult,
+    opts: &RewriteOptions,
+) -> Result<RewriteOutcome, RewriteError> {
+    let match_template_count = sheet.match_templates().count();
+    let removed = match_template_count.saturating_sub(pe.graph.instantiated.len());
+
+    let body = if opts.builtin_compaction && pe.graph.builtin_only() {
+        // §3.6 / Table 21: the whole document uses built-in templates.
+        let inner = XqExpr::Flwor {
+            clauses: vec![Clause::For {
+                var: "var001".into(),
+                at: None,
+                source: XqExpr::Path {
+                    start: PathStart::Expr(Box::new(XqExpr::var(ROOT_VAR))),
+                    steps: vec![
+                        XqStep {
+                            axis: Axis::DescendantOrSelf,
+                            test: NodeTest::Node,
+                            predicates: Vec::new(),
+                        },
+                        XqStep { axis: Axis::Child, test: NodeTest::Text, predicates: Vec::new() },
+                    ],
+                },
+            }],
+            where_clause: None,
+            order_by: Vec::new(),
+            ret: Box::new(XqExpr::string_of(XqExpr::var("var001"))),
+        };
+        let joined = XqExpr::call(
+            "fn:string-join",
+            vec![inner, XqExpr::StrLit(String::new())],
+        );
+        if opts.annotate {
+            XqExpr::Annotated { comment: "builtin template".into(), expr: Box::new(joined) }
+        } else {
+            joined
+        }
+    } else {
+        let mut g = OpGen { sheet, opts, next_var: 1, mode: Inline { info, pe, depth: 0 } };
+        g.gen_state(pe.graph.root, CtxRef::var(ROOT_VAR), Vec::new(), None, None)?
+    };
+
+    Ok(RewriteOutcome {
+        query: XQuery {
+            variables: vec![VarDecl { name: ROOT_VAR.into(), value: XqExpr::ContextItem }],
+            functions: Vec::new(),
+            body,
+        },
+        mode: RewriteMode::Inline,
+        removed_templates: removed,
+        recursive: false,
+    })
+}
+
+impl Invoke for OpGen<'_, Inline<'_>> {
+    fn invoke(&mut self, op: &Op, env: &Env) -> Result<XqExpr, RewriteError> {
+        match op {
             Op::ApplyTemplates { site, select, mode: _, sorts, with_params } => {
                 self.gen_apply_site(env, *site, select.as_ref(), sorts, with_params)
             }
             Op::CallTemplate { site, name, with_params } => {
-                let st = self.pe.graph.state(env.state);
+                let st = self.mode.pe.graph.state(env.state);
                 let trans = st
                     .transitions
                     .get(site)
@@ -916,41 +896,96 @@ impl<'a> InlineGen<'a> {
                     env.last_var.clone(),
                 )
             }
-            Op::Copy { body } => {
-                let content = self.gen_ops(body, env)?;
-                Ok(dynamic_copy(&env.ctx, content))
-            }
-            Op::CopyOf(e) => {
-                if let xsltdb_xpath::Expr::Var(v) = e {
-                    if env.rtf_vars.contains(v) {
-                        // Copy the RTF wrapper's children.
-                        return Ok(XqExpr::Path {
-                            start: PathStart::Expr(Box::new(XqExpr::var(v))),
-                            steps: vec![XqStep {
-                                axis: Axis::Child,
-                                test: NodeTest::Node,
-                                predicates: Vec::new(),
-                            }],
-                        });
+            _ => unreachable!("not a template invocation"),
+        }
+    }
+}
+
+impl<'a> OpGen<'_, Inline<'a>> {
+    fn decl_of(&self, node: &SampleNode) -> Option<&'a ElemDecl> {
+        match node {
+            SampleNode::Element(path) => Some(SampleDoc::decl_at(self.mode.info, path)),
+            _ => None,
+        }
+    }
+
+    /// Generate the inlined expression for a state with the given context
+    /// binding, parameter lets, and positional context (the `at`/count
+    /// variables of the iteration that bound this node, if any).
+    fn gen_state(
+        &mut self,
+        state: StateId,
+        ctx: CtxRef,
+        param_lets: Vec<(String, XqExpr)>,
+        pos_var: Option<String>,
+        last_var: Option<String>,
+    ) -> Result<XqExpr, RewriteError> {
+        self.mode.depth += 1;
+        if self.mode.depth > MAX_INLINE_DEPTH {
+            self.mode.depth -= 1;
+            return Err(RewriteError::new("inline expansion too deep"));
+        }
+        let r = self.gen_state_inner(state, ctx, param_lets, pos_var, last_var);
+        self.mode.depth -= 1;
+        r
+    }
+
+    fn gen_state_inner(
+        &mut self,
+        state: StateId,
+        ctx: CtxRef,
+        mut param_lets: Vec<(String, XqExpr)>,
+        pos_var: Option<String>,
+        last_var: Option<String>,
+    ) -> Result<XqExpr, RewriteError> {
+        let st = self.mode.pe.graph.state(state).clone();
+        match st.template {
+            None => {
+                // Built-in rule.
+                match &st.node {
+                    SampleNode::Text(_) | SampleNode::Attribute(..) => Ok(XqExpr::CompText(
+                        Box::new(XqExpr::string_of(ctx_expr(&ctx))),
+                    )),
+                    SampleNode::Element(_) | SampleNode::Root => {
+                        let env = Env { state, ctx, rtf_vars: Vec::new(), pos_var, last_var };
+                        self.gen_apply_site(&env, BUILTIN_SITE, None, &[], &[])
                     }
                 }
-                xpath_to_xq(e, &cx)
             }
-            Op::Comment { body } => {
-                let items = self.gen_ops(body, env)?;
-                Ok(XqExpr::CompComment(Box::new(items_to_string_expr(items))))
+            Some(tid) => {
+                let t = self.sheet.template(tid);
+                let env = Env { state, ctx, rtf_vars: Vec::new(), pos_var, last_var };
+                // Defaults for parameters not passed.
+                for (pname, default) in &t.params {
+                    if param_lets.iter().any(|(n, _)| n == pname) {
+                        continue;
+                    }
+                    let v = self.var_source_expr(default, &env)?;
+                    param_lets.push((pname.clone(), v));
+                }
+                let items = self.gen_ops(&t.body, &env)?;
+                let mut body = seq_of(items);
+                if !param_lets.is_empty() {
+                    body = XqExpr::Flwor {
+                        clauses: param_lets
+                            .into_iter()
+                            .map(|(var, value)| Clause::Let { var, value })
+                            .collect(),
+                        where_clause: None,
+                        order_by: Vec::new(),
+                        ret: Box::new(body),
+                    };
+                }
+                if self.opts.annotate {
+                    let label = match (&t.pattern, &t.name) {
+                        (Some(p), _) => format!("<xsl:template match=\"{p}\">"),
+                        (None, Some(n)) => format!("<xsl:template name=\"{n}\">"),
+                        _ => "<xsl:template>".to_string(),
+                    };
+                    body = XqExpr::Annotated { comment: label, expr: Box::new(body) };
+                }
+                Ok(body)
             }
-            Op::Pi { name, body } => {
-                let target = name.as_constant().ok_or_else(|| {
-                    RewriteError::new(
-                        "computed processing-instruction targets are not supported by the rewrite",
-                    )
-                })?;
-                let items = self.gen_ops(body, env)?;
-                Ok(XqExpr::CompPi { target, content: Box::new(items_to_string_expr(items)) })
-            }
-            Op::Message { .. } => Ok(XqExpr::Empty),
-            Op::Variable { .. } => unreachable!("handled in gen_ops"),
         }
     }
 
@@ -975,7 +1010,7 @@ impl<'a> InlineGen<'a> {
         sorts: &[SortKey],
         with_params: &[WithParam],
     ) -> Result<XqExpr, RewriteError> {
-        let st = self.pe.graph.state(env.state);
+        let st = self.mode.pe.graph.state(env.state);
         let trans: Vec<Transition> =
             st.transitions.get(&site).cloned().unwrap_or_default();
         if trans.is_empty() {
@@ -1000,9 +1035,9 @@ impl<'a> InlineGen<'a> {
                 if groups.len() == 1 {
                     let (node, targets) = groups.pop().expect("one group");
                     let card = self.cardinality_of(&node);
-                    self.gen_binding(env, &node, &targets, source, card, sorts, &param_lets)
+                    self.gen_binding(&node, &targets, source, card, sorts, &param_lets)
                 } else {
-                    self.gen_dispatch_loop(env, source, &groups, sorts, &param_lets)
+                    self.gen_dispatch_loop(source, &groups, sorts, &param_lets)
                 }
             }
             None => {
@@ -1018,20 +1053,20 @@ impl<'a> InlineGen<'a> {
                 match group {
                     _ if !use_groups => {
                         let source = child_node_path(&env.ctx);
-                        self.gen_dispatch_loop(env, source, &groups, sorts, &param_lets)
+                        self.gen_dispatch_loop(source, &groups, sorts, &param_lets)
                     }
                     ModelGroup::All => {
                         let source = child_node_path(&env.ctx);
-                        self.gen_dispatch_loop(env, source, &groups, sorts, &param_lets)
+                        self.gen_dispatch_loop(source, &groups, sorts, &param_lets)
                     }
                     ModelGroup::Sequence => {
                         let mut items = Vec::with_capacity(groups.len());
                         for (node, targets) in &groups {
                             let path = self.child_path(&env.ctx, node)?;
                             let card = self.cardinality_of(node);
-                            items.push(self.gen_binding(
-                                env, node, targets, path, card, sorts, &param_lets,
-                            )?);
+                            items.push(
+                                self.gen_binding(node, targets, path, card, sorts, &param_lets)?,
+                            );
                         }
                         Ok(seq_of(items))
                     }
@@ -1042,7 +1077,6 @@ impl<'a> InlineGen<'a> {
                         for (node, targets) in groups.iter().rev() {
                             let path = self.child_path(&env.ctx, node)?;
                             let binding = self.gen_binding(
-                                env,
                                 node,
                                 targets,
                                 path.clone(),
@@ -1069,8 +1103,8 @@ impl<'a> InlineGen<'a> {
             SampleNode::Element(path) => {
                 let name = path
                     .last()
-                    .map(|_| SampleDoc::decl_at(self.info, path).name.clone())
-                    .unwrap_or_else(|| self.info.root.name.clone());
+                    .map(|_| SampleDoc::decl_at(self.mode.info, path).name.clone())
+                    .unwrap_or_else(|| self.mode.info.root.name.clone());
                 XqStep {
                     axis: Axis::Child,
                     test: NodeTest::Name { prefix: None, local: name },
@@ -1091,20 +1125,14 @@ impl<'a> InlineGen<'a> {
                 return Err(RewriteError::new("cannot navigate to the root as a child"))
             }
         };
-        Ok(XqExpr::Path {
-            start: match ctx {
-                CtxRef::Var(v) => PathStart::Expr(Box::new(XqExpr::var(v))),
-                CtxRef::ContextItem => PathStart::Context,
-            },
-            steps: vec![step],
-        })
+        Ok(ctx_step(ctx, step))
     }
 
     /// The cardinality of a child sample node within its parent.
     fn cardinality_of(&self, node: &SampleNode) -> Cardinality {
         match node {
             SampleNode::Element(path) if !path.is_empty() => {
-                let parent = SampleDoc::decl_at(self.info, &path[..path.len() - 1]);
+                let parent = SampleDoc::decl_at(self.mode.info, &path[..path.len() - 1]);
                 parent.children[*path.last().expect("non-empty")].card
             }
             // The root element occurs exactly once; text/attributes are
@@ -1120,7 +1148,7 @@ impl<'a> InlineGen<'a> {
         let mut pos = false;
         let mut last = false;
         for &t in targets {
-            if let Some(tid) = self.pe.graph.state(t).template {
+            if let Some(tid) = self.mode.pe.graph.state(t).template {
                 let (p, l) = ops_use_position(self.sheet, &self.sheet.template(tid).body);
                 pos |= p;
                 last |= l;
@@ -1134,7 +1162,6 @@ impl<'a> InlineGen<'a> {
     #[allow(clippy::too_many_arguments)]
     fn gen_binding(
         &mut self,
-        env: &Env,
         node: &SampleNode,
         targets: &[StateId],
         source: XqExpr,
@@ -1151,7 +1178,7 @@ impl<'a> InlineGen<'a> {
             && !uses_last;
         if use_let {
             let inner =
-                self.gen_candidate_chain(env, &var, node, targets, param_lets, &None, &None)?;
+                self.gen_candidate_chain(&var, node, targets, param_lets, &None, &None)?;
             return Ok(XqExpr::Flwor {
                 clauses: vec![Clause::Let { var, value: source }],
                 where_clause: None,
@@ -1164,7 +1191,7 @@ impl<'a> InlineGen<'a> {
             iteration_clauses(&mut fresh, var.clone(), source, sorts, uses_pos, uses_last)?
         };
         let inner =
-            self.gen_candidate_chain(env, &var, node, targets, param_lets, &pos_var, &last_var)?;
+            self.gen_candidate_chain(&var, node, targets, param_lets, &pos_var, &last_var)?;
         Ok(XqExpr::Flwor {
             clauses,
             where_clause: None,
@@ -1178,7 +1205,6 @@ impl<'a> InlineGen<'a> {
     #[allow(clippy::too_many_arguments)]
     fn gen_candidate_chain(
         &mut self,
-        _env: &Env,
         var: &str,
         node: &SampleNode,
         targets: &[StateId],
@@ -1188,7 +1214,7 @@ impl<'a> InlineGen<'a> {
     ) -> Result<XqExpr, RewriteError> {
         let mut expr = XqExpr::Empty;
         for &target in targets.iter().rev() {
-            let st = self.pe.graph.state(target).clone();
+            let st = self.mode.pe.graph.state(target).clone();
             let inlined = self.gen_state(
                 target,
                 CtxRef::var(var),
@@ -1226,7 +1252,6 @@ impl<'a> InlineGen<'a> {
     /// The Table 12 shape: iterate `source` and dispatch on node kind.
     fn gen_dispatch_loop(
         &mut self,
-        env: &Env,
         source: XqExpr,
         groups: &[(SampleNode, Vec<StateId>)],
         sorts: &[SortKey],
@@ -1246,10 +1271,10 @@ impl<'a> InlineGen<'a> {
         let mut expr = XqExpr::Empty;
         for (node, targets) in groups.iter().rev() {
             let chain =
-                self.gen_candidate_chain(env, &var, node, targets, param_lets, &pos_var, &last_var)?;
+                self.gen_candidate_chain(&var, node, targets, param_lets, &pos_var, &last_var)?;
             let cond = match node {
                 SampleNode::Element(path) => {
-                    let name = SampleDoc::decl_at(self.info, path).name.clone();
+                    let name = SampleDoc::decl_at(self.mode.info, path).name.clone();
                     XqExpr::InstanceOf(
                         Box::new(XqExpr::var(&var)),
                         SeqType::Element(Some(name)),
@@ -1282,26 +1307,30 @@ fn ctx_expr(ctx: &CtxRef) -> XqExpr {
     }
 }
 
+/// One step from the context: `$v/step`, or `step` from the context item.
+fn ctx_step(ctx: &CtxRef, step: XqStep) -> XqExpr {
+    let start = match ctx {
+        CtxRef::Var(v) => PathStart::Expr(Box::new(XqExpr::var(v))),
+        CtxRef::ContextItem => PathStart::Context,
+    };
+    XqExpr::Path { start, steps: vec![step] }
+}
+
 fn child_node_path(ctx: &CtxRef) -> XqExpr {
-    XqExpr::Path {
-        start: match ctx {
-            CtxRef::Var(v) => PathStart::Expr(Box::new(XqExpr::var(v))),
-            CtxRef::ContextItem => PathStart::Context,
-        },
-        steps: vec![XqStep { axis: Axis::Child, test: NodeTest::Node, predicates: Vec::new() }],
-    }
+    ctx_step(ctx, XqStep { axis: Axis::Child, test: NodeTest::Node, predicates: Vec::new() })
+}
+
+/// `$var/..`
+fn parent_path(var: &str) -> XqExpr {
+    ctx_step(
+        &CtxRef::var(var),
+        XqStep { axis: Axis::Parent, test: NodeTest::Node, predicates: Vec::new() },
+    )
 }
 
 // --------------------------------------------------------------------------
 // Function mode (non-inline §4.4) and the straightforward translation [9]
 // --------------------------------------------------------------------------
-
-struct FuncGen<'a> {
-    sheet: &'a Stylesheet,
-    pe: Option<&'a PeResult>,
-    opts: &'a RewriteOptions,
-    next_var: u32,
-}
 
 /// The node parameter of generated template functions.
 const NODE_PARAM: &str = "xdbn";
@@ -1311,8 +1340,6 @@ fn functions_generate(
     pe: Option<&PeResult>,
     opts: &RewriteOptions,
 ) -> Result<RewriteOutcome, RewriteError> {
-    let mut g = FuncGen { sheet, pe, opts, next_var: 1 };
-
     // §3.7 trusts the trace; a sibling/ancestor selection it cannot
     // witness may reach a template it never saw instantiated.
     let keep_all = !opts.remove_dead_templates || sheet_uses_untraceable_axes(sheet);
@@ -1323,20 +1350,15 @@ fn functions_generate(
         .map(|(i, _)| TemplateId(i as u32))
         .filter(|tid| keep_all || pe.is_none_or(|p| p.graph.instantiated.contains(tid)))
         .collect();
+    let removed = sheet.templates.len() - included.len();
+    let mut g = OpGen { sheet, opts, next_var: 1, mode: Functions { pe, included } };
 
     let mut functions = Vec::new();
-    for &tid in &included {
+    for tid in g.mode.included.clone() {
         let t = sheet.template(tid);
         let mut params = vec![NODE_PARAM.to_string()];
         params.extend(t.params.iter().map(|(n, _)| n.clone()));
-        let env = Env {
-            state: 0,
-            ctx: CtxRef::var(NODE_PARAM),
-            rtf_vars: Vec::new(),
-            pos_var: None,
-            last_var: None,
-        };
-        let body = seq_of(g.gen_ops(&t.body, &env, &included)?);
+        let body = seq_of(g.gen_ops(&t.body, &Env::at(CtxRef::var(NODE_PARAM)))?);
         functions.push(FunctionDecl { name: func_name(tid), params, body });
     }
 
@@ -1348,17 +1370,11 @@ fn functions_generate(
         }
     }
     for mode in &modes {
-        functions.push(g.builtin_function(mode.as_deref(), &included)?);
+        functions.push(g.builtin_function(mode.as_deref())?);
     }
 
-    let root_chain = g.dispatch_chain(
-        XqExpr::var(ROOT_VAR),
-        None,
-        &included,
-        &[],
-    )?;
+    let root_chain = g.dispatch_chain(ROOT_VAR, None, &[])?;
 
-    let removed = sheet.templates.len() - included.len();
     Ok(RewriteOutcome {
         query: XQuery {
             variables: vec![VarDecl { name: ROOT_VAR.into(), value: XqExpr::ContextItem }],
@@ -1382,147 +1398,18 @@ fn builtin_name(mode: Option<&str>) -> String {
     }
 }
 
-impl<'a> FuncGen<'a> {
-    fn fresh_var(&mut self) -> String {
-        self.next_var += 1;
-        format!("var{:03}", self.next_var)
-    }
-
-    fn gen_ops(
-        &mut self,
-        ops: &[Op],
-        env: &Env,
-        included: &[TemplateId],
-    ) -> Result<Vec<XqExpr>, RewriteError> {
-        let mut out = Vec::new();
-        for (i, op) in ops.iter().enumerate() {
-            match op {
-                Op::Variable { name, value } => {
-                    let is_rtf = matches!(value, VarValueSource::Body(_));
-                    let val = self.var_source_expr(value, env, included)?;
-                    let mut env2 = env.clone();
-                    if is_rtf {
-                        env2.rtf_vars.push(name.clone());
-                    }
-                    let rest = self.gen_ops(&ops[i + 1..], &env2, included)?;
-                    out.push(XqExpr::Flwor {
-                        clauses: vec![Clause::Let { var: name.clone(), value: val }],
-                        where_clause: None,
-                        order_by: Vec::new(),
-                        ret: Box::new(seq_of(rest)),
-                    });
-                    return Ok(out);
-                }
-                other => out.push(self.gen_op(other, env, included)?),
-            }
-        }
-        Ok(out)
-    }
-
-    fn var_source_expr(
-        &mut self,
-        src: &VarValueSource,
-        env: &Env,
-        included: &[TemplateId],
-    ) -> Result<XqExpr, RewriteError> {
-        match src {
-            VarValueSource::Select(e) => xpath_to_xq(e, &env.xlat()),
-            VarValueSource::Empty => Ok(XqExpr::StrLit(String::new())),
-            VarValueSource::Body(body) => {
-                let items = self.gen_ops(body, env, included)?;
-                Ok(XqExpr::DirectElem {
-                    name: xsltdb_xml::QName::local(RTF_WRAPPER),
-                    attrs: Vec::new(),
-                    content: items,
-                })
-            }
-        }
-    }
-
-    fn gen_op(
-        &mut self,
-        op: &Op,
-        env: &Env,
-        included: &[TemplateId],
-    ) -> Result<XqExpr, RewriteError> {
-        let cx = env.xlat();
+impl Invoke for OpGen<'_, Functions<'_>> {
+    fn invoke(&mut self, op: &Op, env: &Env) -> Result<XqExpr, RewriteError> {
         match op {
-            Op::Text(t) => Ok(XqExpr::TextContent(t.clone())),
-            Op::ValueOf(e) => Ok(XqExpr::CompText(Box::new(XqExpr::string_of(
-                xpath_to_xq(e, &cx)?,
-            )))),
-            Op::LiteralElement { name, attrs, body } => {
-                let mut aparts = Vec::with_capacity(attrs.len());
-                for (aname, avt) in attrs {
-                    aparts.push((aname.clone(), avt_to_attr_parts(avt, &cx)?));
-                }
-                Ok(XqExpr::DirectElem {
-                    name: name.clone(),
-                    attrs: aparts,
-                    content: self.gen_ops(body, env, included)?,
-                })
-            }
-            Op::Element { name, body } => Ok(XqExpr::CompElem {
-                name: Box::new(avt_to_string_expr(name, &cx)?),
-                content: Box::new(seq_of(self.gen_ops(body, env, included)?)),
-            }),
-            Op::Attribute { name, body } => {
-                let items = self.gen_ops(body, env, included)?;
-                Ok(XqExpr::CompAttr {
-                    name: Box::new(avt_to_string_expr(name, &cx)?),
-                    value: Box::new(items_to_string_expr(items)),
-                })
-            }
-            Op::If { test, body } => Ok(XqExpr::If {
-                cond: Box::new(xpath_to_xq(test, &cx)?),
-                then: Box::new(seq_of(self.gen_ops(body, env, included)?)),
-                els: Box::new(XqExpr::Empty),
-            }),
-            Op::Choose { whens, otherwise } => {
-                let mut expr = seq_of(self.gen_ops(otherwise, env, included)?);
-                for (test, body) in whens.iter().rev() {
-                    expr = XqExpr::If {
-                        cond: Box::new(xpath_to_xq(test, &cx)?),
-                        then: Box::new(seq_of(self.gen_ops(body, env, included)?)),
-                        els: Box::new(expr),
-                    };
-                }
-                Ok(expr)
-            }
-            Op::ForEach { select, sorts, body } => {
-                let var = self.fresh_var();
-                let source = xpath_to_xq(select, &cx)?;
-                let (uses_pos, uses_last) = ops_use_position(self.sheet, body);
-                let (clauses, order_by, pos_var, last_var) = {
-                    let mut fresh = || self.fresh_var();
-                    iteration_clauses(&mut fresh, var.clone(), source, sorts, uses_pos, uses_last)?
-                };
-                let mut env2 = env.clone();
-                env2.ctx = CtxRef::var(&var);
-                env2.pos_var = pos_var;
-                env2.last_var = last_var;
-                let items = self.gen_ops(body, &env2, included)?;
-                Ok(XqExpr::Flwor {
-                    clauses,
-                    where_clause: None,
-                    order_by,
-                    ret: Box::new(seq_of(items)),
-                })
-            }
             Op::ApplyTemplates { site: _, select, mode, sorts, with_params } => {
                 let source = match select {
-                    Some(e) => xpath_to_xq(e, &cx)?,
+                    Some(e) => xpath_to_xq(e, &env.xlat())?,
                     None => child_node_path(&env.ctx),
                 };
                 let var = self.fresh_var();
-                let chain = self.dispatch_chain(
-                    XqExpr::var(&var),
-                    mode.as_deref(),
-                    included,
-                    with_params,
-                )?;
                 // `with_params` values reference the caller context and are
                 // evaluated per call inside the chain (see dispatch_chain).
+                let chain = self.dispatch_chain(&var, mode.as_deref(), with_params)?;
                 Ok(XqExpr::Flwor {
                     clauses: vec![Clause::For { var: var.clone(), at: None, source }],
                     where_clause: None,
@@ -1535,45 +1422,14 @@ impl<'a> FuncGen<'a> {
                     .sheet
                     .named_template(name)
                     .ok_or_else(|| RewriteError::new(format!("no template named {name}")))?;
-                self.call_expr(tid, ctx_expr(&env.ctx), with_params, env, included)
+                self.call_expr(tid, ctx_expr(&env.ctx), with_params, env)
             }
-            Op::Copy { body } => {
-                let content = self.gen_ops(body, env, included)?;
-                Ok(dynamic_copy(&env.ctx, content))
-            }
-            Op::CopyOf(e) => {
-                if let xsltdb_xpath::Expr::Var(v) = e {
-                    if env.rtf_vars.contains(v) {
-                        return Ok(XqExpr::Path {
-                            start: PathStart::Expr(Box::new(XqExpr::var(v))),
-                            steps: vec![XqStep {
-                                axis: Axis::Child,
-                                test: NodeTest::Node,
-                                predicates: Vec::new(),
-                            }],
-                        });
-                    }
-                }
-                xpath_to_xq(e, &cx)
-            }
-            Op::Comment { body } => {
-                let items = self.gen_ops(body, env, included)?;
-                Ok(XqExpr::CompComment(Box::new(items_to_string_expr(items))))
-            }
-            Op::Pi { name, body } => {
-                let target = name.as_constant().ok_or_else(|| {
-                    RewriteError::new(
-                        "computed processing-instruction targets are not supported by the rewrite",
-                    )
-                })?;
-                let items = self.gen_ops(body, env, included)?;
-                Ok(XqExpr::CompPi { target, content: Box::new(items_to_string_expr(items)) })
-            }
-            Op::Message { .. } => Ok(XqExpr::Empty),
-            Op::Variable { .. } => unreachable!("handled in gen_ops"),
+            _ => unreachable!("not a template invocation"),
         }
     }
+}
 
+impl OpGen<'_, Functions<'_>> {
     /// A call `local:tmplNNN($node, params…)`; missing parameters get their
     /// declared defaults (evaluated against the callee node).
     fn call_expr(
@@ -1582,26 +1438,19 @@ impl<'a> FuncGen<'a> {
         node: XqExpr,
         with_params: &[WithParam],
         env: &Env,
-        included: &[TemplateId],
     ) -> Result<XqExpr, RewriteError> {
         let t = self.sheet.template(tid);
         let mut args = vec![node.clone()];
         for (pname, default) in &t.params {
             let arg = match with_params.iter().find(|wp| &wp.name == pname) {
-                Some(wp) => self.var_source_expr(&wp.value, env, included)?,
+                Some(wp) => self.var_source_expr(&wp.value, env)?,
                 None => {
                     // Defaults see the callee's context node.
-                    let callee_env = Env {
-                        state: 0,
-                        ctx: match &node {
-                            XqExpr::VarRef(v) => CtxRef::var(v),
-                            _ => env.ctx.clone(),
-                        },
-                        rtf_vars: Vec::new(),
-                        pos_var: None,
-                        last_var: None,
+                    let callee_ctx = match &node {
+                        XqExpr::VarRef(v) => CtxRef::var(v),
+                        _ => env.ctx.clone(),
                     };
-                    self.var_source_expr(default, &callee_env, included)?
+                    self.var_source_expr(default, &Env::at(callee_ctx))?
                 }
             };
             args.push(arg);
@@ -1609,26 +1458,19 @@ impl<'a> FuncGen<'a> {
         Ok(XqExpr::Call { name: func_name(tid), args })
     }
 
-    /// The runtime template-dispatch conditional chain for one node
-    /// expression (which must be a variable reference).
+    /// The runtime template-dispatch conditional chain for the node bound
+    /// to `$var`.
     fn dispatch_chain(
         &mut self,
-        node: XqExpr,
+        var: &str,
         mode: Option<&str>,
-        included: &[TemplateId],
         with_params: &[WithParam],
     ) -> Result<XqExpr, RewriteError> {
-        let var = match &node {
-            XqExpr::VarRef(v) => v.clone(),
-            _ => return Err(RewriteError::new("dispatch target must be a variable")),
-        };
         // Candidates: templates of this mode, best first.
         let mut cands: Vec<(f64, u32, TemplateId)> = self
             .sheet
             .match_templates()
-            .filter(|(tid, t)| {
-                t.mode.as_deref() == mode && included.contains(tid)
-            })
+            .filter(|(tid, t)| t.mode.as_deref() == mode && self.mode.included.contains(tid))
             .map(|(tid, t)| (t.priority, tid.0, tid))
             .collect();
         cands.sort_by(|a, b| {
@@ -1637,29 +1479,23 @@ impl<'a> FuncGen<'a> {
                 .then(b.1.cmp(&a.1))
         });
 
-        let env = Env {
-            state: 0,
-            ctx: CtxRef::var(&var),
-            rtf_vars: Vec::new(),
-            pos_var: None,
-            last_var: None,
-        };
+        let env = Env::at(CtxRef::var(var));
         let mut expr = XqExpr::Call {
             name: builtin_name(mode),
-            args: vec![XqExpr::var(&var)],
+            args: vec![XqExpr::var(var)],
         };
         for (_, _, tid) in cands.into_iter().rev() {
             let t = self.sheet.template(tid);
             let pattern = t.pattern.as_ref().expect("match template");
             let mut alt_conds = Vec::new();
             for alt in &pattern.alternatives {
-                alt_conds.push(self.pattern_condition(alt, &var)?);
+                alt_conds.push(self.pattern_condition(alt, var)?);
             }
             let cond = alt_conds
                 .into_iter()
                 .reduce(|a, b| XqExpr::Or(Box::new(a), Box::new(b)))
                 .unwrap_or_else(|| XqExpr::call("fn:false", vec![]));
-            let call = self.call_expr(tid, XqExpr::var(&var), with_params, &env, included)?;
+            let call = self.call_expr(tid, XqExpr::var(var), with_params, &env)?;
             expr = XqExpr::If { cond: Box::new(cond), then: Box::new(call), els: Box::new(expr) };
         }
         Ok(expr)
@@ -1675,17 +1511,7 @@ impl<'a> FuncGen<'a> {
     ) -> Result<XqExpr, RewriteError> {
         if alt.steps.is_empty() {
             // The `/` pattern: the document node has no parent.
-            return Ok(XqExpr::call(
-                "fn:empty",
-                vec![XqExpr::Path {
-                    start: PathStart::Expr(Box::new(XqExpr::var(var))),
-                    steps: vec![XqStep {
-                        axis: Axis::Parent,
-                        test: NodeTest::Node,
-                        predicates: Vec::new(),
-                    }],
-                }],
-            ));
+            return Ok(XqExpr::call("fn:empty", vec![parent_path(var)]));
         }
         let last = alt.steps.last().expect("non-empty");
         let mut conds = vec![match last.axis {
@@ -1713,7 +1539,7 @@ impl<'a> FuncGen<'a> {
         }
         // Backward steps (§3.5): parent/ancestor chain tests.
         if alt.steps.len() > 1 || alt.absolute {
-            if self.opts.remove_backward_steps && self.pe.is_some() {
+            if self.opts.remove_backward_steps && self.mode.pe.is_some() {
                 // With structural information the parents are known; drop
                 // the tests (Table 17 → Table 19 simplification).
             } else {
@@ -1765,14 +1591,10 @@ impl<'a> FuncGen<'a> {
     }
 
     /// `local:xdb-builtin($n)`: the built-in rules as a recursive function.
-    fn builtin_function(
-        &mut self,
-        mode: Option<&str>,
-        included: &[TemplateId],
-    ) -> Result<FunctionDecl, RewriteError> {
+    fn builtin_function(&mut self, mode: Option<&str>) -> Result<FunctionDecl, RewriteError> {
         let n = || XqExpr::var(NODE_PARAM);
         let var = self.fresh_var();
-        let chain = self.dispatch_chain(XqExpr::var(&var), mode, included, &[])?;
+        let chain = self.dispatch_chain(&var, mode, &[])?;
         let recurse = XqExpr::Flwor {
             clauses: vec![Clause::For {
                 var: var.clone(),

@@ -310,13 +310,6 @@ impl CacheStats {
         }
     }
 
-    pub fn reset(&self) {
-        self.hits_misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-        self.invalidations.store(0, Ordering::Relaxed);
-        self.uncacheable.store(0, Ordering::Relaxed);
-    }
-
     /// Saturating add of `one` (either [`HIT_ONE`] or 1) into the packed
     /// word, leaving the sibling half untouched at the boundary.
     fn bump_packed(&self, one: u64) {
@@ -429,8 +422,6 @@ mod tests {
         assert_eq!(snap.evictions, 1);
         assert_eq!(snap.invalidations, 1);
         assert_eq!(snap.uncacheable, 1);
-        c.reset();
-        assert_eq!(c.snapshot(), CacheSnapshot::default());
     }
 
     #[test]

@@ -162,11 +162,8 @@ pub(crate) fn call(name: &str, args: &[Expr], ctx: &Ctx<'_>) -> Result<Value, XP
             if arity != 2 && arity != 3 {
                 return err_arity("2 or 3");
             }
-            let s = str_arg(0);
-            let chars: Vec<char> = s.chars().collect();
-            let start = num_arg(1);
-            let len = if arity == 3 { num_arg(2) } else { f64::INFINITY };
-            Ok(Value::Str(xpath_substring(&chars, start, len)))
+            let len = if arity == 3 { Some(num_arg(2)) } else { None };
+            Ok(Value::Str(substring(&str_arg(0), num_arg(1), len)))
         }
         "string-length" => {
             if arity > 1 {
@@ -283,23 +280,22 @@ pub(crate) fn call(name: &str, args: &[Expr], ctx: &Ctx<'_>) -> Result<Value, XP
     }
 }
 
-/// XPath 1.0 `substring` semantics: 1-based, `round()` applied to both
-/// arguments, NaN anywhere selects nothing.
-fn xpath_substring(chars: &[char], start: f64, len: f64) -> String {
+/// XPath 1.0 `substring` semantics (§4.2), shared with XQuery's
+/// `fn:substring`: the characters at 1-based positions `p` with
+/// `round(start) <= p < round(start) + round(len)`; without `len`, to the
+/// end. The sum follows IEEE arithmetic, so `-INF + INF` is NaN and, like
+/// a NaN argument, selects nothing.
+pub fn substring(s: &str, start: f64, len: Option<f64>) -> String {
     let round = |x: f64| if x.is_nan() { f64::NAN } else { (x + 0.5).floor() };
     let start = round(start);
-    let end = if len.is_infinite() { f64::INFINITY } else { start + round(len) };
-    if start.is_nan() || end.is_nan() {
-        return String::new();
-    }
-    chars
-        .iter()
+    let end = len.map_or(f64::INFINITY, |len| start + round(len));
+    s.chars()
         .enumerate()
         .filter(|(i, _)| {
             let pos = (*i + 1) as f64;
             pos >= start && pos < end
         })
-        .map(|(_, c)| *c)
+        .map(|(_, c)| c)
         .collect()
 }
 
@@ -351,6 +347,9 @@ mod tests {
         assert_eq!(eval_s("substring('12345', 0, 3)"), "12");
         assert_eq!(eval_s("substring('12345', 0 div 0, 3)"), "");
         assert_eq!(eval_s("substring('12345', -42, 1 div 0)"), "12345");
+        assert_eq!(eval_s("substring('12345', -1 div 0, 1 div 0)"), "");
+        assert_eq!(eval_s("substring('12345', 1, -1 div 0)"), "");
+        assert_eq!(eval_s("substring('12345', -1 div 0)"), "12345");
     }
 
     #[test]

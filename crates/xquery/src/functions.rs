@@ -2,6 +2,7 @@
 
 use crate::ast::XqExpr;
 use crate::eval::internal::{ebv, eval, EvalEnv, Item, Sequence, XqError};
+use xsltdb_xpath::functions::substring;
 use xsltdb_xpath::value::str_to_num;
 
 pub(crate) fn call_builtin(
@@ -190,21 +191,8 @@ pub(crate) fn call_builtin(
             if arity != 2 && arity != 3 {
                 return wrong_arity("2 or 3");
             }
-            let s = str0(&vals, 0);
-            let chars: Vec<char> = s.chars().collect();
-            let round = |x: f64| if x.is_nan() { f64::NAN } else { (x + 0.5).floor() };
-            let start = round(num0(&vals, 1));
-            let end = if arity == 3 { start + round(num0(&vals, 2)) } else { f64::INFINITY };
-            let out: String = chars
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| {
-                    let p = (*i + 1) as f64;
-                    p >= start && p < end
-                })
-                .map(|(_, c)| *c)
-                .collect();
-            Ok(vec![Item::Str(out)])
+            let len = if arity == 3 { Some(num0(&vals, 2)) } else { None };
+            Ok(vec![Item::Str(substring(&str0(&vals, 0), num0(&vals, 1), len))])
         }
         "string-length" => {
             let s = if arity == 0 {
@@ -346,6 +334,11 @@ mod tests {
         assert_eq!(run("fn:string-join(('a','b','c'), '-')", xml), "a-b-c");
         assert_eq!(run("fn:contains('hello', 'ell')", xml), "true");
         assert_eq!(run("fn:substring('12345', 2, 3)", xml), "234");
+        // XPath 1.0 §4.2: an infinite bound is rounded, then summed.
+        assert_eq!(run("fn:substring('12345', -1 div 0, 1 div 0)", xml), "");
+        assert_eq!(run("fn:substring('12345', 1, -1 div 0)", xml), "");
+        assert_eq!(run("fn:substring('12345', -42, 1 div 0)", xml), "12345");
+        assert_eq!(run("fn:substring('12345', 0 div 0, 3)", xml), "");
         assert_eq!(run("fn:normalize-space('  a   b ')", xml), "a b");
         assert_eq!(run("fn:upper-case('abc')", xml), "ABC");
         assert_eq!(run("fn:translate('bar', 'abc', 'ABC')", xml), "BAr");

@@ -8,11 +8,12 @@
 //! publishing views.
 //!
 //! ```
+//! use xsltdb::xqgen::RewriteOptions;
 //! use xsltdb_xsltmark::{case, run_case};
 //!
 //! // One case, one small document: the rewrite path must agree with the
 //! // functional (XSLTVM) evaluation byte for byte.
-//! let run = run_case(&case("chart"), 12, 7);
+//! let run = run_case(&case("chart"), 12, 7, Some(&RewriteOptions::default()));
 //! assert!(run.matches_vm, "{:?}", run.note);
 //! assert!(run.fully_inlined);
 //! ```

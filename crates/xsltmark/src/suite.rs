@@ -5,7 +5,7 @@ use crate::cases::{all_cases, Case};
 use crate::docgen::{db_struct_info, db_xml};
 use xsltdb::pipeline::{no_rewrite_transform, plan_bound, plan_cached_shared, plan_transform, Tier};
 use xsltdb::plancache::SharedPlanCache;
-use xsltdb::xqgen::{rewrite, RewriteMode, RewriteOptions};
+use xsltdb::xqgen::{rewrite, rewrite_straightforward, RewriteMode, RewriteOptions};
 use xsltdb::Guard;
 use xsltdb_relstore::ExecStats;
 use xsltdb_xml::{parse_trimmed, to_string, StreamWriter};
@@ -59,8 +59,10 @@ pub fn dbonerow_stylesheet(target_id: i64) -> String {
     )
 }
 
-/// Run one case at a given document size, comparing rewrite vs VM.
-pub fn run_case(case: &Case, rows: usize, seed: u64) -> CaseRun {
+/// Run one case at a given document size, comparing rewrite vs VM. `opts`
+/// picks the rewrite; `None` is the straightforward translation of \[9\],
+/// which ignores structural information.
+pub fn run_case(case: &Case, rows: usize, seed: u64, opts: Option<&RewriteOptions>) -> CaseRun {
     let sheet = match compile_str(&case.stylesheet) {
         Ok(s) => s,
         Err(e) => {
@@ -86,8 +88,11 @@ pub fn run_case(case: &Case, rows: usize, seed: u64) -> CaseRun {
             }
         }
     };
-    let info = db_struct_info();
-    match rewrite(&sheet, &info, &RewriteOptions::default()) {
+    let outcome = match opts {
+        Some(opts) => rewrite(&sheet, &db_struct_info(), opts),
+        None => rewrite_straightforward(&sheet),
+    };
+    match outcome {
         Ok(outcome) => {
             let input = NodeHandle::document(doc);
             let mut out = StreamWriter::new(Vec::new(), Guard::unlimited());
@@ -132,7 +137,8 @@ pub fn run_case(case: &Case, rows: usize, seed: u64) -> CaseRun {
 
 /// Run the whole suite at a small size.
 pub fn run_suite(rows: usize, seed: u64) -> Vec<CaseRun> {
-    all_cases().iter().map(|c| run_case(c, rows, seed)).collect()
+    let opts = RewriteOptions::default();
+    all_cases().iter().map(|c| run_case(c, rows, seed, Some(&opts))).collect()
 }
 
 /// The paper's §5 inline statistic: `(fully inlined, total)`.
@@ -288,6 +294,32 @@ mod tests {
         });
     }
 
+    /// Function mode and the straightforward translation run the same op
+    /// translator as inline mode but invoke templates through run-time
+    /// dispatch: every case either matches the VM byte for byte or fails
+    /// to rewrite (and so runs on the VM). The cases that fail to rewrite
+    /// are pinned: `position` and `trend` read `position()` in a template
+    /// body, which a template function has no binding for, and `functions`
+    /// calls `generate-id()`.
+    #[test]
+    fn every_case_matches_vm_in_function_and_straightforward_mode() {
+        on_big_stack(|| {
+            let functions = RewriteOptions { inline: false, ..Default::default() };
+            for (label, opts) in [("function", Some(&functions)), ("straightforward", None)] {
+                let mut not_rewritten = Vec::new();
+                for case in all_cases() {
+                    let run = run_case(&case, 30, 11, opts);
+                    let (name, note) = (run.name, &run.note);
+                    assert!(run.matches_vm, "{label} mode: case {name} diverges: {note:?}");
+                    if run.mode.is_none() {
+                        not_rewritten.push(run.name);
+                    }
+                }
+                assert_eq!(not_rewritten, ["position", "trend", "functions"], "{label} mode");
+            }
+        });
+    }
+
     #[test]
     fn majority_of_cases_fully_inline() {
         // Paper §5 reports 23/40 completely inlined; the join-graph rewrite
@@ -335,7 +367,8 @@ mod tests {
     fn recursion_cases_do_not_inline() {
         on_big_stack(|| {
             for name in ["bottles", "tower", "queens", "games"] {
-                let run = run_case(&crate::cases::case(name), 10, 1);
+                let run =
+                    run_case(&crate::cases::case(name), 10, 1, Some(&RewriteOptions::default()));
                 assert!(!run.fully_inlined, "{name} unexpectedly inlined");
                 assert!(run.matches_vm, "{name} diverges: {:?}", run.note);
             }
@@ -372,7 +405,7 @@ mod tests {
             area: crate::cases::Area::Selection,
             stylesheet: dbonerow_stylesheet(id),
         };
-        let run = run_case(&case, rows, 5);
+        let run = run_case(&case, rows, 5, Some(&RewriteOptions::default()));
         assert!(run.matches_vm, "{:?}", run.note);
         assert!(run.fully_inlined);
     }

@@ -336,3 +336,36 @@ fn guard_charges_are_pinned_for_dbtail_and_dept_emp() {
     assert_charges(&catalog, &view, PAPER_STYLESHEET, Tier::Sql, PAPER_SQL);
     assert_charges(&catalog, &view, DEPT_XQUERY, Tier::XQuery, DEPT_XQ);
 }
+
+// ------------------------------------------------------ pattern dispatch
+
+/// The identity sheet plus a template whose `for-each` climbs with `..`:
+/// the upward select keeps the rewrite out of inline mode, so the XQuery
+/// tier runs function mode's run-time pattern dispatch.
+const IDENTITY_WITH_PARENT_SELECT: &str = r#"<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
+<xsl:template match="@*|node()"><xsl:copy><xsl:apply-templates select="@*|node()"/></xsl:copy></xsl:template>
+<xsl:template match="zip"><z><xsl:for-each select="../id"><xsl:value-of select="."/></xsl:for-each></z></xsl:template>
+</xsl:stylesheet>"#;
+
+/// XSLT's `node()` pattern is `child::node()`: it never matches the
+/// document node, so the document is processed by the built-in rule and
+/// the identity template first copies the root element.
+#[test]
+fn node_pattern_does_not_match_the_document_node() {
+    let (catalog, view) = xsltdb_xsltmark::db_catalog(3, 1);
+    let stats = ExecStats::new();
+    let sheet = compile_str(IDENTITY_WITH_PARENT_SELECT).unwrap();
+    let baseline = no_rewrite_transform(&catalog, &view, &sheet, &stats).unwrap();
+    let expected: String = baseline.documents.iter().map(to_string).collect();
+    assert!(expected.starts_with("<table><row><id>1</id>"), "{expected}");
+
+    let plan =
+        plan_bound(&catalog, &view, IDENTITY_WITH_PARENT_SELECT, &RewriteOptions::default())
+            .unwrap();
+    assert_eq!(plan.tier(), Tier::XQuery, "fallback: {:?}", plan.fallback_reason());
+    let mut out = Vec::new();
+    let run = plan.execute_to_writer(&catalog, &stats, &Guard::unlimited(), &mut out).unwrap();
+    assert_eq!(run.tier, Tier::XQuery);
+    assert!(run.fallbacks.is_empty(), "{:?}", run.fallbacks);
+    assert_eq!(String::from_utf8(out).unwrap(), expected);
+}

@@ -266,6 +266,25 @@ fn string_functions_in_templates() {
     );
 }
 
+/// `substring()` with infinite or NaN bounds (XPath 1.0 §4.2): the VM and
+/// the XQuery tier share one kernel, so both select nothing when
+/// `round(start) + round(len)` is NaN or `-INF`.
+#[test]
+fn substring_with_infinite_bounds() {
+    assert_equivalent(
+        r#"<xsl:template match="dept">
+             <o>
+               <a><xsl:value-of select="substring('12345', -1 div 0, 1 div 0)"/></a>
+               <b><xsl:value-of select="substring('12345', 1, -1 div 0)"/></b>
+               <c><xsl:value-of select="substring('12345', -42, 1 div 0)"/></c>
+               <d><xsl:value-of select="substring('12345', 0 div 0, 3)"/></d>
+             </o>
+           </xsl:template>"#,
+        DEPT_DOC,
+        &dept_info(),
+    );
+}
+
 #[test]
 fn nested_for_each() {
     assert_equivalent(
