@@ -416,28 +416,6 @@ impl BoundPlan {
         &self.bindings
     }
 
-    /// The *read-set* of this binding: every concrete table an execution
-    /// can touch. For canonicalised plans this is the tables behind the
-    /// resolved slots; plans without slots (underivable structure — the VM
-    /// tier materialises the view functionally) fall back to the view
-    /// definition's referenced tables. Result caches key freshness on the
-    /// version coordinates of exactly this set.
-    pub fn read_set(&self) -> Vec<String> {
-        if self.plan.slot_count > 0 {
-            let mut out = Vec::with_capacity(self.plan.slot_count);
-            for i in 0..self.plan.slot_count {
-                if let Some(table) = self.bindings.get(&slot_name(i)) {
-                    if !out.iter().any(|t: &String| t == table) {
-                        out.push(table.to_string());
-                    }
-                }
-            }
-            out
-        } else {
-            self.view.referenced_tables()
-        }
-    }
-
     /// Why the underlying plan fell below the SQL tier, if it did.
     pub fn fallback_reason(&self) -> Option<&str> {
         self.plan.fallback_reason.as_deref()

@@ -185,10 +185,6 @@ impl Catalog {
             .ok_or_else(|| StoreError::new(format!("unknown view {name}")))
     }
 
-    pub fn table_names(&self) -> Vec<&str> {
-        self.tables.keys().map(String::as_str).collect()
-    }
-
     /// The per-table DML data generation — bumped by every
     /// [`table_mut`](Self::table_mut) and by table replacement, never by
     /// DDL on *other* tables. Unknown tables report 0.

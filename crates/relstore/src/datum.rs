@@ -2,6 +2,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use xsltdb_xpath::functions::number_order;
 
 /// Column types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,14 +112,7 @@ impl Datum {
             (Int(a), Int(b)) => a.cmp(b),
             (Text(a), Text(b)) => a.cmp(b),
             (a, b) if rank(a) == 1 && rank(b) == 1 => {
-                let x = a.as_f64().expect("numeric");
-                let y = b.as_f64().expect("numeric");
-                match (x.is_nan(), y.is_nan()) {
-                    (true, true) => Ordering::Equal,
-                    (true, false) => Ordering::Less,
-                    (false, true) => Ordering::Greater,
-                    _ => x.partial_cmp(&y).expect("non-NaN"),
-                }
+                number_order(a.as_f64().expect("numeric"), b.as_f64().expect("numeric"))
             }
             (a, b) => rank(a).cmp(&rank(b)),
         }

@@ -559,11 +559,6 @@ impl HeapFile {
             Ok(rows)
         })
     }
-
-    /// First RowId stored in page `p`.
-    pub fn first_row_of_page(&self, p: u32) -> u64 {
-        self.page_first_row.get(p as usize).copied().unwrap_or(self.rows)
-    }
 }
 
 #[cfg(test)]

@@ -15,6 +15,8 @@ use crate::exec::{guard_err, scan_guarded, AccessPath, CmpOp, ColumnCmp, Conjunc
 use crate::stats::ExecStats;
 use crate::table::{RowId, StoreError, Table};
 use std::borrow::Cow;
+use xsltdb_xpath::functions::number_order;
+use xsltdb_xpath::value::str_to_num;
 use xsltdb_xml::{
     Document, FaultKind, FaultPoint, Guard, QName, SinkError, TextSink, TreeSink, XmlSink,
 };
@@ -461,16 +463,7 @@ fn order_rows(
                 continue;
             };
             let mut ord = if numeric {
-                let x = xsltdb_xpath::value::str_to_num(a);
-                let y = xsltdb_xpath::value::str_to_num(b);
-                match (x.is_nan(), y.is_nan()) {
-                    (true, true) => std::cmp::Ordering::Equal,
-                    (true, false) => std::cmp::Ordering::Less,
-                    (false, true) => std::cmp::Ordering::Greater,
-                    (false, false) => {
-                        x.partial_cmp(&y).unwrap_or(std::cmp::Ordering::Equal)
-                    }
-                }
+                number_order(str_to_num(a), str_to_num(b))
             } else {
                 a.cmp(b)
             };

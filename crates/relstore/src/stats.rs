@@ -34,14 +34,6 @@ pub struct ExecStats {
     /// evidence for the streaming XQuery tier: peak residency is
     /// O(largest spilled subtree), not O(output).
     peak_spilled_nodes: AtomicU64,
-    /// Pages read from the heap file because they were not pool-resident.
-    page_reads: AtomicU64,
-    /// Page requests answered from a resident buffer-pool frame.
-    pool_hits: AtomicU64,
-    /// Resident pages displaced to make room under the frame budget.
-    evictions: AtomicU64,
-    /// Evicted pages that had to be written back because they were dirty.
-    dirty_writebacks: AtomicU64,
 }
 
 /// A point-in-time copy of the counters.
@@ -55,10 +47,6 @@ pub struct StatsSnapshot {
     pub peak_materialized_nodes: u64,
     pub spilled_subtrees: u64,
     pub peak_spilled_nodes: u64,
-    pub page_reads: u64,
-    pub pool_hits: u64,
-    pub evictions: u64,
-    pub dirty_writebacks: u64,
 }
 
 impl ExecStats {
@@ -76,10 +64,6 @@ impl ExecStats {
             peak_materialized_nodes: self.peak_materialized_nodes.load(Ordering::Relaxed),
             spilled_subtrees: self.spilled_subtrees.load(Ordering::Relaxed),
             peak_spilled_nodes: self.peak_spilled_nodes.load(Ordering::Relaxed),
-            page_reads: self.page_reads.load(Ordering::Relaxed),
-            pool_hits: self.pool_hits.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            dirty_writebacks: self.dirty_writebacks.load(Ordering::Relaxed),
         }
     }
 
@@ -92,10 +76,6 @@ impl ExecStats {
         self.peak_materialized_nodes.store(0, Ordering::Relaxed);
         self.spilled_subtrees.store(0, Ordering::Relaxed);
         self.peak_spilled_nodes.store(0, Ordering::Relaxed);
-        self.page_reads.store(0, Ordering::Relaxed);
-        self.pool_hits.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-        self.dirty_writebacks.store(0, Ordering::Relaxed);
     }
 
     pub fn add_rows_scanned(&self, n: u64) {
@@ -131,17 +111,6 @@ impl ExecStats {
     /// per-subtree maximum.
     pub fn note_spilled_nodes(&self, nodes: u64) {
         self.peak_spilled_nodes.fetch_max(nodes, Ordering::Relaxed);
-    }
-
-    /// Fold a buffer-pool activity delta into these execution counters.
-    /// The pool is shared by every table in a catalog, so per-query pool
-    /// evidence is attributed by differencing [`PoolSnapshot`]s around the
-    /// query and absorbing the delta here.
-    pub fn absorb_pool_delta(&self, d: &PoolSnapshot) {
-        self.page_reads.fetch_add(d.page_reads, Ordering::Relaxed);
-        self.pool_hits.fetch_add(d.pool_hits, Ordering::Relaxed);
-        self.evictions.fetch_add(d.evictions, Ordering::Relaxed);
-        self.dirty_writebacks.fetch_add(d.dirty_writebacks, Ordering::Relaxed);
     }
 }
 
@@ -394,13 +363,6 @@ mod tests {
         assert_eq!(d.evictions, 1);
         assert_eq!(d.dirty_writebacks, 1);
         assert!((d.hit_rate() - 0.0).abs() < f64::EPSILON);
-        // Exec stats absorb the pool delta into the per-query snapshot.
-        let s = ExecStats::new();
-        s.absorb_pool_delta(&d);
-        let snap = s.snapshot();
-        assert_eq!(snap.page_reads, 1);
-        assert_eq!(snap.evictions, 1);
-        assert_eq!(snap.dirty_writebacks, 1);
     }
 
     #[test]

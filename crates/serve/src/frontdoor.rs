@@ -328,8 +328,7 @@ impl FrontDoor {
 /// The concrete tables a result over `view` is a function of, in slot
 /// order (deduplicated) — the identity component of a [`ResultKey`]. Plans
 /// without slots (underivable structure) read whatever the view definition
-/// references. Mirrors `BoundPlan::read_set`, computable before a plan
-/// exists.
+/// references.
 fn result_key_tables(canon: &ViewCanon, view: &XmlView) -> Vec<String> {
     if canon.slot_count > 0 {
         let mut out = Vec::with_capacity(canon.slot_count);

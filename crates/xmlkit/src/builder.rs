@@ -103,12 +103,6 @@ impl TreeBuilder {
         Ok(())
     }
 
-    /// Does the currently open node already have children?
-    pub fn current_has_children(&self) -> bool {
-        let cur = *self.stack.last().expect("builder stack never empty");
-        self.doc.nodes[cur.index()].first_child.is_some()
-    }
-
     /// Close the currently open element.
     pub fn end_element(&mut self) {
         assert!(self.stack.len() > 1, "end_element without start_element");

@@ -109,10 +109,6 @@ impl Document {
         self.node(id).parent
     }
 
-    pub fn is_element(&self, id: NodeId) -> bool {
-        matches!(self.kind(id), NodeKind::Element { .. })
-    }
-
     pub fn is_attribute(&self, id: NodeId) -> bool {
         matches!(self.kind(id), NodeKind::Attribute { .. })
     }

@@ -69,14 +69,6 @@ pub enum Axis {
 }
 
 impl Axis {
-    /// Reverse axes number their positions in reverse document order.
-    pub fn is_reverse(self) -> bool {
-        matches!(
-            self,
-            Axis::Parent | Axis::Ancestor | Axis::AncestorOrSelf | Axis::Preceding | Axis::PrecedingSibling
-        )
-    }
-
     pub fn name(self) -> &'static str {
         match self {
             Axis::Child => "child",

@@ -4,6 +4,7 @@
 use crate::ast::Expr;
 use crate::eval::{evaluate, Ctx, XPathError};
 use crate::value::{num_to_string, str_to_num, Value};
+use std::cmp::Ordering;
 
 pub(crate) fn call(name: &str, args: &[Expr], ctx: &Ctx<'_>) -> Result<Value, XPathError> {
     let arity = args.len();
@@ -140,23 +141,13 @@ pub(crate) fn call(name: &str, args: &[Expr], ctx: &Ctx<'_>) -> Result<Value, XP
             if arity != 2 {
                 return err_arity("2");
             }
-            let s = str_arg(0);
-            let sub = str_arg(1);
-            Ok(Value::Str(
-                s.find(&sub).map(|i| s[..i].to_string()).unwrap_or_default(),
-            ))
+            Ok(Value::Str(substring_before(&str_arg(0), &str_arg(1))))
         }
         "substring-after" => {
             if arity != 2 {
                 return err_arity("2");
             }
-            let s = str_arg(0);
-            let sub = str_arg(1);
-            Ok(Value::Str(
-                s.find(&sub)
-                    .map(|i| s[i + sub.len()..].to_string())
-                    .unwrap_or_default(),
-            ))
+            Ok(Value::Str(substring_after(&str_arg(0), &str_arg(1))))
         }
         "substring" => {
             if arity != 2 && arity != 3 {
@@ -177,23 +168,13 @@ pub(crate) fn call(name: &str, args: &[Expr], ctx: &Ctx<'_>) -> Result<Value, XP
                 return err_arity("0 or 1");
             }
             let s = if arity == 0 { doc.string_value(ctx.node) } else { str_arg(0) };
-            Ok(Value::Str(s.split_ascii_whitespace().collect::<Vec<_>>().join(" ")))
+            Ok(Value::Str(normalize_space(&s)))
         }
         "translate" => {
             if arity != 3 {
                 return err_arity("3");
             }
-            let s = str_arg(0);
-            let from: Vec<char> = str_arg(1).chars().collect();
-            let to: Vec<char> = str_arg(2).chars().collect();
-            let out: String = s
-                .chars()
-                .filter_map(|c| match from.iter().position(|&f| f == c) {
-                    Some(i) => to.get(i).copied(),
-                    None => Some(c),
-                })
-                .collect();
-            Ok(Value::Str(out))
+            Ok(Value::Str(translate(&str_arg(0), &str_arg(1), &str_arg(2))))
         }
         // --- Boolean functions ---
         "boolean" => {
@@ -247,9 +228,7 @@ pub(crate) fn call(name: &str, args: &[Expr], ctx: &Ctx<'_>) -> Result<Value, XP
             if arity != 1 {
                 return err_arity("1");
             }
-            let n = num_arg(0);
-            // XPath rounds .5 towards positive infinity.
-            Ok(Value::Num(if n.is_nan() { n } else { (n + 0.5).floor() }))
+            Ok(Value::Num(round(num_arg(0))))
         }
         // --- XSLT additions ---
         "current" => {
@@ -286,7 +265,6 @@ pub(crate) fn call(name: &str, args: &[Expr], ctx: &Ctx<'_>) -> Result<Value, XP
 /// end. The sum follows IEEE arithmetic, so `-INF + INF` is NaN and, like
 /// a NaN argument, selects nothing.
 pub fn substring(s: &str, start: f64, len: Option<f64>) -> String {
-    let round = |x: f64| if x.is_nan() { f64::NAN } else { (x + 0.5).floor() };
     let start = round(start);
     let end = len.map_or(f64::INFINITY, |len| start + round(len));
     s.chars()
@@ -297,6 +275,59 @@ pub fn substring(s: &str, start: f64, len: Option<f64>) -> String {
         })
         .map(|(_, c)| c)
         .collect()
+}
+
+/// XPath 1.0 `substring-before` (§4.2): the part of `s` before the first
+/// occurrence of `sub`; empty when `s` does not contain `sub`.
+pub fn substring_before(s: &str, sub: &str) -> String {
+    s.find(sub).map(|i| s[..i].to_string()).unwrap_or_default()
+}
+
+/// XPath 1.0 `substring-after` (§4.2): the part of `s` after the first
+/// occurrence of `sub`; empty when `s` does not contain `sub`.
+pub fn substring_after(s: &str, sub: &str) -> String {
+    s.find(sub).map(|i| s[i + sub.len()..].to_string()).unwrap_or_default()
+}
+
+/// XPath 1.0 `normalize-space` (§4.2): strip leading and trailing
+/// whitespace and collapse each inner run of it to one space.
+pub fn normalize_space(s: &str) -> String {
+    s.split_ascii_whitespace().collect::<Vec<_>>().join(" ")
+}
+
+/// XPath 1.0 `translate` (§4.2): each character of `s` found in `from` is
+/// replaced by the character at the same position in `to`, or removed when
+/// `to` is shorter; the first occurrence in `from` decides.
+pub fn translate(s: &str, from: &str, to: &str) -> String {
+    let from: Vec<char> = from.chars().collect();
+    let to: Vec<char> = to.chars().collect();
+    s.chars()
+        .filter_map(|c| match from.iter().position(|&f| f == c) {
+            Some(i) => to.get(i).copied(),
+            None => Some(c),
+        })
+        .collect()
+}
+
+/// XPath 1.0 `round` (§4.4): the closest integer, with .5 rounded towards
+/// positive infinity; NaN stays NaN.
+pub fn round(n: f64) -> f64 {
+    if n.is_nan() {
+        n
+    } else {
+        (n + 0.5).floor()
+    }
+}
+
+/// The order of `xsl:sort data-type="number"` keys (XSLT 1.0 §10), which
+/// every tier sorts by: ascending, with NaN before every number.
+pub fn number_order(a: f64, b: f64) -> Ordering {
+    match (a.is_nan(), b.is_nan()) {
+        (true, true) => Ordering::Equal,
+        (true, false) => Ordering::Less,
+        (false, true) => Ordering::Greater,
+        (false, false) => a.partial_cmp(&b).unwrap_or(Ordering::Equal),
+    }
 }
 
 #[cfg(test)]
@@ -350,6 +381,54 @@ mod tests {
         assert_eq!(eval_s("substring('12345', -1 div 0, 1 div 0)"), "");
         assert_eq!(eval_s("substring('12345', 1, -1 div 0)"), "");
         assert_eq!(eval_s("substring('12345', -1 div 0)"), "12345");
+    }
+
+    #[test]
+    fn substring_before_and_after_spec_examples() {
+        use super::{substring_after, substring_before};
+        assert_eq!(substring_before("1999/04/01", "/"), "1999");
+        assert_eq!(substring_before("1999/04/01", "-"), "");
+        assert_eq!(substring_after("1999/04/01", "/"), "04/01");
+        assert_eq!(substring_after("1999/04/01", "19"), "99/04/01");
+        assert_eq!(substring_after("1999/04/01", "-"), "");
+    }
+
+    #[test]
+    fn normalize_space_spec_examples() {
+        assert_eq!(super::normalize_space("  a \t b\n\n c  "), "a b c");
+        assert_eq!(super::normalize_space(" \r\n "), "");
+    }
+
+    #[test]
+    fn translate_spec_examples() {
+        use super::translate;
+        assert_eq!(translate("bar", "abc", "ABC"), "BAr");
+        assert_eq!(translate("--aaa--", "abc-", "ABC"), "AAA");
+        assert_eq!(translate("aba", "aa", "xy"), "xbx");
+    }
+
+    #[test]
+    fn round_spec_examples() {
+        use super::round;
+        assert_eq!(round(2.5), 3.0);
+        assert_eq!(round(-2.5), -2.0);
+        assert_eq!(round(2.4999), 2.0);
+        assert_eq!(round(f64::INFINITY), f64::INFINITY);
+        assert!(round(f64::NAN).is_nan());
+    }
+
+    #[test]
+    fn number_order_puts_nan_first() {
+        use super::number_order;
+        use std::cmp::Ordering::*;
+        assert_eq!(number_order(f64::NAN, f64::NEG_INFINITY), Less);
+        assert_eq!(number_order(1.0, f64::NAN), Greater);
+        assert_eq!(number_order(f64::NAN, f64::NAN), Equal);
+        assert_eq!(number_order(2.0, 10.0), Less);
+        let mut v = [3.0, f64::NAN, -1.0, 2.0];
+        v.sort_by(|a, b| number_order(*a, *b));
+        assert!(v[0].is_nan());
+        assert_eq!(&v[1..], &[-1.0, 2.0, 3.0]);
     }
 
     #[test]

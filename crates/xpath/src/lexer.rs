@@ -328,12 +328,6 @@ pub fn tokenize(input: &str) -> Result<Vec<Tok>, LexError> {
     Ok(toks)
 }
 
-/// Is `*` at this position a multiplication operator? Decided by the parser
-/// using the same preceding-token rule.
-pub fn star_is_operator(prev: Option<&Tok>) -> bool {
-    prev_allows_operator(prev)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -201,21 +201,6 @@ impl XqExpr {
         XqExpr::call("fn:string", vec![e])
     }
 
-    /// `$var/child1/child2` convenience.
-    pub fn var_path(var: &str, children: &[&str]) -> XqExpr {
-        XqExpr::Path {
-            start: PathStart::Expr(Box::new(XqExpr::var(var))),
-            steps: children
-                .iter()
-                .map(|c| XqStep {
-                    axis: Axis::Child,
-                    test: NodeTest::Name { prefix: None, local: c.to_string() },
-                    predicates: Vec::new(),
-                })
-                .collect(),
-        }
-    }
-
     /// Strip annotations (for structural comparisons in tests).
     pub fn unannotated(&self) -> &XqExpr {
         match self {
@@ -253,12 +238,6 @@ impl XQuery {
     /// A query that is just a body.
     pub fn of(body: XqExpr) -> XQuery {
         XQuery { variables: Vec::new(), functions: Vec::new(), body }
-    }
-
-    /// Count of user-defined functions — the paper's inline-mode metric
-    /// (§5, objective 2) is "queries with zero function calls".
-    pub fn function_count(&self) -> usize {
-        self.functions.len()
     }
 }
 
@@ -344,18 +323,6 @@ pub fn walk_exprs<'a>(e: &'a XqExpr, f: &mut impl FnMut(&'a XqExpr)) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn var_path_builds_steps() {
-        let e = XqExpr::var_path("var003", &["emp", "sal"]);
-        match e {
-            XqExpr::Path { start, steps } => {
-                assert!(matches!(start, PathStart::Expr(_)));
-                assert_eq!(steps.len(), 2);
-            }
-            _ => panic!(),
-        }
-    }
 
     #[test]
     fn unannotated_strips_nesting() {

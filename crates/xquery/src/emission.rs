@@ -107,14 +107,6 @@ pub fn analyze_query(q: &XQuery) -> EmissionReport {
     report
 }
 
-/// Analyze a bare expression as if it were a query body (no user
-/// functions in scope, so every call is a builtin).
-pub fn analyze_expr(e: &XqExpr) -> EmissionReport {
-    let mut report = EmissionReport::default();
-    visit(e, true, &mut report, &mut |_, _| {});
-    report
-}
-
 /// Walk `e`, counting constructor sites into `report` and reporting each
 /// function-call site's `(name, emitting)` position to `on_call`.
 fn visit<'e>(

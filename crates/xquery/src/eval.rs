@@ -1,6 +1,18 @@
-//! Evaluator for the XQuery subset: sequences of items over shared
-//! immutable documents. Constructors copy content into fresh arenas, per
-//! XQuery semantics.
+//! Evaluator for the XQuery subset, run into an [`XmlSink`].
+//!
+//! [`evaluate_query_to_sink`] walks the query body with [`emit`]: whatever
+//! flows straight to the output (sequences, conditional branches, FLWOR
+//! returns, user-function bodies, constructor content) stays in emission
+//! position, and its constructors push events into the caller's sink
+//! without building a tree. Everything the query re-inspects (paths,
+//! predicates, variables, arguments) is evaluated by [`eval`] to a
+//! sequence of items over shared immutable documents, then replayed.
+//!
+//! A constructor is built in one place, [`construct`]. In emission
+//! position it writes into the caller's sink; in [`eval`] it *spills*:
+//! the same code runs into a fresh unguarded `TreeSink`, and the built
+//! node is the item. Both paths share one user-function call frame, one
+//! predicate filter and one FLWOR tuple loop.
 
 // Guard-bearing hot path: a stray unwrap here is a latent panic the
 // pipeline would have to contain at a tier boundary. Keep it impossible.
@@ -12,9 +24,10 @@ use std::fmt;
 use std::rc::Rc;
 use xsltdb_xml::{
     replay_subtree, DocRc, Document, FaultKind, FaultPoint, Guard, GuardExceeded, NodeId, NodeKind,
-    QName, SinkError, TreeBuilder, XmlSink,
+    QName, SinkError, TreeSink, XmlSink,
 };
 use xsltdb_xpath::axes::{axis_nodes, test_matches};
+use xsltdb_xpath::functions::number_order;
 use xsltdb_xpath::value::{num_to_string, str_to_num};
 
 /// Evaluation error.
@@ -103,6 +116,12 @@ impl Item {
     }
 }
 
+impl From<NodeHandle> for Item {
+    fn from(n: NodeHandle) -> Item {
+        Item::Node(n)
+    }
+}
+
 /// A sequence of items.
 pub type Sequence = Vec<Item>;
 
@@ -128,7 +147,7 @@ pub(crate) fn ebv(seq: &[Item]) -> Result<bool, XqError> {
 /// reference the sink-mode evaluator is tested against.
 #[cfg(test)]
 fn sequence_to_document(seq: &[Item]) -> Document {
-    let mut b = TreeBuilder::new();
+    let mut b = xsltdb_xml::TreeBuilder::new();
     let mut prev_atomic = false;
     for item in seq {
         match item {
@@ -316,7 +335,12 @@ pub(crate) fn eval(e: &XqExpr, env: &mut EvalEnv<'_>) -> Result<Sequence, XqErro
             Ok(vec![Item::Bool(ok)])
         }
         XqExpr::Flwor { clauses, where_clause, order_by, ret } => {
-            eval_flwor(clauses, where_clause.as_deref(), order_by, ret, env)
+            let mut out = Vec::new();
+            flwor(clauses, where_clause.as_deref(), order_by, env, |env| {
+                out.extend(eval(ret, env)?);
+                Ok(())
+            })?;
+            Ok(out)
         }
         XqExpr::Path { start, steps } => {
             let start_seq: Sequence = match start {
@@ -343,168 +367,25 @@ pub(crate) fn eval(e: &XqExpr, env: &mut EvalEnv<'_>) -> Result<Sequence, XqErro
         XqExpr::Filter { base, predicates } => {
             let mut seq = eval(base, env)?;
             for p in predicates {
-                seq = apply_predicate(seq, p, env)?;
+                seq = filter(seq, p, env)?;
             }
             Ok(seq)
         }
-        XqExpr::Call { name, args } => eval_call(name, args, env),
-        XqExpr::DirectElem { name, attrs, content } => {
-            env.guard.charge_output_nodes(1).map_err(guard_err)?;
-            let mut b = TreeBuilder::new();
-            b.start_element(name.clone());
-            for (aname, parts) in attrs {
-                let mut val = String::new();
-                for p in parts {
-                    match p {
-                        AttrValuePart::Text(t) => val.push_str(t),
-                        AttrValuePart::Expr(e) => {
-                            let seq = eval(e, env)?;
-                            let strs: Vec<String> =
-                                seq.iter().map(|i| i.atomize().to_string_value()).collect();
-                            val.push_str(&strs.join(" "));
-                        }
-                    }
-                }
-                b.attribute(aname.clone(), val);
+        XqExpr::Call { name, args } => match env.functions.get(name.as_str()) {
+            // User-defined functions are looked up with their full prefixed name.
+            Some(&decl) => call_frame(decl, args, env, eval),
+            None => {
+                let plain = name.strip_prefix("fn:").unwrap_or(name);
+                crate::functions::call_builtin(plain, args, env)
             }
-            let mut items = Vec::new();
-            for c in content {
-                match c {
-                    XqExpr::TextContent(t) => items.push(ContentPiece::Text(t.clone())),
-                    other => items.push(ContentPiece::Items(eval(other, env)?)),
-                }
-            }
-            build_content(&mut b, items)?;
-            b.end_element();
-            let doc = Rc::new(b.finish());
-            let root = doc.root_element().expect("constructor built an element");
-            Ok(vec![Item::Node(NodeHandle::new(doc, root))])
-        }
-        XqExpr::CompElem { name, content } => {
-            env.guard.charge_output_nodes(1).map_err(guard_err)?;
-            let n = eval(name, env)?;
-            let lexical = n
-                .first()
-                .map(|i| i.to_string_value())
-                .ok_or_else(|| XqError("element constructor with empty name".into()))?;
-            let (prefix, local) = QName::split(&lexical);
-            let qname = QName { prefix: prefix.map(Into::into), local: local.into(), ns_uri: None };
-            let mut b = TreeBuilder::new();
-            b.start_element(qname);
-            let inner = eval(content, env)?;
-            build_content(&mut b, vec![ContentPiece::Items(inner)])?;
-            b.end_element();
-            let doc = Rc::new(b.finish());
-            let root = doc.root_element().expect("constructor built an element");
-            Ok(vec![Item::Node(NodeHandle::new(doc, root))])
-        }
-        XqExpr::CompAttr { name, value } => {
-            let n = eval(name, env)?;
-            let lexical = n
-                .first()
-                .map(|i| i.to_string_value())
-                .ok_or_else(|| XqError("attribute constructor with empty name".into()))?;
-            let v = eval(value, env)?;
-            let strs: Vec<String> = v.iter().map(|i| i.atomize().to_string_value()).collect();
-            // A freestanding attribute node lives on a holder element.
-            let mut b = TreeBuilder::new();
-            b.start_element(QName::local("xq-attribute-holder"));
-            let (prefix, local) = QName::split(&lexical);
-            b.attribute(
-                QName { prefix: prefix.map(Into::into), local: local.into(), ns_uri: None },
-                strs.join(" "),
-            );
-            b.end_element();
-            let doc = Rc::new(b.finish());
-            let holder = doc.root_element().expect("built above");
-            let attr = doc.attributes(holder)[0];
-            Ok(vec![Item::Node(NodeHandle::new(doc, attr))])
-        }
-        XqExpr::CompText(e) => {
-            let v = eval(e, env)?;
-            let strs: Vec<String> = v.iter().map(|i| i.atomize().to_string_value()).collect();
-            let mut b = TreeBuilder::new();
-            b.start_element(QName::local("xq-text-holder"));
-            b.text(&strs.join(" "));
-            b.end_element();
-            let doc = Rc::new(b.finish());
-            let holder = doc.root_element().expect("built above");
-            match doc.children(holder).next() {
-                Some(t) => Ok(vec![Item::Node(NodeHandle::new(doc, t))]),
-                None => Ok(Vec::new()),
-            }
-        }
-        XqExpr::CompComment(e) => {
-            let v = eval(e, env)?;
-            let strs: Vec<String> = v.iter().map(|i| i.atomize().to_string_value()).collect();
-            let mut b = TreeBuilder::new();
-            b.start_element(QName::local("xq-comment-holder"));
-            b.comment(strs.join(" "));
-            b.end_element();
-            let doc = Rc::new(b.finish());
-            let holder = doc.root_element().expect("built above");
-            let node = doc.children(holder).next().expect("comment node built");
-            Ok(vec![Item::Node(NodeHandle::new(doc, node))])
-        }
-        XqExpr::CompPi { target, content } => {
-            let v = eval(content, env)?;
-            let strs: Vec<String> = v.iter().map(|i| i.atomize().to_string_value()).collect();
-            let mut b = TreeBuilder::new();
-            b.start_element(QName::local("xq-pi-holder"));
-            b.pi(target.as_str(), strs.join(" "));
-            b.end_element();
-            let doc = Rc::new(b.finish());
-            let holder = doc.root_element().expect("built above");
-            let node = doc.children(holder).next().expect("pi node built");
-            Ok(vec![Item::Node(NodeHandle::new(doc, node))])
-        }
+        },
+        XqExpr::DirectElem { .. }
+        | XqExpr::CompElem { .. }
+        | XqExpr::CompAttr { .. }
+        | XqExpr::CompText(_)
+        | XqExpr::CompComment(_)
+        | XqExpr::CompPi { .. } => spill(e, env),
     }
-}
-
-enum ContentPiece {
-    Text(String),
-    Items(Sequence),
-}
-
-/// Append constructor content: nodes are deep-copied; adjacent atomics are
-/// joined with a single space; attribute-node items become attributes.
-fn build_content(b: &mut TreeBuilder, pieces: Vec<ContentPiece>) -> Result<(), XqError> {
-    // The "adjacent atomics are space-separated" rule applies across the
-    // whole flattened content sequence; literal text breaks adjacency.
-    let mut prev_atomic = false;
-    for piece in pieces {
-        match piece {
-            ContentPiece::Text(t) => {
-                b.text(&t);
-                prev_atomic = false;
-            }
-            ContentPiece::Items(items) => {
-                for item in items {
-                    match item {
-                        Item::Node(n) => {
-                            if n.doc.is_attribute(n.id) {
-                                if let NodeKind::Attribute { name, value } = n.doc.kind(n.id) {
-                                    b.try_attribute(name.clone(), value.clone())
-                                        .map_err(|m| XqError(m.to_string()))?;
-                                }
-                            } else {
-                                b.copy_subtree(&n.doc, n.id);
-                            }
-                            prev_atomic = false;
-                        }
-                        atomic => {
-                            if prev_atomic {
-                                b.text(" ");
-                            }
-                            b.text(&atomic.to_string_value());
-                            prev_atomic = true;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 fn item_matches_type(item: &Item, t: &SeqType) -> bool {
@@ -573,23 +454,24 @@ fn compare_atomics(op: CompOp, a: &Item, b: &Item) -> bool {
 /// One FLWOR tuple: the variable bindings the `return` runs under.
 type FlworTuple = Vec<(String, Sequence)>;
 
-/// Expand the FLWOR tuple stream (depth-first), apply `where`, and sort by
-/// `order by` keys. Both the materialising and the sink-mode `return`
-/// loops run over the tuples this produces — the `return` clause itself
-/// stays in emission position because it is evaluated *after* the sort.
-fn flwor_tuples(
+/// Run a FLWOR: expand the tuple stream (depth-first), apply `where`, sort
+/// by `order by` keys, then run `ret` once per tuple with its bindings in
+/// scope. `ret` runs *after* the sort, so a sink-mode `return` clause
+/// stays in emission position.
+fn flwor<'q>(
     clauses: &[Clause],
     where_clause: Option<&XqExpr>,
     order_by: &[OrderSpec],
-    env: &mut EvalEnv<'_>,
-) -> Result<Vec<FlworTuple>, XqError> {
+    env: &mut EvalEnv<'q>,
+    mut ret: impl FnMut(&mut EvalEnv<'q>) -> Result<(), XqError>,
+) -> Result<(), XqError> {
     // Expand the tuple stream depth-first.
     fn expand(
         clauses: &[Clause],
         where_clause: Option<&XqExpr>,
         env: &mut EvalEnv<'_>,
-        tuples: &mut Vec<Vec<(String, Sequence)>>,
-        current: &mut Vec<(String, Sequence)>,
+        tuples: &mut Vec<FlworTuple>,
+        current: &mut FlworTuple,
     ) -> Result<(), XqError> {
         match clauses.split_first() {
             None => {
@@ -673,15 +555,7 @@ fn flwor_tuples(
                     || matches!(ka[i], Item::Num(_))
                     || matches!(kb[i], Item::Num(_))
                 {
-                    // NaN sorts first (ascending), mirroring the XSLT VM's
-                    // number-sort rule so the tiers stay byte-identical.
-                    let (a, b) = (ka[i].to_number(), kb[i].to_number());
-                    match (a.is_nan(), b.is_nan()) {
-                        (true, true) => Ordering::Equal,
-                        (true, false) => Ordering::Less,
-                        (false, true) => Ordering::Greater,
-                        (false, false) => a.partial_cmp(&b).unwrap_or(Ordering::Equal),
-                    }
+                    number_order(ka[i].to_number(), kb[i].to_number())
                 } else {
                     ka[i].to_string_value().cmp(&kb[i].to_string_value())
                 };
@@ -696,30 +570,14 @@ fn flwor_tuples(
         });
         tuples = decorated.into_iter().map(|(_, t)| t).collect();
     }
-    Ok(tuples)
-}
-
-fn eval_flwor(
-    clauses: &[Clause],
-    where_clause: Option<&XqExpr>,
-    order_by: &[OrderSpec],
-    ret: &XqExpr,
-    env: &mut EvalEnv<'_>,
-) -> Result<Sequence, XqError> {
-    let tuples = flwor_tuples(clauses, where_clause, order_by, env)?;
-    let mut out = Vec::new();
     for t in tuples {
-        let depth = t.len();
-        for binding in t {
-            env.vars.push(binding);
-        }
-        let r = eval(ret, env);
-        for _ in 0..depth {
-            env.vars.pop();
-        }
-        out.extend(r?);
+        let depth = env.vars.len();
+        env.vars.extend(t);
+        let r = ret(env);
+        env.vars.truncate(depth);
+        r?;
     }
-    Ok(out)
+    Ok(())
 }
 
 fn eval_steps(
@@ -758,7 +616,7 @@ fn eval_steps(
                 .map(|c| NodeHandle::new(Rc::clone(&nh.doc), c))
                 .collect();
             for p in &step.predicates {
-                kept = filter_nodes(kept, p, env)?;
+                kept = filter(kept, p, env)?;
             }
             next.extend(kept);
         }
@@ -769,15 +627,18 @@ fn eval_steps(
     Ok(current.into_iter().map(Item::Node).collect())
 }
 
-fn filter_nodes(
-    nodes: Vec<NodeHandle>,
+/// Keep the items (nodes of a step, or any sequence) that satisfy `pred`,
+/// each evaluated with itself as the context item: a single number keeps
+/// the item at that position, anything else by its effective boolean value.
+fn filter<T: Clone + Into<Item>>(
+    items: Vec<T>,
     pred: &XqExpr,
     env: &mut EvalEnv<'_>,
-) -> Result<Vec<NodeHandle>, XqError> {
-    let size = nodes.len();
-    let mut out = Vec::with_capacity(nodes.len());
-    for (i, n) in nodes.into_iter().enumerate() {
-        let saved_ctx = env.ctx.replace(Item::Node(n.clone()));
+) -> Result<Vec<T>, XqError> {
+    let size = items.len();
+    let mut out = Vec::with_capacity(size);
+    for (i, item) in items.into_iter().enumerate() {
+        let saved_ctx = env.ctx.replace(item.clone().into());
         let (saved_pos, saved_size) = (env.pos, env.size);
         env.pos = i + 1;
         env.size = size;
@@ -785,36 +646,7 @@ fn filter_nodes(
         env.ctx = saved_ctx;
         env.pos = saved_pos;
         env.size = saved_size;
-        let v = v?;
-        let keep = match v.as_slice() {
-            [Item::Num(x)] => (i + 1) as f64 == *x,
-            other => ebv(other)?,
-        };
-        if keep {
-            out.push(n);
-        }
-    }
-    Ok(out)
-}
-
-fn apply_predicate(
-    seq: Sequence,
-    pred: &XqExpr,
-    env: &mut EvalEnv<'_>,
-) -> Result<Sequence, XqError> {
-    let size = seq.len();
-    let mut out = Vec::with_capacity(seq.len());
-    for (i, item) in seq.into_iter().enumerate() {
-        let saved_ctx = env.ctx.replace(item.clone());
-        let (saved_pos, saved_size) = (env.pos, env.size);
-        env.pos = i + 1;
-        env.size = size;
-        let v = eval(pred, env);
-        env.ctx = saved_ctx;
-        env.pos = saved_pos;
-        env.size = saved_size;
-        let v = v?;
-        let keep = match v.as_slice() {
+        let keep = match v?.as_slice() {
             [Item::Num(x)] => (i + 1) as f64 == *x,
             other => ebv(other)?,
         };
@@ -825,46 +657,48 @@ fn apply_predicate(
     Ok(out)
 }
 
-fn eval_call(name: &str, args: &[XqExpr], env: &mut EvalEnv<'_>) -> Result<Sequence, XqError> {
-    // User-defined functions are looked up with their full prefixed name.
-    if env.functions.contains_key(name) {
-        let decl = env.functions[name];
-        if decl.params.len() != args.len() {
-            return Err(XqError(format!(
-                "{name}() expects {} arguments, got {}",
-                decl.params.len(),
-                args.len()
-            )));
-        }
-        if env.depth + 1 > MAX_DEPTH {
-            return Err(XqError(format!(
-                "function recursion deeper than {MAX_DEPTH} (infinite recursion?)"
-            )));
-        }
-        let mut bound = Vec::with_capacity(args.len());
-        for (p, a) in decl.params.iter().zip(args) {
-            bound.push((p.clone(), eval(a, env)?));
-        }
-        // Functions see only their parameters (and other functions).
-        let saved_vars = std::mem::take(&mut env.vars);
-        let saved_ctx = env.ctx.take();
-        env.vars = bound;
-        env.depth += 1;
-        let r = match env.guard.enter() {
-            Ok(()) => {
-                let r = eval(&decl.body, env);
-                env.guard.leave();
-                r
-            }
-            Err(e) => Err(guard_err(e)),
-        };
-        env.depth -= 1;
-        env.vars = saved_vars;
-        env.ctx = saved_ctx;
-        return r;
+/// Call user function `decl`: check arity and recursion depth, bind the
+/// arguments (evaluated at the call site, where they are re-inspected) and
+/// run `body` on the function body in a frame that sees only its
+/// parameters, under one guard depth level.
+fn call_frame<'q, T>(
+    decl: &'q FunctionDecl,
+    args: &[XqExpr],
+    env: &mut EvalEnv<'q>,
+    body: impl FnOnce(&'q XqExpr, &mut EvalEnv<'q>) -> Result<T, XqError>,
+) -> Result<T, XqError> {
+    if decl.params.len() != args.len() {
+        return Err(XqError(format!(
+            "{}() expects {} arguments, got {}",
+            decl.name,
+            decl.params.len(),
+            args.len()
+        )));
     }
-    let plain = name.strip_prefix("fn:").unwrap_or(name);
-    crate::functions::call_builtin(plain, args, env)
+    if env.depth + 1 > MAX_DEPTH {
+        return Err(XqError(format!(
+            "function recursion deeper than {MAX_DEPTH} (infinite recursion?)"
+        )));
+    }
+    let mut bound = Vec::with_capacity(args.len());
+    for (p, a) in decl.params.iter().zip(args) {
+        bound.push((p.clone(), eval(a, env)?));
+    }
+    let saved_vars = std::mem::replace(&mut env.vars, bound);
+    let saved_ctx = env.ctx.take();
+    env.depth += 1;
+    let r = match env.guard.enter() {
+        Ok(()) => {
+            let r = body(&decl.body, env);
+            env.guard.leave();
+            r
+        }
+        Err(e) => Err(guard_err(e)),
+    };
+    env.depth -= 1;
+    env.vars = saved_vars;
+    env.ctx = saved_ctx;
+    r
 }
 
 // ---------------------------------------------------------------------------
@@ -886,9 +720,8 @@ pub struct SinkRun {
 }
 
 /// Sink-mode evaluation state threaded through the emitting recursion:
-/// the sink itself, the space-join adjacency flag (the same `prev_atomic`
-/// rule [`build_content`] applies to materialised content), and the spill
-/// accounting.
+/// the sink itself, the space-join adjacency flag for constructor content,
+/// and the spill accounting.
 pub(crate) struct Emitter<'s> {
     sink: &'s mut dyn XmlSink,
     /// True when the last thing emitted at this position was an atomic
@@ -932,10 +765,9 @@ impl<'s> Emitter<'s> {
         Ok(())
     }
 
-    /// Emit a materialised sequence — the spill replay. Mirrors
-    /// [`build_content`] item by item: attribute-node items become
-    /// attribute events (misplaced if content already started), other
-    /// nodes replay as subtree events, atomics space-join.
+    /// Emit a materialised sequence — the spill replay: attribute-node
+    /// items become attribute events (misplaced if content already
+    /// started), other nodes replay as subtree events, atomics space-join.
     fn emit_items(&mut self, items: Sequence) -> Result<(), XqError> {
         for item in items {
             match item {
@@ -991,168 +823,26 @@ fn emit(e: &XqExpr, env: &mut EvalEnv<'_>, em: &mut Emitter<'_>) -> Result<(), X
         }
         XqExpr::Flwor { clauses, where_clause, order_by, ret } => {
             env.guard.charge(1).map_err(guard_err)?;
-            let tuples = flwor_tuples(clauses, where_clause.as_deref(), order_by, env)?;
-            for t in tuples {
-                let depth = t.len();
-                for binding in t {
-                    env.vars.push(binding);
-                }
-                let r = emit(ret, env, em);
-                for _ in 0..depth {
-                    env.vars.pop();
-                }
-                r?;
-            }
-            Ok(())
+            flwor(clauses, where_clause.as_deref(), order_by, env, |env| emit(ret, env, em))
         }
-        XqExpr::DirectElem { name, attrs, content } => {
+        XqExpr::DirectElem { .. }
+        | XqExpr::CompElem { .. }
+        | XqExpr::CompAttr { .. }
+        | XqExpr::CompText(_)
+        | XqExpr::CompComment(_)
+        | XqExpr::CompPi { .. } => {
             env.guard.charge(1).map_err(guard_err)?;
-            env.guard.charge_output_nodes(1).map_err(guard_err)?;
-            em.sink.start_element(name.clone()).map_err(sink_err)?;
-            for (aname, parts) in attrs {
-                let mut val = String::new();
-                for p in parts {
-                    match p {
-                        AttrValuePart::Text(t) => val.push_str(t),
-                        AttrValuePart::Expr(e) => {
-                            let seq = eval(e, env)?;
-                            let strs: Vec<String> =
-                                seq.iter().map(|i| i.atomize().to_string_value()).collect();
-                            val.push_str(&strs.join(" "));
-                        }
-                    }
-                }
-                em.sink.attribute(aname.clone(), &val).map_err(sink_err)?;
-            }
-            em.prev_atomic = false;
-            for c in content {
-                match c {
-                    // Literal element content is emitted verbatim and
-                    // breaks atomic adjacency — the `ContentPiece::Text`
-                    // rule of the materialising path.
-                    XqExpr::TextContent(t) => {
-                        em.sink.text(t).map_err(sink_err)?;
-                        em.prev_atomic = false;
-                    }
-                    other => emit(other, env, em)?,
-                }
-            }
-            em.sink.end_element().map_err(sink_err)?;
-            em.prev_atomic = false;
-            Ok(())
-        }
-        XqExpr::CompElem { name, content } => {
-            env.guard.charge(1).map_err(guard_err)?;
-            env.guard.charge_output_nodes(1).map_err(guard_err)?;
-            let n = eval(name, env)?;
-            let lexical = n
-                .first()
-                .map(|i| i.to_string_value())
-                .ok_or_else(|| XqError("element constructor with empty name".into()))?;
-            let (prefix, local) = QName::split(&lexical);
-            let qname = QName { prefix: prefix.map(Into::into), local: local.into(), ns_uri: None };
-            em.sink.start_element(qname).map_err(sink_err)?;
-            em.prev_atomic = false;
-            // No TextContent special case here: the materialising path
-            // evaluates computed content with `eval`, where literal text
-            // becomes an atomic string.
-            emit(content, env, em)?;
-            em.sink.end_element().map_err(sink_err)?;
-            em.prev_atomic = false;
-            Ok(())
-        }
-        XqExpr::CompAttr { name, value } => {
-            env.guard.charge(1).map_err(guard_err)?;
-            let n = eval(name, env)?;
-            let lexical = n
-                .first()
-                .map(|i| i.to_string_value())
-                .ok_or_else(|| XqError("attribute constructor with empty name".into()))?;
-            let v = eval(value, env)?;
-            let strs: Vec<String> = v.iter().map(|i| i.atomize().to_string_value()).collect();
-            let (prefix, local) = QName::split(&lexical);
-            em.sink
-                .attribute(
-                    QName { prefix: prefix.map(Into::into), local: local.into(), ns_uri: None },
-                    &strs.join(" "),
-                )
-                .map_err(sink_err)?;
-            em.prev_atomic = false;
-            Ok(())
-        }
-        XqExpr::CompText(inner) => {
-            env.guard.charge(1).map_err(guard_err)?;
-            let v = eval(inner, env)?;
-            let strs: Vec<String> = v.iter().map(|i| i.atomize().to_string_value()).collect();
-            let joined = strs.join(" ");
-            // An empty computed text node is an empty sequence on the
-            // materialising path: emit nothing and leave atomic adjacency
-            // untouched.
-            if joined.is_empty() {
-                return Ok(());
-            }
-            em.sink.text(&joined).map_err(sink_err)?;
-            em.prev_atomic = false;
-            Ok(())
-        }
-        XqExpr::CompComment(inner) => {
-            env.guard.charge(1).map_err(guard_err)?;
-            let v = eval(inner, env)?;
-            let strs: Vec<String> = v.iter().map(|i| i.atomize().to_string_value()).collect();
-            em.sink.comment(&strs.join(" ")).map_err(sink_err)?;
-            em.prev_atomic = false;
-            Ok(())
-        }
-        XqExpr::CompPi { target, content } => {
-            env.guard.charge(1).map_err(guard_err)?;
-            let v = eval(content, env)?;
-            let strs: Vec<String> = v.iter().map(|i| i.atomize().to_string_value()).collect();
-            em.sink.pi(target.as_str(), &strs.join(" ")).map_err(sink_err)?;
-            em.prev_atomic = false;
-            Ok(())
+            construct(e, env, em)
         }
         // A call to a *user-declared* function whose result flows straight
-        // to the output: inline the body in emission position. The body's
+        // to the output: run the body in emission position. The body's
         // value is never re-inspected here, so its constructors may stream
         // — this is what keeps the recursion-shaped XSLTMark cases (whose
         // every constructor lives inside a template function) spill-free.
-        // Argument values ARE re-inspected (bound to parameters), so they
-        // evaluate in spill position, exactly as `eval_call` does.
         XqExpr::Call { name, args } if env.functions.contains_key(name.as_str()) => {
             env.guard.charge(1).map_err(guard_err)?;
             let decl = env.functions[name.as_str()];
-            if decl.params.len() != args.len() {
-                return Err(XqError(format!(
-                    "{name}() expects {} arguments, got {}",
-                    decl.params.len(),
-                    args.len()
-                )));
-            }
-            if env.depth + 1 > MAX_DEPTH {
-                return Err(XqError(format!(
-                    "function recursion deeper than {MAX_DEPTH} (infinite recursion?)"
-                )));
-            }
-            let mut bound = Vec::with_capacity(args.len());
-            for (p, a) in decl.params.iter().zip(args) {
-                bound.push((p.clone(), eval(a, env)?));
-            }
-            // Functions see only their parameters (and other functions).
-            let saved_vars = std::mem::replace(&mut env.vars, bound);
-            let saved_ctx = env.ctx.take();
-            env.depth += 1;
-            let r = match env.guard.enter() {
-                Ok(()) => {
-                    let r = emit(&decl.body, env, em);
-                    env.guard.leave();
-                    r
-                }
-                Err(e) => Err(guard_err(e)),
-            };
-            env.depth -= 1;
-            env.vars = saved_vars;
-            env.ctx = saved_ctx;
-            r
+            call_frame(decl, args, env, |body, env| emit(body, env, em))
         }
         // Everything else must be re-inspected (paths, predicates, builtin
         // calls, comparisons, variables…): evaluate it — `eval` charges the
@@ -1162,6 +852,119 @@ fn emit(e: &XqExpr, env: &mut EvalEnv<'_>, em: &mut Emitter<'_>) -> Result<(), X
             em.emit_items(items)
         }
     }
+}
+
+/// The atomized items of `e`, space-joined: an attribute value, or the
+/// content of a computed text, comment or PI node.
+fn joined(e: &XqExpr, env: &mut EvalEnv<'_>) -> Result<String, XqError> {
+    let strs: Vec<String> = eval(e, env)?.iter().map(|i| i.atomize().to_string_value()).collect();
+    Ok(strs.join(" "))
+}
+
+/// The name of a computed element or attribute constructor.
+fn computed_name(name: &XqExpr, kind: &str, env: &mut EvalEnv<'_>) -> Result<QName, XqError> {
+    let lexical = eval(name, env)?
+        .first()
+        .map(|i| i.to_string_value())
+        .ok_or_else(|| XqError(format!("{kind} constructor with empty name")))?;
+    let (prefix, local) = QName::split(&lexical);
+    Ok(QName { prefix: prefix.map(Into::into), local: local.into(), ns_uri: None })
+}
+
+/// Run one constructor as events into `em` — the only code that builds a
+/// constructed node, whether it streams ([`emit`]) or spills ([`spill`]).
+/// The caller has charged the expression's fuel; element constructors
+/// charge an output node here.
+fn construct(e: &XqExpr, env: &mut EvalEnv<'_>, em: &mut Emitter<'_>) -> Result<(), XqError> {
+    match e {
+        XqExpr::DirectElem { name, attrs, content } => {
+            env.guard.charge_output_nodes(1).map_err(guard_err)?;
+            em.sink.start_element(name.clone()).map_err(sink_err)?;
+            for (aname, parts) in attrs {
+                let mut val = String::new();
+                for p in parts {
+                    match p {
+                        AttrValuePart::Text(t) => val.push_str(t),
+                        AttrValuePart::Expr(e) => val.push_str(&joined(e, env)?),
+                    }
+                }
+                em.sink.attribute(aname.clone(), &val).map_err(sink_err)?;
+            }
+            em.prev_atomic = false;
+            for c in content {
+                match c {
+                    // Literal element content is emitted verbatim and
+                    // breaks atomic adjacency.
+                    XqExpr::TextContent(t) => {
+                        em.sink.text(t).map_err(sink_err)?;
+                        em.prev_atomic = false;
+                    }
+                    other => emit(other, env, em)?,
+                }
+            }
+            em.sink.end_element().map_err(sink_err)?;
+        }
+        XqExpr::CompElem { name, content } => {
+            env.guard.charge_output_nodes(1).map_err(guard_err)?;
+            let qname = computed_name(name, "element", env)?;
+            em.sink.start_element(qname).map_err(sink_err)?;
+            em.prev_atomic = false;
+            // No TextContent special case: literal text in computed
+            // content is an atomic string.
+            emit(content, env, em)?;
+            em.sink.end_element().map_err(sink_err)?;
+        }
+        XqExpr::CompAttr { name, value } => {
+            let qname = computed_name(name, "attribute", env)?;
+            let v = joined(value, env)?;
+            em.sink.attribute(qname, &v).map_err(sink_err)?;
+        }
+        XqExpr::CompText(inner) => {
+            let v = joined(inner, env)?;
+            // An empty computed text node is no node at all: emit nothing
+            // and leave atomic adjacency untouched.
+            if v.is_empty() {
+                return Ok(());
+            }
+            em.sink.text(&v).map_err(sink_err)?;
+        }
+        XqExpr::CompComment(inner) => em.sink.comment(&joined(inner, env)?).map_err(sink_err)?,
+        XqExpr::CompPi { target, content } => {
+            em.sink.pi(target, &joined(content, env)?).map_err(sink_err)?
+        }
+        other => return Err(XqError(format!("not a constructor: {other:?}"))),
+    }
+    em.prev_atomic = false;
+    Ok(())
+}
+
+/// A constructor in spill position, where its value is re-inspected: run
+/// it through [`construct`] into a fresh unguarded `TreeSink` and return
+/// the node it built. Fuel and output nodes are charged to `env.guard`
+/// exactly as when the constructor streams; bytes are charged only when
+/// the node is replayed into the caller's sink, which also counts the
+/// spill — the inner emitter's own counters are dropped. An element is
+/// the root element of its own document; any other node sits on a holder
+/// element. An empty text constructor builds no node.
+fn spill(e: &XqExpr, env: &mut EvalEnv<'_>) -> Result<Sequence, XqError> {
+    let holder = match e {
+        XqExpr::CompAttr { .. } => Some("xq-attribute-holder"),
+        XqExpr::CompText(_) => Some("xq-text-holder"),
+        XqExpr::CompComment(_) => Some("xq-comment-holder"),
+        XqExpr::CompPi { .. } => Some("xq-pi-holder"),
+        _ => None,
+    };
+    let mut sink = TreeSink::unguarded();
+    if let Some(h) = holder {
+        sink.start_element(QName::local(h)).map_err(sink_err)?;
+    }
+    construct(e, env, &mut Emitter::new(&mut sink, Vec::new()))?;
+    let doc = Rc::new(sink.into_documents().pop().unwrap_or_default());
+    let node = doc.root_element().and_then(|root| match holder {
+        None => Some(root),
+        Some(_) => doc.attributes(root).first().copied().or_else(|| doc.children(root).next()),
+    });
+    Ok(node.map(|id| Item::Node(NodeHandle::new(Rc::clone(&doc), id))).into_iter().collect())
 }
 
 /// Evaluate a full query straight into an [`XmlSink`] — the one way to run
@@ -1553,6 +1356,36 @@ mod tests {
         ] {
             let (streamed, reference, _) = run_sink(src, "<r/>");
             assert_eq!(streamed, reference, "diverged on {src}");
+        }
+    }
+
+    /// Leaf constructors in spill position (a filter re-inspects them):
+    /// the bytes written, the fuel spent and the spill evidence, per kind.
+    /// Each freshly built node replays once; an empty text node is no node.
+    #[test]
+    fn spilled_leaf_constructors_are_pinned() {
+        let spilled = SinkRun { spilled_subtrees: 1, peak_spilled_nodes: 1 };
+        for (src, bytes, fuel, run) in [
+            ("<o>{(attribute {'k'} {'v'})[1]}</o>", "<o k=\"v\"/>", 6, spilled),
+            ("<o>{(text {'t'})[1]}</o>", "<o>t</o>", 5, spilled),
+            ("<o>{(text {''})[1]}</o>", "<o/>", 4, SinkRun::default()),
+            ("<o>{(comment {'c'})[1]}</o>", "<o><!--c--></o>", 5, spilled),
+            ("<o>{(processing-instruction p {'d'})[1]}</o>", "<o><?p d?></o>", 5, spilled),
+            (
+                "let $t := text {'a', 'b'} return ($t, $t)",
+                "a ba b",
+                8,
+                SinkRun { spilled_subtrees: 2, peak_spilled_nodes: 1 },
+            ),
+        ] {
+            let q = parse_query(src).unwrap();
+            let guard = Guard::unlimited();
+            let mut sw = xsltdb_xml::StreamWriter::new(Vec::new(), guard.clone());
+            let got =
+                evaluate_query_to_sink(&q, Some(input("<r/>")), Vec::new(), guard.clone(), &mut sw)
+                    .unwrap();
+            let out = String::from_utf8(sw.finish().unwrap()).unwrap();
+            assert_eq!((out.as_str(), guard.fuel_spent(), got), (bytes, fuel, run), "{src}");
         }
     }
 

@@ -2,7 +2,9 @@
 
 use crate::ast::XqExpr;
 use crate::eval::internal::{ebv, eval, EvalEnv, Item, Sequence, XqError};
-use xsltdb_xpath::functions::substring;
+use xsltdb_xpath::functions::{
+    normalize_space, round, substring, substring_after, substring_before, translate,
+};
 use xsltdb_xpath::value::str_to_num;
 
 pub(crate) fn call_builtin(
@@ -150,8 +152,7 @@ pub(crate) fn call_builtin(
             if arity != 1 {
                 return wrong_arity("1");
             }
-            let n = num0(&vals, 0);
-            Ok(vec![Item::Num(if n.is_nan() { n } else { (n + 0.5).floor() })])
+            Ok(vec![Item::Num(round(num0(&vals, 0)))])
         }
         "contains" => {
             if arity != 2 {
@@ -169,23 +170,13 @@ pub(crate) fn call_builtin(
             if arity != 2 {
                 return wrong_arity("2");
             }
-            let s = str0(&vals, 0);
-            let sub = str0(&vals, 1);
-            Ok(vec![Item::Str(
-                s.find(&sub).map(|i| s[..i].to_string()).unwrap_or_default(),
-            )])
+            Ok(vec![Item::Str(substring_before(&str0(&vals, 0), &str0(&vals, 1)))])
         }
         "substring-after" => {
             if arity != 2 {
                 return wrong_arity("2");
             }
-            let s = str0(&vals, 0);
-            let sub = str0(&vals, 1);
-            Ok(vec![Item::Str(
-                s.find(&sub)
-                    .map(|i| s[i + sub.len()..].to_string())
-                    .unwrap_or_default(),
-            )])
+            Ok(vec![Item::Str(substring_after(&str0(&vals, 0), &str0(&vals, 1)))])
         }
         "substring" => {
             if arity != 2 && arity != 3 {
@@ -208,25 +199,13 @@ pub(crate) fn call_builtin(
             } else {
                 str0(&vals, 0)
             };
-            Ok(vec![Item::Str(
-                s.split_ascii_whitespace().collect::<Vec<_>>().join(" "),
-            )])
+            Ok(vec![Item::Str(normalize_space(&s))])
         }
         "translate" => {
             if arity != 3 {
                 return wrong_arity("3");
             }
-            let s = str0(&vals, 0);
-            let from: Vec<char> = str0(&vals, 1).chars().collect();
-            let to: Vec<char> = str0(&vals, 2).chars().collect();
-            let out: String = s
-                .chars()
-                .filter_map(|c| match from.iter().position(|&f| f == c) {
-                    Some(i) => to.get(i).copied(),
-                    None => Some(c),
-                })
-                .collect();
-            Ok(vec![Item::Str(out)])
+            Ok(vec![Item::Str(translate(&str0(&vals, 0), &str0(&vals, 1), &str0(&vals, 2)))])
         }
         "upper-case" => {
             if arity != 1 {

@@ -38,7 +38,7 @@ pub use ast::{
     ArithOp, AttrValuePart, Clause, CompOp, FunctionDecl, OrderSpec, PathStart, SeqType, VarDecl,
     XQuery, XqExpr, XqStep,
 };
-pub use emission::{analyze_expr, analyze_query, EmissionReport};
+pub use emission::{analyze_query, EmissionReport};
 pub use eval::{evaluate_query_to_sink, Item, NodeHandle, Sequence, SinkRun, XqError};
 pub use parser::{parse_expr as parse_xq_expr, parse_query, XqParseError};
 pub use pretty::{pretty, pretty_query};

@@ -4,6 +4,7 @@ use crate::ast::SortKey;
 use crate::error::XsltError;
 use std::cmp::Ordering;
 use xsltdb_xml::NodeId;
+use xsltdb_xpath::functions::number_order;
 
 /// One evaluated sort key value.
 #[derive(Debug, Clone)]
@@ -15,15 +16,7 @@ enum KeyVal {
 impl KeyVal {
     fn cmp_key(&self, other: &KeyVal) -> Ordering {
         match (self, other) {
-            (KeyVal::Num(a), KeyVal::Num(b)) => {
-                // NaN sorts first, as an "unordered" value.
-                match (a.is_nan(), b.is_nan()) {
-                    (true, true) => Ordering::Equal,
-                    (true, false) => Ordering::Less,
-                    (false, true) => Ordering::Greater,
-                    (false, false) => a.partial_cmp(b).unwrap_or(Ordering::Equal),
-                }
-            }
+            (KeyVal::Num(a), KeyVal::Num(b)) => number_order(*a, *b),
             (KeyVal::Str(a), KeyVal::Str(b)) => a.cmp(b),
             _ => Ordering::Equal,
         }

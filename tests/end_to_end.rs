@@ -327,6 +327,10 @@ const PAPER_SQL: (u64, u64, u64, u64) = (69, 30, 556, 554);
 /// elements), charged bytes 26 (their text: `NEW YORK`, `BOSTON` and three
 /// four-digit `empno`s). The bytes written do not move.
 const DEPT_XQ: (u64, u64, u64, u64) = (121, 20, 132, 84);
+/// `games` builds each `fib` result-tree variable as a spilled constructor.
+/// Those trees are re-inspected, not written, so they charge fuel and
+/// output nodes but no output bytes: only the 13 bytes of `<fib>21</fib>`.
+const GAMES_XQ: (u64, u64, u64, u64) = (1_026, 68, 13, 13);
 
 #[test]
 fn guard_charges_are_pinned_for_dbtail_and_dept_emp() {
@@ -335,6 +339,17 @@ fn guard_charges_are_pinned_for_dbtail_and_dept_emp() {
     let (catalog, view) = (paper_catalog(), dept_emp_view());
     assert_charges(&catalog, &view, PAPER_STYLESHEET, Tier::Sql, PAPER_SQL);
     assert_charges(&catalog, &view, DEPT_XQUERY, Tier::XQuery, DEPT_XQ);
+    // fib's recursion wants more stack than a 2 MiB test thread has.
+    std::thread::Builder::new()
+        .stack_size(64 * 1024 * 1024)
+        .spawn(|| {
+            let (catalog, view) = xsltdb_xsltmark::db_catalog(3, 1);
+            let games = xsltdb_xsltmark::case("games").stylesheet;
+            assert_charges(&catalog, &view, &games, Tier::XQuery, GAMES_XQ);
+        })
+        .expect("spawn")
+        .join()
+        .expect("games charges");
 }
 
 // ------------------------------------------------------ pattern dispatch
@@ -369,3 +384,4 @@ fn node_pattern_does_not_match_the_document_node() {
     assert!(run.fallbacks.is_empty(), "{:?}", run.fallbacks);
     assert_eq!(String::from_utf8(out).unwrap(), expected);
 }
+

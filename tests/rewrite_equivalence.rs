@@ -285,6 +285,20 @@ fn substring_with_infinite_bounds() {
     );
 }
 
+/// XSLT 1.0 compares `data-type="text"` sort keys as strings, even when
+/// the key expression yields a number: `212` sorts before `5`.
+#[test]
+fn text_sort_key_with_a_number_value_sorts_as_a_string() {
+    assert_equivalent(
+        r#"<xsl:template match="table"><s><xsl:for-each select="row">
+             <xsl:sort select="count(*) + id"/>
+             <i><xsl:value-of select="id"/></i>
+           </xsl:for-each></s></xsl:template>"#,
+        &xsltdb_xsltmark::db_xml(30, 11),
+        &xsltdb_xsltmark::db_struct_info(),
+    );
+}
+
 #[test]
 fn nested_for_each() {
     assert_equivalent(
