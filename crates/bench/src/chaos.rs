@@ -6,12 +6,14 @@
 //!
 //! * **Byte identity** — every *admitted and served* request's bytes equal
 //!   the fresh single-threaded result for its case, no matter which tier
-//!   served it, how many attempts it took, or which breakers were open.
+//!   served it or how far earlier failures had demoted its plan.
 //! * **Typed shedding** — a request that gets no result gets a typed
 //!   [`Rejected`](xsltdb::admission::Rejected) or a typed pipeline error;
 //!   never a hang, never partial bytes.
-//! * **No forbidden retries** — guard-tripped requests finish in exactly
-//!   one attempt.
+//! * **Typed failure** — a request faulted at every lattice edge, or
+//!   given a starved output budget, fails with a typed pipeline error
+//!   (an all-edge request may still be served from the result cache,
+//!   which runs no tier).
 //! * **Ledger conservation** — after the fleet quiesces, the global
 //!   ledger holds zero reservations.
 //! * **Cache freshness under churn** — with `churn_writers > 0`, writer
@@ -49,14 +51,15 @@ pub const CHAOS_STACK: usize = 64 * 1024 * 1024;
 enum Chaos {
     /// Run clean.
     None,
-    /// One lattice edge dies (error or panic) on the first attempt; the
-    /// same attempt degrades to the next tier.
+    /// One lattice edge dies (error or panic); the request degrades to
+    /// the next tier and demotes its plan.
     OneEdge(FaultPoint, FaultKind),
-    /// Every lattice edge dies on the first attempt: the attempt exhausts
-    /// the lattice and the retry layer must recover on attempt two.
+    /// Every lattice edge dies: the request fails with a typed pipeline
+    /// error, demoting its plan to the VM, and the plan's later requests
+    /// are served there with the same bytes.
     AllEdges(FaultKind),
     /// The request runs with a absurdly small output budget: it must trip
-    /// its guard, classify terminal, and never be retried.
+    /// its guard, which neither falls back nor demotes the plan.
     TripBudget,
 }
 
@@ -114,11 +117,12 @@ pub struct ChaosConfig {
     /// lockstep by the churn writers, as the reference side of every byte
     /// comparison.
     pub pool_frames: usize,
-    /// Kill the SQL tier on every request's first attempt (alternating
-    /// error and panic), so SQL-tier plans degrade to the streamed XQuery
-    /// tier mid-request. Unlike `inject_faults` this is not randomised: it
-    /// drives the *whole* SQL-planned share of the suite through the
-    /// sink-mode spill path under concurrency.
+    /// Kill the SQL tier on every request (alternating error and panic),
+    /// so SQL-tier plans degrade to the streamed XQuery tier — mid-request
+    /// for the first request of each plan, from the start for the rest.
+    /// Unlike `inject_faults` this is not randomised: it drives the
+    /// *whole* SQL-planned share of the suite through the sink-mode spill
+    /// path under concurrency.
     pub degrade_sql: bool,
     /// Front-door tuning for the run.
     pub door: FrontDoorConfig,
@@ -142,8 +146,8 @@ impl ChaosConfig {
         }
     }
 
-    /// The SQL-degrade run: no random chaos, but every request's first
-    /// attempt loses its SQL tier, so all SQL-planned cases are served by
+    /// The SQL-degrade run: no random chaos, but every request loses its
+    /// SQL tier, so all SQL-planned cases are served by
     /// streamed sink-mode XQuery evaluation — spills, replays and all —
     /// while byte identity and ledger conservation stay asserted.
     pub fn sql_degrade_chaos(clients: usize) -> ChaosConfig {
@@ -185,7 +189,7 @@ pub struct ChaosReport {
     pub served: u64,
     /// Shed at admission with a typed rejection.
     pub shed: u64,
-    /// Admitted but errored (guard trips, exhausted retries).
+    /// Admitted but errored (guard trips, exhausted lattices).
     pub failed: u64,
     /// Served requests whose bytes differ from the fresh single-threaded
     /// result. **Must be zero.**
@@ -196,10 +200,6 @@ pub struct ChaosReport {
     pub served_xquery: u64,
     /// Sample diagnostic for the first mismatch, when any.
     pub first_mismatch: Option<String>,
-    /// Attempts that started after a previous attempt of the same request
-    /// had tripped its guard. **Must be zero** — trips are terminal, so
-    /// the retry layer must never follow one with another attempt.
-    pub guard_trip_retries: u64,
     /// Budget-tripped requests that correctly surfaced as guard trips.
     pub guard_trips: u64,
     /// Served-from-cache responses whose bytes differ from a fresh
@@ -225,7 +225,6 @@ impl ChaosReport {
     pub fn holds(&self) -> bool {
         self.mismatches == 0
             && self.stale_serves == 0
-            && self.guard_trip_retries == 0
             && self.quiesced
             && self.served + self.shed + self.failed == self.total
     }
@@ -252,9 +251,9 @@ fn reference_outputs(catalog: &Catalog, view: &XmlView) -> Vec<Vec<u8>> {
 /// Fresh uncached output for one stylesheet against the catalog as it is
 /// *right now* — the churn differential's reference side, run under the
 /// same read lock as the served request it gates. `BoundPlan::execute`
-/// runs the planned tier only — unguarded, with no fallback and no
-/// breaker — so the reference never passes through the lattice under
-/// test. The flip side: a planned-tier failure is a failed differential
+/// runs the planned tier only — unguarded, with no fallback, ignoring
+/// any demotion — so the reference never passes through the lattice
+/// under test. The flip side: a planned-tier failure is a failed differential
 /// here, not a degraded answer (e.g. a recursion-shaped case whose XQuery
 /// tier trips the depth limit panics this reference instead of producing
 /// VM bytes), which is why [`apply_churn`] caps row growth.
@@ -354,7 +353,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     let failed = AtomicU64::new(0);
     let mismatches = AtomicU64::new(0);
     let served_xquery = AtomicU64::new(0);
-    let guard_trip_retries = AtomicU64::new(0);
     let guard_trips = AtomicU64::new(0);
     let stale_serves = AtomicU64::new(0);
     let writer_mutations = AtomicU64::new(0);
@@ -409,7 +407,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
             let failed = &failed;
             let mismatches = &mismatches;
             let served_xquery = &served_xquery;
-            let guard_trip_retries = &guard_trip_retries;
             let guard_trips = &guard_trips;
             let first_mismatch = &first_mismatch;
             let cfg = *cfg;
@@ -440,43 +437,29 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
                         // fresh differential below see the same state.
                         let locked = store.read().unwrap_or_else(PoisonError::into_inner);
                         let (cat, shadow) = &*locked;
-                        // The previous attempt's guard, kept so a *new*
-                        // attempt starting after a trip — the forbidden
-                        // retry — is caught at the moment it happens, not
-                        // inferred from the final error.
-                        let prev_guard: Mutex<Option<Guard>> = Mutex::new(None);
                         let result = door.transform_with(
                             cat,
                             view,
                             &case.stylesheet,
                             &opts,
-                            &|limits, attempt| {
-                                let mut prev = prev_guard
-                                    .lock()
-                                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                                if attempt > 0
-                                    && prev.as_ref().is_some_and(|g| g.trip().is_some())
-                                {
-                                    guard_trip_retries.fetch_add(1, Ordering::Relaxed);
-                                }
+                            &|limits| {
                                 let g = match chaos {
+                                    Chaos::None => Guard::new(limits),
                                     Chaos::TripBudget => {
                                         Guard::new(Limits::UNLIMITED.with_max_output_bytes(2))
                                     }
-                                    Chaos::OneEdge(point, kind) if attempt == 0 => {
+                                    Chaos::OneEdge(point, kind) => {
                                         Guard::new(limits).with_fault(point, kind)
                                     }
-                                    Chaos::AllEdges(kind) if attempt == 0 => POINTS
+                                    Chaos::AllEdges(kind) => POINTS
                                         .iter()
                                         .fold(Guard::new(limits), |g, &p| g.with_fault(p, kind)),
-                                    _ => Guard::new(limits),
                                 };
-                                // The degrade schedule stacks on top: the
-                                // first attempt always loses its SQL tier,
-                                // alternating a clean error and a contained
-                                // panic so both exits of the spill path are
-                                // exercised.
-                                let g = if cfg.degrade_sql && attempt == 0 {
+                                // The degrade schedule stacks on top: every
+                                // request loses its SQL tier, alternating a
+                                // clean error and a contained panic so both
+                                // exits of the spill path are exercised.
+                                if cfg.degrade_sql {
                                     let kind = if request.is_multiple_of(2) {
                                         FaultKind::Error
                                     } else {
@@ -485,25 +468,27 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
                                     g.with_fault(FaultPoint::SqlExec, kind)
                                 } else {
                                     g
-                                };
-                                *prev = Some(g.clone());
-                                g
+                                }
                             },
                         );
                         match result {
                             Ok(out) => {
-                                if chaos == Chaos::TripBudget {
-                                    // A 2-byte budget must trip on every
-                                    // case in the suite; success means the
-                                    // guard was ignored.
+                                // A 2-byte budget must trip on every case
+                                // in the suite, and a request faulted at
+                                // every edge has no tier left to run;
+                                // success means a guard or a fault was
+                                // ignored.
+                                let forbidden = chaos == Chaos::TripBudget
+                                    || (matches!(chaos, Chaos::AllEdges(_)) && !out.cached);
+                                if forbidden {
                                     mismatches.fetch_add(1, Ordering::Relaxed);
                                     let mut slot = first_mismatch
                                         .lock()
                                         .unwrap_or_else(std::sync::PoisonError::into_inner);
                                     slot.get_or_insert_with(|| {
                                         format!(
-                                            "{}: budget-tripped request returned Ok",
-                                            case.name
+                                            "{}: {chaos:?} request returned Ok on {:?}",
+                                            case.name, out.tier
                                         )
                                     });
                                 } else {
@@ -535,12 +520,12 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
                                         slot.get_or_insert_with(|| {
                                             format!(
                                                 "{}: served {}B != reference {}B \
-                                                 (tier {:?}, attempts {}, cached {}, chaos {:?})",
+                                                 (tier {:?}, fallbacks {}, cached {}, chaos {:?})",
                                                 case.name,
                                                 out.bytes.len(),
                                                 reference.len(),
                                                 out.tier,
-                                                out.attempts,
+                                                out.fallbacks,
                                                 out.cached,
                                                 chaos,
                                             )
@@ -555,7 +540,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
                             Err(ServeError::Rejected(_)) => {
                                 shed.fetch_add(1, Ordering::Relaxed);
                             }
-                            Err(ServeError::Pipeline { error, .. }) => {
+                            Err(ServeError::Pipeline(error)) => {
                                 if error.is_guard_trip() {
                                     guard_trips.fetch_add(1, Ordering::Relaxed);
                                 }
@@ -580,7 +565,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
         mismatches: mismatches.into_inner(),
         served_xquery: served_xquery.into_inner(),
         first_mismatch: first_mismatch.into_inner().unwrap_or_else(|e| e.into_inner()),
-        guard_trip_retries: guard_trip_retries.into_inner(),
         guard_trips: guard_trips.into_inner(),
         stale_serves: stale_serves.into_inner(),
         writer_mutations: writer_mutations.into_inner(),

@@ -4,13 +4,12 @@
 //! front door's contract: at 8 concurrent clients with faults injected at
 //! every lattice edge, every admitted-and-served request is byte-identical
 //! to the fresh single-threaded result, shed requests get typed
-//! rejections, guard trips are never retried, and the global ledger
-//! returns to zero reservations once the fleet quiesces. The same
-//! contract under DML/DDL churn is `tests/result_cache_churn.rs`.
+//! rejections, requests faulted at every edge fail with a typed error,
+//! and the global ledger returns to zero reservations once the fleet
+//! quiesces. The same contract under DML/DDL churn is
+//! `tests/result_cache_churn.rs`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
-use xsltdb::admission::RetryPolicy;
 use xsltdb::xqgen::RewriteOptions;
 use xsltdb::{FaultKind, FaultPoint, Guard, Limits};
 use xsltdb_bench::{run_chaos, ChaosConfig, CHAOS_STACK};
@@ -34,10 +33,6 @@ fn chaos_eight_clients_with_faults_holds_the_contract() {
         report.mismatches, 0,
         "served bytes diverged from the single-threaded reference: {:?}",
         report.first_mismatch
-    );
-    assert_eq!(
-        report.guard_trip_retries, 0,
-        "an attempt started after a previous attempt tripped its guard"
     );
     assert!(report.quiesced, "ledger still holds reservations after quiesce");
     assert_eq!(
@@ -65,10 +60,10 @@ fn chaos_eight_clients_clean_serves_everything() {
 }
 
 /// Satellite: forced degradation to the streamed XQuery tier. Every
-/// request's first attempt loses its SQL tier (alternating error and
-/// contained panic), so all 23 SQL-planned cases are actually served by
-/// sink-mode XQuery evaluation — events straight to the wire, spills
-/// replayed — under 8 concurrent clients. The served bytes must stay
+/// request loses its SQL tier (alternating error and contained panic),
+/// so all 23 SQL-planned cases are actually served by sink-mode XQuery
+/// evaluation — events straight to the wire, spills replayed — under 8
+/// concurrent clients. The served bytes must stay
 /// identical to the clean single-threaded reference, and the ledger must
 /// quiesce: a reservation leaking through a spill-path panic would fail
 /// `holds()`.
@@ -131,7 +126,7 @@ fn chaos_paged_catalog_with_eviction_serves_identical_bytes() {
 }
 
 /// Satellite: ledger accounting under panic. Every request panics at
-/// every lattice edge on every attempt, so each one unwinds through
+/// every lattice edge, so each one unwinds through
 /// `catch_unwind` while holding a live reservation. After 1000 such
 /// iterations across 8 threads nothing may be leaked: the ledger must
 /// be back to zero fuel / bytes / streams in flight.
@@ -142,13 +137,6 @@ fn ledger_returns_reservations_after_1000_panicking_requests() {
     // reservations — a leak shows up as a non-quiesced ledger.
     cfg.limits = Limits::UNLIMITED.with_fuel(1_000_000).with_max_output_bytes(1 << 20);
     cfg.ledger = LedgerLimits::server_default();
-    // Panics classify transient, so attempts retry; zero backoff keeps
-    // 1000 iterations fast while still exercising the retry loop.
-    cfg.retry = RetryPolicy {
-        max_attempts: 2,
-        base_backoff: Duration::ZERO,
-        max_backoff: Duration::ZERO,
-    };
     let door = FrontDoor::new(cfg);
     let (catalog, view) = db_catalog(24, 7);
     let sheet = dbonerow_stylesheet(existing_id(24));
@@ -174,9 +162,9 @@ fn ledger_returns_reservations_after_1000_panicking_requests() {
                             view,
                             sheet,
                             opts,
-                            &|limits, _attempt| {
-                                // Panic on *every* attempt at *every*
-                                // edge: the request can never succeed.
+                            &|limits| {
+                                // Panic at *every* edge: the request can
+                                // never succeed.
                                 Guard::new(limits)
                                     .with_fault(FaultPoint::SqlExec, FaultKind::Panic)
                                     .with_fault(FaultPoint::XQueryExec, FaultKind::Panic)

@@ -1,38 +1,22 @@
 //! Admission control for the serving front door.
 //!
 //! Per-call [`Guard`](xsltdb_xml::Guard) budgets bound a single transform;
-//! this module bounds the *fleet*. Three cooperating pieces:
+//! this module bounds the *fleet*. [`AdmissionQueue`] gates requests on a
+//! global [`ResourceLedger`](xsltdb_xml::ResourceLedger): a request that
+//! cannot reserve capacity waits — bounded in depth and in time — and is
+//! shed with a typed [`Rejected`] when either bound is hit. Nothing ever
+//! queues unboundedly.
 //!
-//! * [`AdmissionQueue`] — gates requests on a global
-//!   [`ResourceLedger`](xsltdb_xml::ResourceLedger). A request that cannot
-//!   reserve capacity waits — bounded in depth and in time — and is shed
-//!   with a typed [`Rejected`] when either bound is hit. Nothing ever
-//!   queues unboundedly.
-//! * [`RetryPolicy`] — a failure taxonomy plus jittered exponential
-//!   backoff. Only **transient** failures (tier panics, engine errors,
-//!   exhausted lattices — things a fresh attempt may not reproduce) are
-//!   retryable; **terminal** failures (guard trips, binding errors,
-//!   compile errors — deterministic outcomes of the request itself) are
-//!   never retried.
-//! * [`CircuitBreakerSet`] — per-tier breakers over a rolling outcome
-//!   window. A tier whose recent failure rate crosses the threshold is
-//!   opened: the pipeline routes straight to the next lattice tier until a
-//!   half-open probe succeeds.
-//!
-//! The jitter source is a deterministic xorshift so chaos runs replay
-//! bit-for-bit; no clocks or OS randomness feed the backoff schedule.
+//! Failures need nothing here: a tier that fails a plan demotes that plan
+//! inside the execution lattice (`BoundPlan::execute_to_writer`), and the
+//! engine is deterministic, so the door neither retries nor routes around
+//! a tier.
 
-use crate::error::PipelineError;
-use crate::pipeline::{Tier, TierRouter};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use xsltdb_xml::{LedgerLimits, Reservation, ResourceLedger};
-
-// ---------------------------------------------------------------------------
-// Admission queue
-// ---------------------------------------------------------------------------
 
 /// Why a request was shed instead of admitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -248,297 +232,6 @@ impl Drop for Permit {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Retry taxonomy + jittered backoff
-// ---------------------------------------------------------------------------
-
-/// Whether a failed attempt may be retried.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FailureClass {
-    /// A fresh attempt may succeed: contained panics, engine errors, an
-    /// exhausted lattice (a fault injection or transient corruption).
-    Transient,
-    /// Deterministic outcome of the request itself — retrying burns budget
-    /// to reproduce the same failure. Guard trips especially: re-running a
-    /// budget-tripped request is exactly the overload amplification this
-    /// layer exists to prevent.
-    Terminal,
-}
-
-/// Classify a pipeline failure for the retry layer.
-pub fn classify(err: &PipelineError) -> FailureClass {
-    match err {
-        PipelineError::Guard(_)
-        | PipelineError::UnboundSlot { .. }
-        | PipelineError::BindingMismatch { .. }
-        | PipelineError::Xslt(_)
-        | PipelineError::Rewrite(_) => FailureClass::Terminal,
-        PipelineError::Panic { .. }
-        | PipelineError::TiersExhausted { .. }
-        | PipelineError::Store(_)
-        | PipelineError::XQuery(_)
-        | PipelineError::Internal(_) => FailureClass::Transient,
-    }
-}
-
-/// Bounded retry with deterministic jittered exponential backoff.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Total attempts including the first (so `3` = one try + two retries).
-    pub max_attempts: u32,
-    /// Backoff before the first retry; doubles per further retry.
-    pub base_backoff: Duration,
-    /// Ceiling on any single backoff sleep.
-    pub max_backoff: Duration,
-}
-
-impl RetryPolicy {
-    pub fn server_default() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 3,
-            base_backoff: Duration::from_millis(2),
-            max_backoff: Duration::from_millis(50),
-        }
-    }
-
-    /// No retries at all — every failure is final.
-    pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            base_backoff: Duration::ZERO,
-            max_backoff: Duration::ZERO,
-        }
-    }
-
-    /// True when attempt number `attempt` (0-based) of a request may be
-    /// followed by another after failing with `err`.
-    pub fn should_retry(&self, attempt: u32, err: &PipelineError) -> bool {
-        attempt + 1 < self.max_attempts && classify(err) == FailureClass::Transient
-    }
-
-    /// Backoff before retry number `attempt` (1-based: the sleep after the
-    /// `attempt`-th failure). Jitter is drawn from a xorshift stream seeded
-    /// by `seed` (e.g. a request id), so two colliding clients with
-    /// different seeds decorrelate while a chaos replay stays
-    /// deterministic. The jittered value lands in `[half, full]` of the
-    /// exponential step, capped at `max_backoff`.
-    pub fn backoff(&self, attempt: u32, seed: u64) -> Duration {
-        if self.base_backoff.is_zero() {
-            return Duration::ZERO;
-        }
-        let step = self
-            .base_backoff
-            .saturating_mul(1u32 << attempt.saturating_sub(1).min(16))
-            .min(self.max_backoff);
-        let nanos = step.as_nanos() as u64;
-        if nanos < 2 {
-            return step;
-        }
-        let half = nanos / 2;
-        let jitter = xorshift(seed.wrapping_add(u64::from(attempt)).wrapping_mul(0x9E37_79B9_7F4A_7C15)) % (half + 1);
-        Duration::from_nanos(half + jitter)
-    }
-}
-
-/// The xorshift64* step: deterministic, seed-sensitive, no OS entropy.
-fn xorshift(mut x: u64) -> u64 {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-}
-
-// ---------------------------------------------------------------------------
-// Per-tier circuit breaker
-// ---------------------------------------------------------------------------
-
-/// Tuning for a [`CircuitBreakerSet`].
-#[derive(Debug, Clone, Copy)]
-pub struct BreakerConfig {
-    /// Rolling window of recent outcomes per tier (≤ 64).
-    pub window: usize,
-    /// Minimum outcomes in the window before the breaker may open.
-    pub min_samples: usize,
-    /// Failure fraction over the window at which the breaker opens.
-    pub failure_threshold: f64,
-    /// Time a breaker stays open before a half-open probe is allowed.
-    pub cooldown: Duration,
-}
-
-impl BreakerConfig {
-    pub fn server_default() -> BreakerConfig {
-        BreakerConfig {
-            window: 16,
-            min_samples: 8,
-            failure_threshold: 0.5,
-            cooldown: Duration::from_millis(50),
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BreakerState {
-    Closed,
-    Open { since: Instant },
-    /// One probe request is (or may be) in flight; its outcome decides
-    /// whether the breaker closes or re-opens.
-    HalfOpen { probe_in_flight: bool },
-}
-
-#[derive(Debug)]
-struct BreakerCell {
-    state: BreakerState,
-    /// Outcome ring as a bitmask: bit set = failure.
-    failures: u64,
-    filled: usize,
-    head: usize,
-}
-
-impl BreakerCell {
-    fn new() -> BreakerCell {
-        BreakerCell { state: BreakerState::Closed, failures: 0, filled: 0, head: 0 }
-    }
-
-    fn reset_window(&mut self) {
-        self.failures = 0;
-        self.filled = 0;
-        self.head = 0;
-    }
-
-    fn push(&mut self, failed: bool, window: usize) {
-        let bit = 1u64 << self.head;
-        if failed {
-            self.failures |= bit;
-        } else {
-            self.failures &= !bit;
-        }
-        self.head = (self.head + 1) % window;
-        self.filled = (self.filled + 1).min(window);
-    }
-
-    fn failure_rate(&self) -> f64 {
-        if self.filled == 0 {
-            return 0.0;
-        }
-        self.failures.count_ones() as f64 / self.filled as f64
-    }
-}
-
-/// A snapshot of one tier's breaker for stats export.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerView {
-    Closed,
-    Open,
-    HalfOpen,
-}
-
-/// Per-tier circuit breakers over the degradation lattice. Implements
-/// [`TierRouter`], so the pipeline consults it before entering a tier and
-/// reports every tier outcome back.
-#[derive(Debug)]
-pub struct CircuitBreakerSet {
-    config: BreakerConfig,
-    cells: [Mutex<BreakerCell>; 3],
-    opened_total: AtomicU64,
-}
-
-impl CircuitBreakerSet {
-    pub fn new(config: BreakerConfig) -> CircuitBreakerSet {
-        assert!(config.window >= 1 && config.window <= 64, "window must be 1..=64");
-        CircuitBreakerSet {
-            config,
-            cells: [
-                Mutex::new(BreakerCell::new()),
-                Mutex::new(BreakerCell::new()),
-                Mutex::new(BreakerCell::new()),
-            ],
-            opened_total: AtomicU64::new(0),
-        }
-    }
-
-    fn cell(&self, tier: Tier) -> MutexGuard<'_, BreakerCell> {
-        let idx = match tier {
-            Tier::Sql => 0,
-            Tier::XQuery => 1,
-            Tier::Vm => 2,
-        };
-        self.cells[idx].lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// How many times any breaker transitioned Closed→Open.
-    pub fn opened_total(&self) -> u64 {
-        self.opened_total.load(Ordering::Relaxed)
-    }
-
-    /// The current state of `tier`'s breaker.
-    pub fn view(&self, tier: Tier) -> BreakerView {
-        match self.cell(tier).state {
-            BreakerState::Closed => BreakerView::Closed,
-            BreakerState::Open { .. } => BreakerView::Open,
-            BreakerState::HalfOpen { .. } => BreakerView::HalfOpen,
-        }
-    }
-}
-
-impl TierRouter for CircuitBreakerSet {
-    fn allow(&self, tier: Tier) -> bool {
-        // The lattice's last tier is never breaker-blocked: there is
-        // nothing below it to degrade to, so refusing it would turn a
-        // tier-health signal into load shedding — the admission queue's
-        // job, not the breaker's. Its outcomes are still recorded.
-        if tier == Tier::Vm {
-            return true;
-        }
-        let mut cell = self.cell(tier);
-        match cell.state {
-            BreakerState::Closed => true,
-            BreakerState::Open { since } => {
-                if since.elapsed() >= self.config.cooldown {
-                    cell.state = BreakerState::HalfOpen { probe_in_flight: true };
-                    true
-                } else {
-                    false
-                }
-            }
-            BreakerState::HalfOpen { probe_in_flight } => {
-                if probe_in_flight {
-                    false
-                } else {
-                    cell.state = BreakerState::HalfOpen { probe_in_flight: true };
-                    true
-                }
-            }
-        }
-    }
-
-    fn record(&self, tier: Tier, success: bool) {
-        let mut cell = self.cell(tier);
-        match cell.state {
-            BreakerState::HalfOpen { .. } => {
-                if success {
-                    cell.state = BreakerState::Closed;
-                    cell.reset_window();
-                } else {
-                    cell.state = BreakerState::Open { since: Instant::now() };
-                }
-            }
-            BreakerState::Closed => {
-                cell.push(!success, self.config.window);
-                if cell.filled >= self.config.min_samples
-                    && cell.failure_rate() >= self.config.failure_threshold
-                {
-                    cell.state = BreakerState::Open { since: Instant::now() };
-                    self.opened_total.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            // A record can land while open (an in-flight request admitted
-            // before the trip): the window restarts when the breaker next
-            // closes, so drop it.
-            BreakerState::Open { .. } => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -608,116 +301,6 @@ mod tests {
         }));
         assert!(q.ledger().snapshot().is_quiesced());
         assert!(q.admit(5, 5).is_ok(), "capacity leaked after panic");
-    }
-
-    #[test]
-    fn guard_trips_and_binding_errors_are_terminal() {
-        let trip = {
-            let g = xsltdb_xml::Guard::new(xsltdb_xml::Limits::UNLIMITED.with_fuel(1));
-            g.charge(2).unwrap_err();
-            g.trip().expect("tripped")
-        };
-        let terminal: Vec<PipelineError> = vec![
-            PipelineError::Guard(trip),
-            PipelineError::UnboundSlot { slot: "$t0".into() },
-            PipelineError::BindingMismatch { expected: 1, got: 2 },
-        ];
-        for e in &terminal {
-            assert_eq!(classify(e), FailureClass::Terminal, "{e}");
-        }
-        let transient: Vec<PipelineError> = vec![
-            PipelineError::Panic { tier: "sql", message: "boom".into() },
-            PipelineError::TiersExhausted { attempts: vec![] },
-            PipelineError::internal("odd"),
-        ];
-        for e in &transient {
-            assert_eq!(classify(e), FailureClass::Transient, "{e}");
-        }
-    }
-
-    #[test]
-    fn retry_policy_respects_attempt_bound_and_taxonomy() {
-        let p = RetryPolicy::server_default();
-        let transient = PipelineError::Panic { tier: "sql", message: "x".into() };
-        assert!(p.should_retry(0, &transient));
-        assert!(p.should_retry(1, &transient));
-        assert!(!p.should_retry(2, &transient), "attempt bound ignored");
-        let g = xsltdb_xml::Guard::new(xsltdb_xml::Limits::UNLIMITED.with_fuel(1));
-        let _ = g.charge(2);
-        let terminal = PipelineError::Guard(g.trip().expect("tripped"));
-        assert!(!p.should_retry(0, &terminal), "guard trips must never retry");
-    }
-
-    #[test]
-    fn backoff_is_deterministic_jittered_and_capped() {
-        let p = RetryPolicy::server_default();
-        let a = p.backoff(1, 42);
-        let b = p.backoff(1, 42);
-        assert_eq!(a, b, "same seed+attempt must replay identically");
-        let c = p.backoff(1, 43);
-        // Different seeds should (for these constants) land elsewhere in
-        // the jitter interval.
-        assert_ne!(a, c, "jitter ignored the seed");
-        for attempt in 1..10 {
-            for seed in 0..20 {
-                let d = p.backoff(attempt, seed);
-                assert!(d <= p.max_backoff, "{d:?} pierced the cap");
-                assert!(d >= p.base_backoff / 2, "{d:?} under half the base");
-            }
-        }
-        assert_eq!(RetryPolicy::none().backoff(1, 7), Duration::ZERO);
-    }
-
-    #[test]
-    fn breaker_opens_at_threshold_and_recovers_via_half_open() {
-        let cfg = BreakerConfig {
-            window: 8,
-            min_samples: 4,
-            failure_threshold: 0.5,
-            cooldown: Duration::from_millis(5),
-        };
-        let set = CircuitBreakerSet::new(cfg);
-        assert!(set.allow(Tier::Sql));
-        for _ in 0..4 {
-            set.record(Tier::Sql, false);
-        }
-        assert_eq!(set.view(Tier::Sql), BreakerView::Open);
-        assert_eq!(set.opened_total(), 1);
-        assert!(!set.allow(Tier::Sql), "open breaker must refuse");
-        // Other tiers are independent.
-        assert!(set.allow(Tier::XQuery));
-
-        std::thread::sleep(cfg.cooldown + Duration::from_millis(2));
-        assert!(set.allow(Tier::Sql), "cooldown elapsed: probe allowed");
-        assert_eq!(set.view(Tier::Sql), BreakerView::HalfOpen);
-        assert!(!set.allow(Tier::Sql), "only one probe at a time");
-        // Probe fails → open again; probe succeeds after next cooldown →
-        // closed with a fresh window.
-        set.record(Tier::Sql, false);
-        assert_eq!(set.view(Tier::Sql), BreakerView::Open);
-        std::thread::sleep(cfg.cooldown + Duration::from_millis(2));
-        assert!(set.allow(Tier::Sql));
-        set.record(Tier::Sql, true);
-        assert_eq!(set.view(Tier::Sql), BreakerView::Closed);
-        assert!(set.allow(Tier::Sql));
-    }
-
-    #[test]
-    fn breaker_mixes_success_and_failure_below_threshold() {
-        let set = CircuitBreakerSet::new(BreakerConfig::server_default());
-        for i in 0..32 {
-            set.record(Tier::Vm, i % 4 == 0); // 75% failures → opens
-            if set.view(Tier::Vm) == BreakerView::Open {
-                break;
-            }
-        }
-        assert_eq!(set.view(Tier::Vm), BreakerView::Open);
-
-        let set = CircuitBreakerSet::new(BreakerConfig::server_default());
-        for i in 0..64 {
-            set.record(Tier::Sql, i % 4 != 0); // 25% failures → stays closed
-        }
-        assert_eq!(set.view(Tier::Sql), BreakerView::Closed);
     }
 
     #[test]

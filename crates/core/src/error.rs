@@ -172,7 +172,7 @@ impl From<xsltdb_relstore::StoreError> for PipelineError {
     fn from(e: xsltdb_relstore::StoreError) -> Self {
         // A store error that is really a guard trip (a streaming sink or a
         // scan ran out of budget mid-execution) classifies as `Guard`: the
-        // admission/retry layer must treat it as terminal, not transient.
+        // lattice must treat it as terminal, and it must not demote the plan.
         match e.trip() {
             Some(trip) => PipelineError::Guard(trip),
             None => PipelineError::Store(e),

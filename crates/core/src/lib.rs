@@ -61,16 +61,13 @@ pub mod sqlrewrite;
 pub mod translate;
 pub mod xqgen;
 
-pub use admission::{
-    classify, AdmissionConfig, AdmissionQueue, AdmissionStats, BreakerConfig, BreakerView,
-    CircuitBreakerSet, FailureClass, Permit, Rejected, RetryPolicy,
-};
+pub use admission::{AdmissionConfig, AdmissionQueue, AdmissionStats, Permit, Rejected};
 pub use error::{PipelineError, RewriteError, TierFailure};
 pub use guard::{FaultKind, FaultPoint, Guard, GuardExceeded, Limits, Resource};
 pub use pe::{partial_evaluate, ExecGraph, PeResult};
 pub use pipeline::{
-    no_rewrite_transform, plan_bound, plan_cached_shared, plan_transform,
-    AllowAllTiers, BaselineRun, BoundPlan, StreamRun, Tier, TierRouter, TransformPlan,
+    no_rewrite_transform, plan_bound, plan_cached_shared, plan_transform, BaselineRun,
+    BoundPlan, StreamRun, Tier, TransformPlan,
 };
 pub use plancache::{
     fnv64, plan_cost, struct_fingerprint, PlanKey, SharedPlanCache,

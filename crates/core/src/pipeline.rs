@@ -30,21 +30,23 @@
 #![cfg_attr(not(test), deny(clippy::redundant_clone))]
 
 use crate::error::{PipelineError, TierFailure};
-use crate::guard::Guard;
+use crate::guard::{FaultKind, FaultPoint, Guard};
 use crate::plancache::{PlanKey, SharedPlanCache};
 use crate::projection::Projection;
 use crate::sqlrewrite::rewrite_to_sql;
 use crate::xqgen::{rewrite, RewriteOptions, RewriteOutcome};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use xsltdb_relstore::pubexpr::SqlXmlQuery;
-use xsltdb_relstore::{slot_name, Catalog, ExecStats, SlotBindings, XmlView};
+use xsltdb_relstore::{slot_name, Catalog, ExecStats, SlotBindings, StoreError, XmlView};
 use xsltdb_structinfo::{canonicalize_view, StructInfo, ViewCanon};
 use xsltdb_xml::{replay_subtree, Document, NodeId, StreamWriter, TreeSink, XmlSink};
 use xsltdb_xquery::{analyze_query, evaluate_query_to_sink, EmissionReport, NodeHandle};
 use xsltdb_xslt::{compile_str, transform, transform_with, NoTrace, Stylesheet, TransformOptions};
 
-/// Which execution strategy a plan uses.
+/// Which execution strategy a plan uses, fastest first: the discriminants
+/// index the degradation lattice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
     /// Pure SQL/XML over base tables.
@@ -54,6 +56,9 @@ pub enum Tier {
     /// Functional evaluation (materialise + XSLTVM) — the no-rewrite path.
     Vm,
 }
+
+/// The degradation lattice, fastest tier first.
+const LATTICE: [Tier; 3] = [Tier::Sql, Tier::XQuery, Tier::Vm];
 
 /// A prepared transformation of a *shape family* by a stylesheet.
 ///
@@ -84,6 +89,11 @@ pub struct TransformPlan {
     /// The part of the view the XQuery tier materialises: what the
     /// rewritten query can reach ([`Projection::Full`] without a rewrite).
     pub projection: Projection,
+    /// The first tier [`BoundPlan::execute_to_writer`] tries, as a
+    /// [`LATTICE`] index: `tier` when planned, then below every tier that
+    /// failed this plan without tripping its guard. Only the lattice reads
+    /// or writes it.
+    start: AtomicU8,
 }
 
 /// A [`TransformPlan`] bound to one concrete view: the shared plan, the
@@ -200,6 +210,7 @@ pub fn plan_compiled(
                 fallback_reason: canon.note,
                 emission: None,
                 projection: Projection::Full,
+                start: AtomicU8::new(Tier::Vm as u8),
             })
         }
     };
@@ -225,6 +236,7 @@ pub fn plan_compiled(
         fallback_reason,
         emission,
         projection,
+        start: AtomicU8::new(tier as u8),
     })
 }
 
@@ -289,32 +301,6 @@ impl Attempt {
             None => PipelineError::Panic { tier: self.failure.tier, message: self.failure.reason },
         }
     }
-}
-
-/// Routing hook the serving layer installs over the degradation lattice:
-/// consulted before each tier runs, informed of every tier outcome.
-/// Implemented by `admission::CircuitBreakerSet`; the default
-/// [`AllowAllTiers`] routes everything and records nothing.
-pub trait TierRouter: Sync {
-    /// May the pipeline enter `tier` right now?
-    fn allow(&self, tier: Tier) -> bool;
-
-    /// Report the outcome of running `tier`. `success == false` covers
-    /// errors and contained panics; guard trips are **not** reported —
-    /// they indict the request's budget, not the tier.
-    fn record(&self, tier: Tier, success: bool);
-}
-
-/// The default router: every tier allowed, outcomes dropped.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AllowAllTiers;
-
-impl TierRouter for AllowAllTiers {
-    fn allow(&self, _tier: Tier) -> bool {
-        true
-    }
-
-    fn record(&self, _tier: Tier, _success: bool) {}
 }
 
 /// Run a tier body with panic containment. A panic inside an engine is an
@@ -448,19 +434,26 @@ impl BoundPlan {
     /// Run the plan under a [`Guard`], streaming the result bytes into
     /// `out` with graceful degradation — the one execution lattice.
     ///
-    /// A tier that errors or panics at execution time falls back to the
-    /// next slower tier (SQL → XQuery → VM), and the chain of failed
-    /// attempts is reported in [`StreamRun::fallbacks`]. Two failures are
-    /// terminal instead:
+    /// The lattice starts at the plan's start tier — its planned tier
+    /// unless a failure demoted it — and a tier that errors or panics at
+    /// execution time falls back to the next slower tier (SQL → XQuery →
+    /// VM); the chain of failed attempts is reported in
+    /// [`StreamRun::fallbacks`]. Every such failure also **demotes the
+    /// plan**: the engine is deterministic, so the tier would fail this
+    /// plan again, and later executions of the shared plan start below it
+    /// (never below the VM). Demotion changes which tier runs, never the
+    /// bytes. Two failures are terminal instead:
     ///
     /// * **Guard trips** — the budgets are shared across tiers, so a lower
     ///   tier would only burn the remainder before tripping on the same
-    ///   limit.
+    ///   limit. A trip indicts the request's budget, not the plan, so it
+    ///   never demotes.
     /// * **Dirty failures** — a tier that fails *after* bytes reached the
     ///   writer, because a lower tier would emit the prefix twice and bytes
     ///   handed to an external writer cannot be unwritten. The
     ///   deterministic fault points all fire at tier entry, before any
-    ///   write, so injected faults always degrade.
+    ///   write, so injected faults always degrade. A dirty failure still
+    ///   demotes the plan.
     ///
     /// The SQL tier pulls rows through the iterator operators and
     /// serializes them as they are published — zero DOM nodes, with
@@ -478,45 +471,12 @@ impl BoundPlan {
         guard: &Guard,
         out: &mut dyn std::io::Write,
     ) -> Result<StreamRun, PipelineError> {
-        self.execute_to_writer_routed(catalog, stats, guard, out, &AllowAllTiers)
-    }
-
-    /// [`Self::execute_to_writer`] with a [`TierRouter`] consulted at each
-    /// lattice edge. A tier the router refuses is skipped — recorded in
-    /// `fallbacks` as a non-panic failure — and execution degrades
-    /// straight to the next tier; every tier actually run reports its
-    /// outcome back to the router (guard trips excepted: those indict the
-    /// request, not the tier).
-    pub fn execute_to_writer_routed(
-        &self,
-        catalog: &Catalog,
-        stats: &ExecStats,
-        guard: &Guard,
-        out: &mut dyn std::io::Write,
-        router: &dyn TierRouter,
-    ) -> Result<StreamRun, PipelineError> {
         let mut attempts: Vec<Attempt> = Vec::new();
         let mut w = CountingWriter { inner: out, written: 0 };
 
-        let tiers: &[Tier] = match self.plan.tier {
-            Tier::Sql => &[Tier::Sql, Tier::XQuery, Tier::Vm],
-            Tier::XQuery => &[Tier::XQuery, Tier::Vm],
-            Tier::Vm => &[Tier::Vm],
-        };
+        let start = usize::from(self.plan.start.load(Ordering::Relaxed));
 
-        for &tier in tiers {
-            if !router.allow(tier) {
-                let reason = format!("{} tier skipped: circuit breaker open", tier.name());
-                attempts.push(Attempt {
-                    failure: TierFailure {
-                        tier: tier.name(),
-                        reason: "skipped: circuit breaker open".to_string(),
-                        panicked: false,
-                    },
-                    error: Some(PipelineError::Internal(reason)),
-                });
-                continue;
-            }
+        for &tier in &LATTICE[start..] {
             let before = w.written;
             let result = contained(tier, || {
                 // The VM charged its output while building its result trees;
@@ -529,7 +489,6 @@ impl BoundPlan {
             });
             match result {
                 Ok(()) => {
-                    router.record(tier, true);
                     stats.add_streamed_bytes(w.written);
                     return Ok(StreamRun {
                         bytes_written: w.written,
@@ -543,7 +502,9 @@ impl BoundPlan {
                     if let Some(trip) = guard.trip() {
                         return Err(PipelineError::Guard(trip));
                     }
-                    router.record(tier, false);
+                    // Never past the VM: it is the last tier there is.
+                    let below = (tier as u8 + 1).min(Tier::Vm as u8);
+                    self.plan.start.fetch_max(below, Ordering::Relaxed);
                     let dirty = w.written > before;
                     attempts.push(attempt);
                     if dirty {
@@ -577,6 +538,14 @@ impl BoundPlan {
     ) -> Result<(), PipelineError> {
         match tier {
             Tier::Sql => {
+                if let Some(kind) = guard.take_fault(FaultPoint::SqlExec) {
+                    match kind {
+                        FaultKind::Error => {
+                            return Err(StoreError::new("injected fault at SQL tier").into())
+                        }
+                        FaultKind::Panic => panic!("injected panic at SQL tier"),
+                    }
+                }
                 let sql = self
                     .plan
                     .sql
@@ -654,7 +623,7 @@ pub fn no_rewrite_transform(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::guard::{FaultKind, FaultPoint, Limits};
+    use crate::guard::Limits;
     use xsltdb_relstore::exec::Conjunction;
     use xsltdb_relstore::pubexpr::PubExpr;
     use xsltdb_relstore::{ColType, Datum, Table};

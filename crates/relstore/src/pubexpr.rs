@@ -17,9 +17,7 @@ use crate::table::{RowId, StoreError, Table};
 use std::borrow::Cow;
 use xsltdb_xpath::functions::number_order;
 use xsltdb_xpath::value::str_to_num;
-use xsltdb_xml::{
-    Document, FaultKind, FaultPoint, Guard, QName, SinkError, TextSink, TreeSink, XmlSink,
-};
+use xsltdb_xml::{Document, Guard, QName, SinkError, TextSink, TreeSink, XmlSink};
 
 /// Lower a sink refusal to the store's error type. Guard trips keep their
 /// structured evidence reachable via `Guard::trip`, so the stringly form
@@ -530,14 +528,19 @@ impl SqlXmlQuery {
     /// byte against the guard as it is written (the paper's §5 emission
     /// model), and the two produce the same bytes.
     ///
-    /// Scans and publishing are charged against `guard`, and an armed
-    /// [`FaultPoint::SqlExec`] fault fires at entry, before any event. The
-    /// base table and every table named inside the publishing expression
-    /// are resolved through `slots` first — how a canonicalised plan (whose
-    /// query names only `$t0`, `$t1`, …) runs against one concrete view of
-    /// the family; concrete queries pass [`SlotBindings::identity`].
+    /// Scans and publishing are charged against `guard`. No fault point
+    /// fires here: the pipeline fires [`FaultPoint::SqlExec`] at the SQL
+    /// tier's entry, so the XQuery and VM tiers, which materialise their
+    /// view through this query, can fire only [`FaultPoint::Materialize`]
+    /// (at the view). The base table and every table named inside the
+    /// publishing expression are resolved through `slots` first — how a
+    /// canonicalised plan (whose query names only `$t0`, `$t1`, …) runs
+    /// against one concrete view of the family; concrete queries pass
+    /// [`SlotBindings::identity`].
     ///
     /// [`StreamWriter`]: xsltdb_xml::StreamWriter
+    /// [`FaultPoint::SqlExec`]: xsltdb_xml::FaultPoint::SqlExec
+    /// [`FaultPoint::Materialize`]: xsltdb_xml::FaultPoint::Materialize
     pub fn run(
         &self,
         catalog: &Catalog,
@@ -546,14 +549,6 @@ impl SqlXmlQuery {
         slots: &SlotBindings,
         out: &mut dyn XmlSink,
     ) -> Result<(), StoreError> {
-        if let Some(kind) = guard.take_fault(FaultPoint::SqlExec) {
-            match kind {
-                FaultKind::Error => {
-                    return Err(StoreError::new("injected fault at SQL tier"))
-                }
-                FaultKind::Panic => panic!("injected panic at SQL tier"),
-            }
-        }
         let base_table = slots.resolve(&self.base_table)?;
         let (rows, _path) =
             scan_guarded(catalog, stats, base_table, &self.where_clause, guard, None)?;

@@ -38,9 +38,10 @@ pub struct Column {
 /// A guard trip that surfaces through the store (a scan, a publishing
 /// expression, or a streaming sink refusing to emit) keeps its structured
 /// [`GuardExceeded`] evidence attached — callers above (the pipeline's
-/// retry/admission layers in particular) classify "budget exhausted" vs
-/// "engine failure" from the error value itself, without depending on the
-/// `Guard::trip` side channel or parsing messages.
+/// lattice in particular, which demotes a plan on an engine failure but
+/// never on a trip) tell "budget exhausted" from "engine failure" by the
+/// error value itself, without depending on the `Guard::trip` side channel
+/// or parsing messages.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoreError {
     message: String,

@@ -1,13 +1,9 @@
-//! [`FrontDoor`]: admission + retry + breaker routing around the engine.
+//! [`FrontDoor`]: admission and the result cache around the engine.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use xsltdb::admission::{
-    AdmissionConfig, AdmissionQueue, AdmissionStats, BreakerConfig, CircuitBreakerSet,
-    Rejected, RetryPolicy,
-};
-use xsltdb::pipeline::{plan_cached_shared, StreamRun, Tier};
+use xsltdb::admission::{AdmissionConfig, AdmissionQueue, AdmissionStats, Rejected};
+use xsltdb::pipeline::{plan_cached_shared, Tier};
 use xsltdb::plancache::SharedPlanCache;
 use xsltdb::resultcache::{CachedResult, ResultKey, SharedResultCache};
 use xsltdb::xqgen::RewriteOptions;
@@ -26,10 +22,6 @@ pub struct FrontDoorConfig {
     pub ledger: LedgerLimits,
     /// Queue depth and default admission deadline.
     pub admission: AdmissionConfig,
-    /// Retry bound and backoff schedule.
-    pub retry: RetryPolicy,
-    /// Per-tier breaker tuning.
-    pub breaker: BreakerConfig,
     /// Byte budget of the transform-result cache (0 disables it).
     pub result_cache_bytes: usize,
 }
@@ -40,8 +32,6 @@ impl FrontDoorConfig {
             limits: Limits::server_default(),
             ledger: LedgerLimits::server_default(),
             admission: AdmissionConfig::server_default(),
-            retry: RetryPolicy::server_default(),
-            breaker: BreakerConfig::server_default(),
             result_cache_bytes: DEFAULT_RESULT_CACHE_BYTES,
         }
     }
@@ -52,21 +42,16 @@ impl FrontDoorConfig {
 pub enum ServeError {
     /// Shed at the door — never executed, no bytes produced.
     Rejected(Rejected),
-    /// Admitted but failed (terminally, or transiently `attempts` times).
-    Pipeline {
-        error: PipelineError,
-        /// Execution attempts made (≥ 1).
-        attempts: u32,
-    },
+    /// Admitted but failed: a guard trip, a planning error, or a lattice
+    /// that failed on every tier it tried.
+    Pipeline(PipelineError),
 }
 
 impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServeError::Rejected(r) => write!(f, "{r}"),
-            ServeError::Pipeline { error, attempts } => {
-                write!(f, "{error} (after {attempts} attempt(s))")
-            }
+            ServeError::Pipeline(e) => write!(f, "{e}"),
         }
     }
 }
@@ -81,10 +66,7 @@ pub struct ServeOutcome {
     /// The lattice tier that produced it (for a cached serve, the tier
     /// that originally produced the memoised bytes).
     pub tier: Tier,
-    /// Execution attempts it took (1 = first try).
-    pub attempts: u32,
-    /// Tiers that failed or were breaker-skipped before `tier` succeeded,
-    /// on the winning attempt.
+    /// Tiers that failed before `tier` succeeded.
     pub fallbacks: usize,
     /// Served from the result cache — no tier executed at all.
     pub cached: bool,
@@ -96,8 +78,10 @@ pub struct FrontDoorStats {
     pub admitted: u64,
     pub shed_overloaded: u64,
     pub shed_timeout: u64,
+    /// Always 0: the door runs each request once. A failing tier demotes
+    /// its plan instead (see `BoundPlan::execute_to_writer`). Kept so
+    /// reports that name the counter still read it.
     pub retries: u64,
-    pub breaker_opened: u64,
     /// Result-cache hits (requests served from memoised bytes).
     pub result_hits: u64,
     /// Result-cache misses (including read-set invalidations).
@@ -111,11 +95,8 @@ pub struct FrontDoorStats {
 pub struct FrontDoor {
     config: FrontDoorConfig,
     queue: AdmissionQueue,
-    breakers: CircuitBreakerSet,
     cache: SharedPlanCache,
     results: SharedResultCache,
-    retries: AtomicU64,
-    seq: AtomicU64,
 }
 
 impl FrontDoor {
@@ -123,11 +104,8 @@ impl FrontDoor {
         FrontDoor {
             config,
             queue: AdmissionQueue::with_limits(config.ledger, config.admission),
-            breakers: CircuitBreakerSet::new(config.breaker),
             cache: SharedPlanCache::default(),
             results: SharedResultCache::new(config.result_cache_bytes),
-            retries: AtomicU64::new(0),
-            seq: AtomicU64::new(0),
         }
     }
 
@@ -157,8 +135,7 @@ impl FrontDoor {
             admitted,
             shed_overloaded,
             shed_timeout,
-            retries: self.retries.load(Ordering::Relaxed),
-            breaker_opened: self.breakers.opened_total(),
+            retries: 0,
             result_hits: results.hits,
             result_misses: results.misses,
             result_invalidations: results.invalidations,
@@ -170,7 +147,7 @@ impl FrontDoor {
         self.queue.ledger().snapshot().is_quiesced()
     }
 
-    /// Serve one transform with a plain per-attempt guard.
+    /// Serve one transform with a plain guard.
     pub fn transform(
         &self,
         catalog: &Catalog,
@@ -178,17 +155,14 @@ impl FrontDoor {
         stylesheet_src: &str,
         opts: &RewriteOptions,
     ) -> Result<ServeOutcome, ServeError> {
-        self.transform_with(catalog, view, stylesheet_src, opts, &|limits, _attempt| {
-            Guard::new(limits)
-        })
+        self.transform_with(catalog, view, stylesheet_src, opts, &Guard::new)
     }
 
-    /// Serve one transform, building each attempt's [`Guard`] through
-    /// `make_guard` — the hook the chaos harness uses to arm
-    /// [`Guard::with_fault`] injections per attempt. Every attempt gets a
-    /// fresh guard **and a fresh buffer**: bytes from a failed attempt are
-    /// discarded wholesale, so a retried request can never interleave or
-    /// leak partial output.
+    /// Serve one transform, building its [`Guard`] through `make_guard` —
+    /// the hook the chaos harness uses to arm [`Guard::with_fault`]
+    /// injections. The request runs once, through the plan's degradation
+    /// lattice, into a fresh buffer: a failed request hands back no bytes
+    /// at all.
     ///
     /// A result-cache hit short-circuits the lattice entirely, but a
     /// cached byte is never free: it is charged against the request's
@@ -204,7 +178,7 @@ impl FrontDoor {
         view: &XmlView,
         stylesheet_src: &str,
         opts: &RewriteOptions,
-        make_guard: &dyn Fn(Limits, u32) -> Guard,
+        make_guard: &dyn Fn(Limits) -> Guard,
     ) -> Result<ServeOutcome, ServeError> {
         let limits = self.config.limits;
         let deadline = self.config.admission.default_deadline;
@@ -230,64 +204,27 @@ impl FrontDoor {
         };
 
         let (fuel, bytes) = reservation_units(limits);
-        let permit = self
+        let _permit = self
             .queue
             .admit_within(fuel, bytes, deadline)
             .map_err(ServeError::Rejected)?;
-        let seed = self.seq.fetch_add(1, Ordering::Relaxed);
-
-        let stats = ExecStats::new();
-        let mut attempt: u32 = 0;
-        loop {
-            let plan = match plan_cached_shared(&self.cache, catalog, view, stylesheet_src, opts)
-            {
-                Ok(p) => p,
-                Err(e) => {
-                    drop(permit);
-                    return Err(ServeError::Pipeline { error: e, attempts: attempt + 1 });
-                }
-            };
-            let guard = make_guard(limits, attempt);
-            let mut buf: Vec<u8> = Vec::new();
-            let result: Result<StreamRun, PipelineError> =
-                plan.execute_to_writer_routed(catalog, &stats, &guard, &mut buf, &self.breakers);
-            match result {
-                Ok(run) => {
-                    // Only complete, successful output is memoised — an
-                    // error or guard trip never reaches this point, so a
-                    // trip can never be replayed from the cache. The
-                    // read-set snapshot comes from the same immutable
-                    // catalog borrow the execution ran against, so bytes
-                    // and versions are mutually consistent.
-                    if let Some(key) = key {
-                        let reads =
-                            catalog.versions_of(key.tables.iter().map(String::as_str));
-                        self.results.insert(key, Arc::from(&buf[..]), run.tier, reads);
-                    }
-                    drop(permit);
-                    return Ok(ServeOutcome {
-                        bytes: buf,
-                        tier: run.tier,
-                        attempts: attempt + 1,
-                        fallbacks: run.fallbacks.len(),
-                        cached: false,
-                    });
-                }
-                Err(error) => {
-                    if self.config.retry.should_retry(attempt, &error) {
-                        self.retries.fetch_add(1, Ordering::Relaxed);
-                        attempt += 1;
-                        let backoff = self.config.retry.backoff(attempt, seed);
-                        if backoff > Duration::ZERO {
-                            std::thread::sleep(backoff);
-                        }
-                        continue;
-                    }
-                    drop(permit);
-                    return Err(ServeError::Pipeline { error, attempts: attempt + 1 });
-                }
-            }
+        let plan = plan_cached_shared(&self.cache, catalog, view, stylesheet_src, opts)
+            .map_err(ServeError::Pipeline)?;
+        let guard = make_guard(limits);
+        let mut buf: Vec<u8> = Vec::new();
+        let run = plan
+            .execute_to_writer(catalog, &ExecStats::new(), &guard, &mut buf)
+            .map_err(ServeError::Pipeline)?;
+        // Only complete, successful output is memoised — an error or guard
+        // trip never reaches this point, so a trip can never be replayed
+        // from the cache. The read-set snapshot comes from the same
+        // immutable catalog borrow the execution ran against, so bytes and
+        // versions are mutually consistent.
+        if let Some(key) = key {
+            let reads = catalog.versions_of(key.tables.iter().map(String::as_str));
+            self.results.insert(key, Arc::from(&buf[..]), run.tier, reads);
         }
+        Ok(ServeOutcome { bytes: buf, tier: run.tier, fallbacks: run.fallbacks.len(), cached: false })
     }
 
     /// Serve memoised bytes: charge the request's guard, reserve the bytes
@@ -297,14 +234,13 @@ impl FrontDoor {
         hit: CachedResult,
         limits: Limits,
         deadline: Duration,
-        make_guard: &dyn Fn(Limits, u32) -> Guard,
+        make_guard: &dyn Fn(Limits) -> Guard,
     ) -> Result<ServeOutcome, ServeError> {
         // The guard sees every byte exactly as a fresh execution's sink
-        // would: a budget too small for the output trips terminally, with
-        // no retry (the cached bytes are not going to shrink).
-        let guard = make_guard(limits, 0);
+        // would: a budget too small for the output trips.
+        let guard = make_guard(limits);
         if let Err(trip) = guard.charge_output_bytes(hit.bytes.len() as u64) {
-            return Err(ServeError::Pipeline { error: trip.into(), attempts: 1 });
+            return Err(ServeError::Pipeline(trip.into()));
         }
         // The hit's bytes are in flight until the outcome is handed back:
         // a hit storm is bounded by the ledger byte ceiling like any other
@@ -316,7 +252,6 @@ impl FrontDoor {
         let outcome = ServeOutcome {
             bytes: hit.bytes.to_vec(),
             tier: hit.tier,
-            attempts: 1,
             fallbacks: 0,
             cached: true,
         };
@@ -357,6 +292,7 @@ fn reservation_units(limits: Limits) -> (u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xsltdb::{FaultKind, FaultPoint};
     use xsltdb_xsltmark::{db_catalog, db_catalog_family, dbonerow_stylesheet, existing_id};
 
     fn small_door(streams: u64) -> FrontDoor {
@@ -376,7 +312,6 @@ mod tests {
             .transform(&catalog, &view, &sheet, &RewriteOptions::default())
             .expect("serves");
         assert!(!out.bytes.is_empty());
-        assert_eq!(out.attempts, 1);
         assert!(door.is_quiesced());
         assert_eq!(door.stats().admitted, 1);
     }
@@ -417,7 +352,6 @@ mod tests {
             assert!(hit.cached, "warm identical request must be a result hit");
             assert_eq!(hit.bytes, first.bytes, "cached bytes differ from fresh");
             assert_eq!(hit.tier, first.tier);
-            assert_eq!(hit.attempts, 1);
         }
         let stats = door.stats();
         assert_eq!(stats.result_hits, 4);
@@ -485,57 +419,127 @@ mod tests {
             .transform(&catalog, &view, &sheet, &RewriteOptions::default())
             .unwrap_err();
         match err {
-            ServeError::Pipeline { error, attempts } => {
-                assert!(error.is_guard_trip(), "{error:?}");
-                assert_eq!(attempts, 1, "a guard trip must never be retried");
-            }
+            ServeError::Pipeline(error) => assert!(error.is_guard_trip(), "{error:?}"),
             other => panic!("expected pipeline error, got {other}"),
         }
         assert_eq!(door.stats().retries, 0);
         assert!(door.is_quiesced());
     }
 
-    #[test]
-    fn injected_panic_is_retried_and_succeeds() {
-        use xsltdb::{FaultKind, FaultPoint};
-        // Result cache off: the baseline call would otherwise memoise the
-        // bytes and the faulty call would never reach the lattice.
+    /// A door with the result cache off, so every request reaches the
+    /// lattice and the plan's start tier decides where it runs.
+    fn uncached_door() -> FrontDoor {
         let mut cfg = FrontDoorConfig::server_default();
         cfg.ledger = LedgerLimits::UNLIMITED.with_max_concurrent_streams(4);
-        cfg.admission.max_queue_depth = 2;
-        cfg.admission.default_deadline = Duration::from_millis(20);
         cfg.result_cache_bytes = 0;
-        let door = FrontDoor::new(cfg);
+        FrontDoor::new(cfg)
+    }
+
+    fn with_faults(limits: Limits, points: &[FaultPoint], kind: FaultKind) -> Guard {
+        points.iter().fold(Guard::new(limits), |g, &p| g.with_fault(p, kind))
+    }
+
+    const ALL_POINTS: [FaultPoint; 4] = [
+        FaultPoint::SqlExec,
+        FaultPoint::XQueryExec,
+        FaultPoint::VmExec,
+        FaultPoint::Materialize,
+    ];
+
+    #[test]
+    fn a_poisoned_plan_leaves_other_plans_on_sql() {
+        let door = uncached_door();
         let (catalog, view) = db_catalog(24, 7);
-        let sheet = dbonerow_stylesheet(existing_id(24));
-        let clean = door
-            .transform(&catalog, &view, &sheet, &RewriteOptions::default())
-            .expect("baseline");
-        // Attempt 0 panics at *every* lattice edge (so the whole lattice
-        // fails); attempt 1 runs clean and must reproduce the bytes.
-        let out = door
-            .transform_with(
-                &catalog,
-                &view,
-                &sheet,
-                &RewriteOptions::default(),
-                &|limits, attempt| {
-                    let g = Guard::new(limits);
-                    if attempt == 0 {
-                        g.with_fault(FaultPoint::SqlExec, FaultKind::Panic)
-                            .with_fault(FaultPoint::XQueryExec, FaultKind::Panic)
-                            .with_fault(FaultPoint::VmExec, FaultKind::Panic)
-                            .with_fault(FaultPoint::Materialize, FaultKind::Panic)
-                    } else {
-                        g
-                    }
-                },
-            )
-            .expect("second attempt succeeds");
-        assert_eq!(out.attempts, 2);
-        assert_eq!(out.bytes, clean.bytes, "retry produced different bytes");
-        assert!(door.stats().retries >= 1);
+        let opts = RewriteOptions::default();
+        let poisoned = dbonerow_stylesheet(existing_id(24));
+        for _ in 0..10 {
+            door.transform_with(&catalog, &view, &poisoned, &opts, &|limits| {
+                with_faults(limits, &[FaultPoint::SqlExec], FaultKind::Error)
+            })
+            .expect("degrades and serves");
+        }
+        let trend = xsltdb_xsltmark::case("trend").stylesheet;
+        let on_sql = (0..20)
+            .map(|_| door.transform(&catalog, &view, &trend, &opts).expect("serves"))
+            .filter(|out| out.tier == Tier::Sql && out.fallbacks == 0)
+            .count();
+        assert_eq!(on_sql, 20, "another plan's failures took the SQL tier away");
         assert!(door.is_quiesced());
+    }
+
+    #[test]
+    fn a_failed_tier_demotes_its_plan_until_the_next_plan() {
+        let door = uncached_door();
+        let (mut catalog, view) = db_catalog(24, 7);
+        let opts = RewriteOptions::default();
+        let sheet = dbonerow_stylesheet(existing_id(24));
+        let baseline = door.transform(&catalog, &view, &sheet, &opts).expect("baseline");
+        assert_eq!((baseline.tier, baseline.fallbacks), (Tier::Sql, 0));
+
+        let faulted = door
+            .transform_with(&catalog, &view, &sheet, &opts, &|limits| {
+                with_faults(limits, &[FaultPoint::SqlExec], FaultKind::Error)
+            })
+            .expect("degrades and serves");
+        assert_eq!((faulted.tier, faulted.fallbacks), (Tier::XQuery, 1));
+
+        // The clean request after it starts below the failed tier.
+        let demoted = door.transform(&catalog, &view, &sheet, &opts).expect("serves");
+        assert_eq!((demoted.tier, demoted.fallbacks), (Tier::XQuery, 0));
+        assert_eq!(demoted.bytes, baseline.bytes);
+
+        // DDL on a read table re-plans, and the fresh plan starts at its
+        // planned tier again.
+        catalog.create_index("db_rows", "city").expect("column exists");
+        let replanned = door.transform(&catalog, &view, &sheet, &opts).expect("serves");
+        assert_eq!((replanned.tier, replanned.fallbacks), (Tier::Sql, 0));
+        assert_eq!(replanned.bytes, baseline.bytes);
+        assert_eq!(door.cache().stats().misses, 2);
+    }
+
+    #[test]
+    fn guard_trips_never_demote_a_plan() {
+        let door = uncached_door();
+        let (catalog, view) = db_catalog(24, 7);
+        let opts = RewriteOptions::default();
+        let sheet = dbonerow_stylesheet(existing_id(24));
+        for _ in 0..10 {
+            let err = door
+                .transform_with(&catalog, &view, &sheet, &opts, &|_| {
+                    Guard::new(Limits::UNLIMITED.with_max_output_bytes(8))
+                })
+                .unwrap_err();
+            assert!(matches!(&err, ServeError::Pipeline(e) if e.is_guard_trip()), "{err}");
+        }
+        let out = door.transform(&catalog, &view, &sheet, &opts).expect("serves");
+        assert_eq!((out.tier, out.fallbacks), (Tier::Sql, 0));
+        assert!(door.is_quiesced());
+    }
+
+    #[test]
+    fn an_exhausted_lattice_is_a_typed_error_then_the_plan_serves_on_the_vm() {
+        let door = uncached_door();
+        let (catalog, view) = db_catalog(24, 7);
+        let opts = RewriteOptions::default();
+        let sheet = dbonerow_stylesheet(existing_id(24));
+        let baseline = door.transform(&catalog, &view, &sheet, &opts).expect("baseline");
+        // Every lattice edge panics: each tier fails and demotes the plan.
+        let err = door
+            .transform_with(&catalog, &view, &sheet, &opts, &|limits| {
+                with_faults(limits, &ALL_POINTS, FaultKind::Panic)
+            })
+            .unwrap_err();
+        match err {
+            ServeError::Pipeline(PipelineError::TiersExhausted { attempts }) => {
+                let tiers: Vec<&str> = attempts.iter().map(|a| a.tier).collect();
+                assert_eq!(tiers, ["sql", "xquery", "vm"]);
+            }
+            other => panic!("expected an exhausted lattice, got {other}"),
+        }
+        assert!(door.is_quiesced());
+        let out = door.transform(&catalog, &view, &sheet, &opts).expect("serves");
+        assert_eq!((out.tier, out.fallbacks), (Tier::Vm, 0));
+        assert_eq!(out.bytes, baseline.bytes);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The serving front door: admission-controlled, retrying, breaker-routed
-//! XSLT transforms over a shared plan cache.
+//! The serving front door: admission-controlled XSLT transforms over a
+//! shared plan cache and a transform-result cache.
 //!
 //! The engine below this crate is overload-*correct* but overload-*blind*:
 //! every transform carries its own [`Guard`] budget, yet N concurrent
@@ -12,12 +12,11 @@
 //!    [`ResourceLedger`](xsltdb_xml::ResourceLedger) via the
 //!    [`AdmissionQueue`]; shed with a typed [`Rejected`] when capacity
 //!    does not free up within the deadline.
-//! 2. **Execute** — route `BoundPlan::execute_to_writer_routed` through
-//!    the per-tier [`CircuitBreakerSet`], with a **fresh guard and a
-//!    fresh output buffer per attempt** so a retried request can never
-//!    leak partial bytes from a failed attempt.
-//! 3. **Retry** — bounded, jitter-backoff retries for transient failures
-//!    only; guard trips and binding errors return immediately.
+//! 2. **Execute** — run `BoundPlan::execute_to_writer` once, with a
+//!    **fresh guard and a fresh output buffer**, so a failed request hands
+//!    back no bytes at all. Nothing is retried: the engine is
+//!    deterministic, so a tier that fails a plan demotes that plan inside
+//!    the lattice, and the request's typed error is the answer.
 //!
 //! [`Server`] puts a minimal length-prefixed TCP protocol in front of a
 //! `FrontDoor` (thread per connection, loopback only) — see [`proto`].

@@ -10,7 +10,7 @@
 //! ```
 //!
 //! All integers are big-endian. `status` is [`Status`]: `Ok` bodies are
-//! the complete transform output (never partial — a failed attempt's
+//! the complete transform output (never partial — a failed request's
 //! bytes are discarded before the response is framed); `Rejected` and
 //! `Error` bodies are UTF-8 diagnostics. No frame exceeds [`MAX_FRAME`]
 //! bytes of body: a larger response goes out as an `Error` naming its size.
@@ -33,7 +33,8 @@ pub enum Status {
     /// Shed at admission (overload or queue timeout); body is the typed
     /// rejection rendered as text.
     Rejected = 1,
-    /// Admitted but failed terminally (or exhausted retries).
+    /// Admitted but failed: a guard trip, a planning error or an
+    /// exhausted lattice; body is the error rendered as text.
     Error = 2,
 }
 

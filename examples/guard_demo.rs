@@ -5,7 +5,8 @@
 //! (`execute_to_writer`) several ways: under server-default limits, with
 //! budgets small enough to trip (fuel, depth, deadline), and with injected
 //! faults that force the SQL→XQuery→VM fallback lattice to exercise its
-//! edges.
+//! edges. A failed tier demotes its plan: later runs of that plan start
+//! below it.
 //!
 //! Run with: `cargo run --example guard_demo`
 
@@ -131,12 +132,18 @@ fn main() {
         done.fallbacks.iter().map(|f| f.tier).collect::<Vec<_>>()
     );
 
-    // 5. Even a panicking tier is contained and degraded past.
+    // 5. Even a panicking tier is contained and degraded past. Step 4
+    //    demoted `plan` past its SQL tier, so a fresh plan meets the fault;
+    //    the demoted one starts on the XQuery tier with nothing to abandon.
+    let fresh = plan_bound(&catalog, &view, SHEET, &opts).expect("planning succeeds");
     let guard = Guard::unlimited().with_fault(FaultPoint::SqlExec, FaultKind::Panic);
-    let done = run(&plan, &catalog, &guard).expect("a lower tier answers");
+    let done = run(&fresh, &catalog, &guard).expect("a lower tier answers");
     let first = done.fallbacks.first().expect("one tier was abandoned");
+    let demoted = run(&plan, &catalog, &Guard::unlimited()).expect("the demoted plan answers");
+    assert!(demoted.fallbacks.is_empty() && demoted.tier == done.tier);
     println!(
-        "[5] injected SQL panic: contained (panicked={}), answered by tier={:?}",
+        "[5] injected SQL panic: contained (panicked={}), answered by tier={:?}; \
+         the demoted plan starts there",
         first.panicked, done.tier
     );
 

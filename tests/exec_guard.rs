@@ -282,8 +282,10 @@ fn every_fault_point_and_kind_degrades_to_the_same_tier() {
     ];
     let (catalog, view) = setup();
     for (sheet, point, tier, failed) in cases {
-        let plan = plan_bound(&catalog, &view, &wrap(sheet), &RewriteOptions::default()).unwrap();
         for kind in [FaultKind::Error, FaultKind::Panic] {
+            // A fresh plan per run: the faulted run demotes the plan it ran.
+            let plan =
+                plan_bound(&catalog, &view, &wrap(sheet), &RewriteOptions::default()).unwrap();
             let guard = Guard::unlimited().with_fault(point, kind);
             let (run, bytes) = run(&plan, &catalog, &guard).unwrap();
             assert_eq!(run.tier, tier, "{point:?} × {kind:?}");
@@ -346,16 +348,45 @@ fn shared_budget_accumulates_across_fallback_tiers() {
     // and VM attempts too: with a budget sized for exactly one clean run,
     // a post-fault fallback trips it.
     let (catalog, view) = setup();
-    let plan = plan_bound(&catalog, &view, &wrap(SQL_OK), &RewriteOptions::default()).unwrap();
+    // A fresh plan per run: the faulted probe demotes the plan it ran, and
+    // the tight run must fall back from SQL too.
+    let fresh = || plan_bound(&catalog, &view, &wrap(SQL_OK), &RewriteOptions::default()).unwrap();
 
     // Measure a clean XQuery-tier run's fuel appetite.
     let probe = Guard::unlimited().with_fault(FaultPoint::SqlExec, FaultKind::Error);
-    let (probed, _) = run(&plan, &catalog, &probe).unwrap();
+    let (probed, _) = run(&fresh(), &catalog, &probe).unwrap();
     assert_eq!(probed.tier, Tier::XQuery);
     let appetite = probe.fuel_spent();
 
     // The same work with the budget set just under it must trip.
     let tight = Guard::new(Limits::UNLIMITED.with_fuel(appetite.saturating_sub(1)))
         .with_fault(FaultPoint::SqlExec, FaultKind::Error);
-    expect_guard_trip(run(&plan, &catalog, &tight), Resource::Fuel);
+    expect_guard_trip(run(&fresh(), &catalog, &tight), Resource::Fuel);
+}
+
+// --------------------------------------------------------------- demotion
+
+#[test]
+fn each_fault_point_fires_only_at_its_own_tier() {
+    // One SqlExec-faulted run demotes the plan to the XQuery tier. A second
+    // run with SqlExec armed starts there, and the XQuery tier's projected
+    // materialisation fires only `Materialize`: the armed SqlExec stays
+    // unfired and the run completes with no fallback.
+    let (catalog, view) = setup();
+    let plan = plan_bound(&catalog, &view, &wrap(SQL_OK), &RewriteOptions::default()).unwrap();
+    assert_eq!(plan.tier(), Tier::Sql);
+    let faulted = Guard::unlimited().with_fault(FaultPoint::SqlExec, FaultKind::Error);
+    let (demoting, _) = run(&plan, &catalog, &faulted).unwrap();
+    assert_eq!((demoting.tier, demoting.fallbacks.len()), (Tier::XQuery, 1));
+
+    let armed = Guard::unlimited().with_fault(FaultPoint::SqlExec, FaultKind::Error);
+    let (served, bytes) = run(&plan, &catalog, &armed).unwrap();
+    assert_eq!(served.tier, Tier::XQuery);
+    assert!(served.fallbacks.is_empty(), "{:?}", served.fallbacks);
+    assert_eq!(bytes, ALL_ROWS);
+    assert_eq!(armed.take_fault(FaultPoint::SqlExec), Some(FaultKind::Error));
+    // `execute` runs the planned tier and ignores the demotion.
+    let docs = plan.execute(&catalog, &ExecStats::new()).unwrap();
+    let planned: String = docs.iter().map(xsltdb_xml::to_string).collect();
+    assert_eq!(planned, ALL_ROWS);
 }

@@ -16,12 +16,11 @@ use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
-use xsltdb::pipeline::{plan_cached_shared, Tier, TransformPlan};
+use xsltdb::pipeline::{plan_cached_shared, plan_transform, Tier, TransformPlan};
 use xsltdb::plancache::{PlanKey, SharedPlanCache};
 use xsltdb::xqgen::RewriteOptions;
 use xsltdb::Guard;
 use xsltdb_relstore::{ColType, ExecStats, Table};
-use xsltdb_xslt::compile_str;
 use xsltdb_xsltmark::{db_catalog, dbonerow_stylesheet, existing_id, run_suite_planned_shared};
 
 /// Recursive suite cases need more stack than the 2 MiB test threads get,
@@ -228,23 +227,22 @@ fn ddl_bump_mid_stream_finishes_in_flight_call_and_replans_next_lookup() {
 /// A marker plan whose `fallback_reason` records the DDL generation it was
 /// prepared at, so a lookup can detect staleness in what it gets back. Its
 /// canonical fingerprint matches the `0xF00D` the test keys carry.
+/// `generate-id()` keeps it on the VM tier with no rewrite: the ≈ 6.3 kB
+/// marker the capacities below are sized for.
 fn tagged_plan(generation: u64) -> Arc<TransformPlan> {
-    let sheet = compile_str(
+    let (_, view) = db_catalog(1, 1);
+    let mut plan = plan_transform(
+        &view,
         r#"<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
-           <xsl:template match="table"><t/></xsl:template></xsl:stylesheet>"#,
+           <xsl:template match="table"><t id="{generate-id(.)}"/></xsl:template></xsl:stylesheet>"#,
+        &RewriteOptions::default(),
     )
-    .expect("marker stylesheet compiles");
-    Arc::new(TransformPlan {
-        tier: Tier::Vm,
-        sheet,
-        rewrite: None,
-        sql: None,
-        canonical_fp: 0xF00D,
-        slot_count: 0,
-        fallback_reason: Some(format!("gen:{generation}")),
-        emission: None,
-        projection: xsltdb::projection::Projection::Full,
-    })
+    .expect("marker stylesheet plans");
+    assert_eq!(plan.tier, Tier::Vm);
+    assert!(plan.rewrite.is_none());
+    plan.canonical_fp = 0xF00D;
+    plan.fallback_reason = Some(format!("gen:{generation}"));
+    Arc::new(plan)
 }
 
 proptest! {

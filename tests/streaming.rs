@@ -202,8 +202,9 @@ fn max_output_bytes_trips_mid_stream_with_bounded_partial_output() {
 
 /// A guard trip surfacing through the streaming store path (`SinkError::Guard`
 /// inside `SqlXmlQuery::run` over a `StreamWriter`) classifies as a guard
-/// trip from the error value alone — the retry layer must never re-run a budget-tripped
-/// request, and it cannot rely on having the tripping `Guard` in hand.
+/// trip from the error value alone — a budget trip must never fall back or
+/// demote the plan, and a caller cannot rely on having the tripping `Guard`
+/// in hand.
 #[test]
 fn streaming_guard_trip_classifies_without_the_guard_side_channel() {
     use xsltdb::error::PipelineError;
@@ -233,7 +234,7 @@ fn streaming_guard_trip_classifies_without_the_guard_side_channel() {
     // … so the From conversion classifies it as Guard (terminal) even when
     // the caller never looks at the Guard.
     let err = PipelineError::from(store_err);
-    assert!(err.is_guard_trip(), "misclassified as retryable: {err:?}");
+    assert!(err.is_guard_trip(), "misclassified as an engine failure: {err:?}");
 }
 
 #[test]
@@ -249,6 +250,8 @@ fn injected_sql_fault_falls_back_and_streams_identical_bytes() {
         bound.execute(&catalog, &stats).unwrap().iter().map(to_string).collect();
 
     for kind in [FaultKind::Error, FaultKind::Panic] {
+        // A fresh plan per run: the faulted run demotes the plan it ran.
+        let bound = plan_bound(&catalog, &view, &sheet, &RewriteOptions::default()).unwrap();
         let guard = Guard::unlimited().with_fault(FaultPoint::SqlExec, kind);
         let mut out = Vec::new();
         let run = bound
