@@ -14,8 +14,8 @@
 //!   given a starved output budget, fails with a typed pipeline error
 //!   (an all-edge request may still be served from the result cache,
 //!   which runs no tier).
-//! * **Ledger conservation** — after the fleet quiesces, the global
-//!   ledger holds zero reservations.
+//! * **Admission conservation** — after the fleet quiesces, the admission
+//!   gate holds zero units in flight.
 //! * **Cache freshness under churn** — with `churn_writers > 0`, writer
 //!   threads interleave DML (+`reindex`) on the read-set table and DDL on
 //!   an unrelated scratch table with the reader fleet. Every served
@@ -149,7 +149,7 @@ impl ChaosConfig {
     /// The SQL-degrade run: no random chaos, but every request loses its
     /// SQL tier, so all SQL-planned cases are served by
     /// streamed sink-mode XQuery evaluation — spills, replays and all —
-    /// while byte identity and ledger conservation stay asserted.
+    /// while byte identity and admission conservation stay asserted.
     pub fn sql_degrade_chaos(clients: usize) -> ChaosConfig {
         ChaosConfig {
             inject_faults: false,
@@ -214,9 +214,9 @@ pub struct ChaosReport {
     /// catalog was paged (`pool_frames > 0`). A paged run that never
     /// evicted did not actually stress the pool.
     pub pool: Option<PoolSnapshot>,
-    /// Everything at rest after the fleet quiesced: the ledger held zero
-    /// reservations and (in a paged run) the buffer pool held zero pinned
-    /// frames.
+    /// Everything at rest after the fleet quiesced: the admission gate
+    /// held zero units in flight and (in a paged run) the buffer pool held
+    /// zero pinned frames.
     pub quiesced: bool,
 }
 

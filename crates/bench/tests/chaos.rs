@@ -5,7 +5,7 @@
 //! every lattice edge, every admitted-and-served request is byte-identical
 //! to the fresh single-threaded result, shed requests get typed
 //! rejections, requests faulted at every edge fail with a typed error,
-//! and the global ledger returns to zero reservations once the fleet
+//! and the admission gate returns to zero units in flight once the fleet
 //! quiesces. The same contract under DML/DDL churn is
 //! `tests/result_cache_churn.rs`.
 
@@ -14,7 +14,6 @@ use xsltdb::xqgen::RewriteOptions;
 use xsltdb::{FaultKind, FaultPoint, Guard, Limits};
 use xsltdb_bench::{run_chaos, ChaosConfig, CHAOS_STACK};
 use xsltdb_serve::{FrontDoor, FrontDoorConfig, ServeError};
-use xsltdb_xml::LedgerLimits;
 use xsltdb_xsltmark::{db_catalog, dbonerow_stylesheet, existing_id};
 
 fn smoke_sized(clients: usize) -> ChaosConfig {
@@ -34,7 +33,7 @@ fn chaos_eight_clients_with_faults_holds_the_contract() {
         "served bytes diverged from the single-threaded reference: {:?}",
         report.first_mismatch
     );
-    assert!(report.quiesced, "ledger still holds reservations after quiesce");
+    assert!(report.quiesced, "admission gate still holds units after quiesce");
     assert_eq!(
         report.served + report.shed + report.failed,
         report.total,
@@ -64,8 +63,8 @@ fn chaos_eight_clients_clean_serves_everything() {
 /// so all 23 SQL-planned cases are actually served by sink-mode XQuery
 /// evaluation — events straight to the wire, spills replayed — under 8
 /// concurrent clients. The served bytes must stay
-/// identical to the clean single-threaded reference, and the ledger must
-/// quiesce: a reservation leaking through a spill-path panic would fail
+/// identical to the clean single-threaded reference, and the admission
+/// gate must quiesce: a permit leaking through a spill-path panic would fail
 /// `holds()`.
 #[test]
 fn chaos_sql_faults_degrade_to_streamed_xquery() {
@@ -83,7 +82,7 @@ fn chaos_sql_faults_degrade_to_streamed_xquery() {
         report.served_xquery > 0,
         "no request was served by the XQuery tier: {report:?}"
     );
-    assert!(report.quiesced, "ledger still holds reservations after quiesce");
+    assert!(report.quiesced, "admission gate still holds units after quiesce");
     assert!(report.holds());
 }
 
@@ -125,18 +124,17 @@ fn chaos_paged_catalog_with_eviction_serves_identical_bytes() {
     );
 }
 
-/// Satellite: ledger accounting under panic. Every request panics at
-/// every lattice edge, so each one unwinds through
-/// `catch_unwind` while holding a live reservation. After 1000 such
-/// iterations across 8 threads nothing may be leaked: the ledger must
-/// be back to zero fuel / bytes / streams in flight.
+/// Admission accounting under panic. Every request panics at every
+/// lattice edge, so each one unwinds through `catch_unwind` while holding
+/// a live permit. After 1000 such iterations across 8 threads nothing may
+/// be leaked: the gate must be back to zero fuel / bytes / streams in
+/// flight.
 #[test]
 fn ledger_returns_reservations_after_1000_panicking_requests() {
     let mut cfg = FrontDoorConfig::server_default();
-    // Metered limits so every request draws real fuel and byte
-    // reservations — a leak shows up as a non-quiesced ledger.
+    // Metered limits so every request draws real fuel and bytes at the
+    // gate — a leak shows up as a non-quiesced gate.
     cfg.limits = Limits::UNLIMITED.with_fuel(1_000_000).with_max_output_bytes(1 << 20);
-    cfg.ledger = LedgerLimits::server_default();
     let door = FrontDoor::new(cfg);
     let (catalog, view) = db_catalog(24, 7);
     let sheet = dbonerow_stylesheet(existing_id(24));
@@ -189,9 +187,9 @@ fn ledger_returns_reservations_after_1000_panicking_requests() {
     });
 
     assert_eq!(failures.load(Ordering::Relaxed) as usize, THREADS * PER_THREAD);
-    let snap = door.queue().ledger().snapshot();
+    let snap = door.queue().stats();
     assert!(
         snap.is_quiesced(),
-        "ledger leaked reservations after panic storm: {snap:?}"
+        "admission gate leaked units after panic storm: {snap:?}"
     );
 }

@@ -1,22 +1,23 @@
-//! Admission control for the serving front door.
+//! The serving front door's one admission gate.
 //!
-//! Per-call [`Guard`](xsltdb_xml::Guard) budgets bound a single transform;
-//! this module bounds the *fleet*. [`AdmissionQueue`] gates requests on a
-//! global [`ResourceLedger`](xsltdb_xml::ResourceLedger): a request that
-//! cannot reserve capacity waits — bounded in depth and in time — and is
-//! shed with a typed [`Rejected`] when either bound is hit. Nothing ever
-//! queues unboundedly.
+//! Per-call [`Guard`](xsltdb_xml::Guard) budgets bound a single transform,
+//! yet N concurrent callers can each stay within their own limits while
+//! together exhausting the process. [`AdmissionQueue`] bounds the *fleet*:
+//! a request is admitted only when its fuel, its output bytes and one
+//! stream slot fit under fleet-wide ceilings. Otherwise it waits — bounded
+//! in depth and in time — and is shed with a typed [`Rejected`]. The units
+//! in flight, the waiter count and the counters live behind one mutex, so
+//! the gate's invariants (checked by the chaos suite) need no rollback:
 //!
-//! Failures need nothing here: a tier that fails a plan demotes that plan
-//! inside the execution lattice (`BoundPlan::execute_to_writer`), and the
-//! engine is deterministic, so the door neither retries nor routes around
-//! a tier.
+//! 1. **All or nothing** — a request draws all three, or nothing.
+//! 2. **Conservation** — the units in flight are the sum of live permits;
+//!    once every permit has dropped, [`AdmissionStats::is_quiesced`] holds.
+//! 3. **Panic safety** — a [`Permit`] dropped mid-unwind returns its units
+//!    exactly once (plain `Drop`).
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-use xsltdb_xml::{LedgerLimits, Reservation, ResourceLedger};
 
 /// Why a request was shed instead of admitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,9 +50,16 @@ impl fmt::Display for Rejected {
 
 impl std::error::Error for Rejected {}
 
-/// Tuning for an [`AdmissionQueue`].
+/// Ceilings and queue bounds of an [`AdmissionQueue`]. A ceiling of
+/// `u64::MAX` leaves that axis unmetered (its units are still counted).
 #[derive(Debug, Clone, Copy)]
 pub struct AdmissionConfig {
+    /// Aggregate fuel admissible across all in-flight requests.
+    pub max_total_fuel: u64,
+    /// Aggregate output bytes admissible across all in-flight requests.
+    pub max_bytes_in_flight: u64,
+    /// Maximum concurrently admitted requests.
+    pub max_concurrent_streams: u64,
     /// Maximum requests allowed to wait for capacity at once. Arrivals
     /// beyond this are shed with [`Rejected::Overloaded`].
     pub max_queue_depth: usize,
@@ -60,200 +68,199 @@ pub struct AdmissionConfig {
 }
 
 impl AdmissionConfig {
+    /// Serving defaults: roomy enough for tens of concurrent
+    /// `Limits::server_default` guards, small enough that a stampede is
+    /// shed instead of swallowed.
     pub fn server_default() -> AdmissionConfig {
-        AdmissionConfig { max_queue_depth: 64, default_deadline: Duration::from_millis(250) }
+        AdmissionConfig {
+            max_total_fuel: 2_000_000_000,
+            max_bytes_in_flight: 2 * 1024 * 1024 * 1024,
+            max_concurrent_streams: 256,
+            max_queue_depth: 64,
+            default_deadline: Duration::from_millis(250),
+        }
     }
 }
 
-/// Counters the front door exports; all monotonically increasing.
+/// The gate's state: units in flight now, requests waiting now, and the
+/// monotonic admission counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdmissionStats {
+    pub fuel_in_flight: u64,
+    pub bytes_in_flight: u64,
+    pub streams_in_flight: u64,
+    /// Requests blocked waiting for capacity.
+    pub waiting: usize,
     pub admitted: u64,
     pub shed_overloaded: u64,
     pub shed_timeout: u64,
 }
 
-#[derive(Debug, Default)]
-struct QueueSync {
-    /// Requests currently blocked waiting for capacity.
-    waiters: Mutex<usize>,
-    /// Signalled whenever a [`Permit`] returns capacity.
-    capacity_freed: Condvar,
+impl AdmissionStats {
+    /// True when no request holds any admitted units.
+    pub fn is_quiesced(&self) -> bool {
+        self.fuel_in_flight == 0 && self.bytes_in_flight == 0 && self.streams_in_flight == 0
+    }
 }
 
-/// Recover a mutex guard even if a panicking holder poisoned it — the
-/// admission queue must keep serving after a contained tier panic.
-fn lock_unpoisoned(m: &Mutex<usize>) -> MutexGuard<'_, usize> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Bounded admission over a global [`ResourceLedger`].
-///
-/// Clones share the same queue and ledger. A request is admitted when it
-/// can reserve its declared fuel and output-byte budgets plus one stream
-/// slot; otherwise it waits — depth-bounded, deadline-bounded — for a
-/// [`Permit`] drop to free capacity.
-#[derive(Debug, Clone)]
+/// Bounded admission over fleet-wide ceilings: a request that does not fit
+/// waits for a [`Permit`] drop to free capacity.
+#[derive(Debug)]
 pub struct AdmissionQueue {
-    ledger: ResourceLedger,
     config: AdmissionConfig,
-    sync: Arc<QueueSync>,
-    admitted: Arc<AtomicU64>,
-    shed_overloaded: Arc<AtomicU64>,
-    shed_timeout: Arc<AtomicU64>,
+    state: Mutex<AdmissionStats>,
+    /// Signalled when a [`Permit`] returns capacity to a waiting request.
+    freed: Condvar,
 }
 
 impl AdmissionQueue {
-    pub fn new(ledger: ResourceLedger, config: AdmissionConfig) -> AdmissionQueue {
-        AdmissionQueue {
-            ledger,
-            config,
-            sync: Arc::new(QueueSync::default()),
-            admitted: Arc::new(AtomicU64::new(0)),
-            shed_overloaded: Arc::new(AtomicU64::new(0)),
-            shed_timeout: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// A queue over a fresh ledger with the given fleet ceilings.
-    pub fn with_limits(limits: LedgerLimits, config: AdmissionConfig) -> AdmissionQueue {
-        AdmissionQueue::new(ResourceLedger::new(limits), config)
-    }
-
-    pub fn ledger(&self) -> &ResourceLedger {
-        &self.ledger
+    pub fn new(config: AdmissionConfig) -> AdmissionQueue {
+        AdmissionQueue { config, state: Mutex::default(), freed: Condvar::new() }
     }
 
     pub fn stats(&self) -> AdmissionStats {
-        AdmissionStats {
-            admitted: self.admitted.load(Ordering::Relaxed),
-            shed_overloaded: self.shed_overloaded.load(Ordering::Relaxed),
-            shed_timeout: self.shed_timeout.load(Ordering::Relaxed),
-        }
+        *self.lock()
     }
 
     /// Admit a request wanting `fuel` fuel units and `bytes` output bytes,
-    /// waiting up to `deadline` for capacity. The fast path never touches
-    /// the queue lock; the slow path re-checks the ledger under the lock,
-    /// so a [`Permit`] drop (which takes the lock before signalling) can
-    /// never slip between a failed reservation and the wait.
+    /// waiting up to `deadline` for capacity. The check, the wait and the
+    /// draw all happen under the state lock, and a [`Permit`] drop returns
+    /// units under the same lock before it signals, so no wake-up can slip
+    /// between a failed check and the wait.
     pub fn admit_within(
         &self,
         fuel: u64,
         bytes: u64,
         deadline: Duration,
-    ) -> Result<Permit, Rejected> {
-        if let Ok(r) = self.ledger.try_reserve(fuel, bytes) {
-            return Ok(self.permit(r));
-        }
-        let start = Instant::now();
-        let mut waiters = lock_unpoisoned(&self.sync.waiters);
-        if *waiters >= self.config.max_queue_depth {
-            self.shed_overloaded.fetch_add(1, Ordering::Relaxed);
-            return Err(Rejected::Overloaded { queue_depth: *waiters });
-        }
-        *waiters += 1;
-        let outcome = loop {
-            match self.ledger.try_reserve(fuel, bytes) {
-                Ok(r) => break Ok(r),
-                Err(_) => {
-                    let elapsed = start.elapsed();
-                    if elapsed >= deadline {
-                        break Err(());
-                    }
-                    let (g, timeout) = self
-                        .sync
-                        .capacity_freed
-                        .wait_timeout(waiters, deadline - elapsed)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    waiters = g;
-                    if timeout.timed_out() {
-                        // Deadline passed while blocked: one last look at
-                        // the ledger, then shed.
-                        break self.ledger.try_reserve(fuel, bytes).map_err(|_| ());
-                    }
-                }
+    ) -> Result<Permit<'_>, Rejected> {
+        let mut state = self.lock();
+        if !self.fits(&state, fuel, bytes) {
+            if state.waiting >= self.config.max_queue_depth {
+                state.shed_overloaded += 1;
+                return Err(Rejected::Overloaded { queue_depth: state.waiting });
             }
-        };
-        *waiters -= 1;
-        drop(waiters);
-        match outcome {
-            Ok(r) => Ok(self.permit(r)),
-            Err(()) => {
-                self.shed_timeout.fetch_add(1, Ordering::Relaxed);
-                Err(Rejected::QueueTimeout { waited: start.elapsed() })
+            let start = Instant::now();
+            state.waiting += 1;
+            state = self
+                .freed
+                .wait_timeout_while(state, deadline, |s| !self.fits(s, fuel, bytes))
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+            state.waiting -= 1;
+            // The deadline may pass just as capacity frees: a fit wins.
+            if !self.fits(&state, fuel, bytes) {
+                state.shed_timeout += 1;
+                return Err(Rejected::QueueTimeout { waited: start.elapsed() });
             }
         }
+        state.fuel_in_flight += fuel;
+        state.bytes_in_flight += bytes;
+        state.streams_in_flight += 1;
+        state.admitted += 1;
+        Ok(Permit { queue: self, fuel, bytes })
     }
 
     /// [`Self::admit_within`] with the configured default deadline.
-    pub fn admit(&self, fuel: u64, bytes: u64) -> Result<Permit, Rejected> {
+    pub fn admit(&self, fuel: u64, bytes: u64) -> Result<Permit<'_>, Rejected> {
         self.admit_within(fuel, bytes, self.config.default_deadline)
     }
 
-    fn permit(&self, reservation: Reservation) -> Permit {
-        self.admitted.fetch_add(1, Ordering::Relaxed);
-        Permit { reservation: Some(reservation), sync: Arc::clone(&self.sync) }
+    /// Whether the whole draw fits under every ceiling. Units in flight
+    /// never exceed their ceiling, so the subtractions cannot wrap, and a
+    /// draw that fits cannot overflow its counter.
+    fn fits(&self, s: &AdmissionStats, fuel: u64, bytes: u64) -> bool {
+        let c = &self.config;
+        s.streams_in_flight < c.max_concurrent_streams
+            && fuel <= c.max_total_fuel - s.fuel_in_flight
+            && bytes <= c.max_bytes_in_flight - s.bytes_in_flight
+    }
+
+    /// Nothing panics while holding the lock (each update is a few
+    /// additions `fits` has bounded), so a poisoned state is still valid.
+    fn lock(&self) -> MutexGuard<'_, AdmissionStats> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-/// An admitted request's hold on ledger capacity. Dropping it — normally
-/// or during a panic unwind — returns the reservation and wakes every
-/// queued waiter.
+/// An admitted request's hold on the gate's capacity. Dropping it —
+/// normally or during a panic unwind — returns its units and wakes every
+/// waiting request.
 #[derive(Debug)]
-pub struct Permit {
-    reservation: Option<Reservation>,
-    sync: Arc<QueueSync>,
+pub struct Permit<'q> {
+    queue: &'q AdmissionQueue,
+    fuel: u64,
+    bytes: u64,
 }
 
-impl Permit {
-    /// The fuel units this permit holds.
-    pub fn fuel(&self) -> u64 {
-        self.reservation.as_ref().map_or(0, Reservation::fuel)
-    }
-
-    /// The output-byte units this permit holds.
-    pub fn bytes(&self) -> u64 {
-        self.reservation.as_ref().map_or(0, Reservation::bytes)
-    }
-}
-
-impl Drop for Permit {
+impl Drop for Permit<'_> {
     fn drop(&mut self) {
-        // Return capacity first, then signal under the lock: a waiter that
-        // failed its reservation check still holds the lock, so the signal
-        // cannot fire in the gap before it starts waiting.
-        drop(self.reservation.take());
-        let guard = lock_unpoisoned(&self.sync.waiters);
-        if *guard > 0 {
-            self.sync.capacity_freed.notify_all();
+        let mut state = self.queue.lock();
+        state.fuel_in_flight -= self.fuel;
+        state.bytes_in_flight -= self.bytes;
+        state.streams_in_flight -= 1;
+        if state.waiting > 0 {
+            self.queue.freed.notify_all();
         }
-        drop(guard);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    const UNMETERED: u64 = u64::MAX;
+
+    fn gate(fuel: u64, bytes: u64, streams: u64, depth: usize, deadline_ms: u64) -> AdmissionQueue {
+        AdmissionQueue::new(AdmissionConfig {
+            max_total_fuel: fuel,
+            max_bytes_in_flight: bytes,
+            max_concurrent_streams: streams,
+            max_queue_depth: depth,
+            default_deadline: Duration::from_millis(deadline_ms),
+        })
+    }
 
     fn tiny_queue(streams: u64, depth: usize, deadline_ms: u64) -> AdmissionQueue {
-        AdmissionQueue::with_limits(
-            LedgerLimits::UNLIMITED.with_max_concurrent_streams(streams),
-            AdmissionConfig {
-                max_queue_depth: depth,
-                default_deadline: Duration::from_millis(deadline_ms),
-            },
-        )
+        gate(UNMETERED, UNMETERED, streams, depth, deadline_ms)
+    }
+
+    /// `(fuel, bytes, streams)` in flight.
+    fn in_flight(q: &AdmissionQueue) -> (u64, u64, u64) {
+        let s = q.stats();
+        (s.fuel_in_flight, s.bytes_in_flight, s.streams_in_flight)
     }
 
     #[test]
     fn fast_path_admits_without_waiting() {
-        let q = tiny_queue(4, 4, 10);
-        let p = q.admit(100, 100).unwrap();
-        assert_eq!(p.fuel(), 100);
+        let q = tiny_queue(UNMETERED, 4, 10);
+        let p = q.admit(100, 200).unwrap();
+        assert_eq!(in_flight(&q), (100, 200, 1));
         assert_eq!(q.stats().admitted, 1);
         drop(p);
-        assert!(q.ledger().snapshot().is_quiesced());
+        assert!(q.stats().is_quiesced());
+    }
+
+    #[test]
+    fn reserve_and_drop_round_trips_to_zero() {
+        let q = AdmissionQueue::new(AdmissionConfig::server_default());
+        let p = q.admit(1_000, 2_000).unwrap();
+        assert_eq!(in_flight(&q), (1_000, 2_000, 1));
+        drop(p);
+        assert!(q.stats().is_quiesced());
+        assert_eq!(q.stats().admitted, 1);
+    }
+
+    #[test]
+    fn unlimited_gate_still_counts_in_flight() {
+        let q = gate(UNMETERED, UNMETERED, UNMETERED, 0, 10);
+        let a = q.admit(42, 7).unwrap();
+        let b = q.admit(8, 3).unwrap();
+        assert_eq!(in_flight(&q), (50, 10, 2));
+        drop(a);
+        assert_eq!(in_flight(&q), (8, 3, 1));
+        drop(b);
+        assert!(q.stats().is_quiesced());
     }
 
     #[test]
@@ -263,6 +270,7 @@ mod tests {
         let err = q.admit(1, 1).unwrap_err();
         assert!(matches!(err, Rejected::QueueTimeout { .. }), "{err:?}");
         assert_eq!(q.stats().shed_timeout, 1);
+        assert_eq!(q.stats().waiting, 0);
     }
 
     #[test]
@@ -280,9 +288,10 @@ mod tests {
         let q = tiny_queue(1, 4, 2_000);
         let held = q.admit(1, 1).unwrap();
         std::thread::scope(|s| {
-            let q2 = q.clone();
-            let waiter = s.spawn(move || q2.admit(1, 1));
-            std::thread::sleep(Duration::from_millis(20));
+            let waiter = s.spawn(|| q.admit(1, 1));
+            while q.stats().waiting == 0 {
+                std::thread::yield_now();
+            }
             drop(held);
             let got = waiter.join().expect("waiter panicked");
             assert!(got.is_ok(), "{got:?}");
@@ -295,25 +304,36 @@ mod tests {
     fn permit_drop_during_unwind_frees_capacity() {
         let q = tiny_queue(1, 4, 20);
         let p = q.admit(5, 5).unwrap();
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
             let _held = p;
             panic!("request handler blew up");
         }));
-        assert!(q.ledger().snapshot().is_quiesced());
+        assert!(outcome.is_err());
+        assert!(q.stats().is_quiesced(), "{:?}", q.stats());
         assert!(q.admit(5, 5).is_ok(), "capacity leaked after panic");
+    }
+
+    #[test]
+    fn reservation_returns_units_during_panic_unwind() {
+        let q = AdmissionQueue::new(AdmissionConfig::server_default());
+        let p = q.admit(500, 500).unwrap();
+        assert_eq!(in_flight(&q), (500, 500, 1));
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            let _held = p;
+            panic!("tier blew up");
+        }));
+        assert!(outcome.is_err());
+        assert!(q.stats().is_quiesced(), "{:?}", q.stats());
     }
 
     #[test]
     fn stampede_admissions_conserve_and_shed_typed() {
         let q = tiny_queue(4, 8, 30);
-        let shed = Arc::new(AtomicU64::new(0));
-        let served = Arc::new(AtomicU64::new(0));
+        let shed = AtomicU64::new(0);
+        let served = AtomicU64::new(0);
         std::thread::scope(|s| {
             for _ in 0..16 {
-                let q = q.clone();
-                let shed = Arc::clone(&shed);
-                let served = Arc::clone(&served);
-                s.spawn(move || {
+                s.spawn(|| {
                     for _ in 0..20 {
                         match q.admit(10, 10) {
                             Ok(p) => {
@@ -337,6 +357,59 @@ mod tests {
             shed.load(Ordering::Relaxed)
         );
         assert_eq!(stats.admitted + stats.shed_overloaded + stats.shed_timeout, 16 * 20);
-        assert!(q.ledger().snapshot().is_quiesced(), "{:?}", q.ledger().snapshot());
+        assert!(stats.is_quiesced(), "{stats:?}");
+        assert_eq!(stats.waiting, 0);
+    }
+
+    #[test]
+    fn refusal_is_all_or_nothing() {
+        let q = gate(100, 50, 8, 0, 10);
+        let held = q.admit(60, 10).unwrap();
+        // Refused on fuel, then on bytes: neither leaves a stream slot or
+        // the other axis drawn.
+        assert!(matches!(q.admit(41, 5), Err(Rejected::Overloaded { .. })));
+        assert!(matches!(q.admit(10, 41), Err(Rejected::Overloaded { .. })));
+        assert_eq!(in_flight(&q), (60, 10, 1));
+        // Exactly the remaining headroom fits.
+        let rest = q.admit(40, 40).unwrap();
+        assert_eq!(in_flight(&q), (100, 50, 2));
+        drop((held, rest));
+        assert!(q.stats().is_quiesced());
+    }
+
+    #[test]
+    fn stream_slots_refuse_at_ceiling() {
+        let q = tiny_queue(2, 0, 10);
+        let a = q.admit(1, 1).unwrap();
+        let b = q.admit(1, 1).unwrap();
+        assert!(q.admit(1, 1).is_err());
+        drop(a);
+        let c = q.admit(1, 1).unwrap();
+        assert_eq!(in_flight(&q), (2, 2, 2));
+        drop((b, c));
+        assert!(q.stats().is_quiesced());
+    }
+
+    #[test]
+    fn concurrent_permits_conserve_units() {
+        // Ceilings tight enough that the threads meet at the gate.
+        let q = gate(200, 400, 4, 8, 500);
+        std::thread::scope(|s| {
+            for t in 0..8u64 {
+                let q = &q;
+                s.spawn(move || {
+                    for i in 0..500 {
+                        let fuel = 1 + (t * 31 + i * 7) % 97;
+                        if let Ok(_p) = q.admit(fuel, fuel * 2) {
+                            let (f, b, n) = in_flight(q);
+                            assert!(f <= 200 && b <= 400 && n <= 4, "{:?}", (f, b, n));
+                        }
+                    }
+                });
+            }
+        });
+        let stats = q.stats();
+        assert!(stats.is_quiesced(), "{stats:?}");
+        assert_eq!(stats.admitted + stats.shed_overloaded + stats.shed_timeout, 8 * 500);
     }
 }

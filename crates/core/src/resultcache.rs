@@ -27,7 +27,7 @@
 //! * **What is never cached** — errors and guard trips produce no bytes to
 //!   cache: only complete, successful outputs are admitted, so a trip or a
 //!   fault can never be replayed from memory. Hits still pass through the
-//!   caller's guard and ledger accounting (see
+//!   caller's guard and the admission gate (see
 //!   `serve::FrontDoor`), so a cached byte is charged like a fresh one.
 
 // Guard-bearing hot path: a stray unwrap or expect here is a latent panic

@@ -1,8 +1,7 @@
 //! [`FrontDoor`]: admission and the result cache around the engine.
 
 use std::sync::Arc;
-use std::time::Duration;
-use xsltdb::admission::{AdmissionConfig, AdmissionQueue, AdmissionStats, Rejected};
+use xsltdb::admission::{AdmissionConfig, AdmissionQueue, Rejected};
 use xsltdb::pipeline::{plan_cached_shared, Tier};
 use xsltdb::plancache::SharedPlanCache;
 use xsltdb::resultcache::{CachedResult, ResultKey, SharedResultCache};
@@ -10,17 +9,15 @@ use xsltdb::xqgen::RewriteOptions;
 use xsltdb::{Guard, Limits, PipelineError, DEFAULT_RESULT_CACHE_BYTES};
 use xsltdb_relstore::{slot_name, Catalog, ExecStats};
 use xsltdb_structinfo::ViewCanon;
-use xsltdb_xml::LedgerLimits;
 use xsltdb_relstore::XmlView;
 
 /// Everything tunable about a [`FrontDoor`].
 #[derive(Debug, Clone, Copy)]
 pub struct FrontDoorConfig {
-    /// Per-request guard budget; also the amount reserved on the ledger.
+    /// Per-request guard budget; also the amount each request draws at
+    /// the admission gate.
     pub limits: Limits,
-    /// Fleet-wide ceilings.
-    pub ledger: LedgerLimits,
-    /// Queue depth and default admission deadline.
+    /// Fleet-wide ceilings, queue depth and default admission deadline.
     pub admission: AdmissionConfig,
     /// Byte budget of the transform-result cache (0 disables it).
     pub result_cache_bytes: usize,
@@ -30,7 +27,6 @@ impl FrontDoorConfig {
     pub fn server_default() -> FrontDoorConfig {
         FrontDoorConfig {
             limits: Limits::server_default(),
-            ledger: LedgerLimits::server_default(),
             admission: AdmissionConfig::server_default(),
             result_cache_bytes: DEFAULT_RESULT_CACHE_BYTES,
         }
@@ -103,17 +99,14 @@ impl FrontDoor {
     pub fn new(config: FrontDoorConfig) -> FrontDoor {
         FrontDoor {
             config,
-            queue: AdmissionQueue::with_limits(config.ledger, config.admission),
+            queue: AdmissionQueue::new(config.admission),
             cache: SharedPlanCache::default(),
             results: SharedResultCache::new(config.result_cache_bytes),
         }
     }
 
-    pub fn config(&self) -> &FrontDoorConfig {
-        &self.config
-    }
-
-    /// The admission queue (exposed so harnesses can inspect the ledger).
+    /// The admission gate (exposed so harnesses can read its units in
+    /// flight and counters).
     pub fn queue(&self) -> &AdmissionQueue {
         &self.queue
     }
@@ -123,18 +116,13 @@ impl FrontDoor {
         &self.cache
     }
 
-    /// The transform-result cache behind the door (capacity 0 = disabled).
-    pub fn results(&self) -> &SharedResultCache {
-        &self.results
-    }
-
     pub fn stats(&self) -> FrontDoorStats {
-        let AdmissionStats { admitted, shed_overloaded, shed_timeout } = self.queue.stats();
+        let admission = self.queue.stats();
         let results = self.results.stats();
         FrontDoorStats {
-            admitted,
-            shed_overloaded,
-            shed_timeout,
+            admitted: admission.admitted,
+            shed_overloaded: admission.shed_overloaded,
+            shed_timeout: admission.shed_timeout,
             retries: 0,
             result_hits: results.hits,
             result_misses: results.misses,
@@ -142,9 +130,9 @@ impl FrontDoor {
         }
     }
 
-    /// True when no request holds any ledger reservation.
+    /// True when no request holds any admitted units.
     pub fn is_quiesced(&self) -> bool {
-        self.queue.ledger().snapshot().is_quiesced()
+        self.queue.stats().is_quiesced()
     }
 
     /// Serve one transform with a plain guard.
@@ -168,7 +156,7 @@ impl FrontDoor {
     /// cached byte is never free: it is charged against the request's
     /// guard (so a starved byte budget trips exactly as it would on a
     /// fresh run — which also keeps trips out of the cache's blast radius)
-    /// and reserved as `bytes_in_flight` on the global ledger for the
+    /// and drawn as `bytes_in_flight` at the admission gate for the
     /// duration of the serve. The freshness check runs against the same
     /// `catalog` borrow the execution would use, so a hit is byte-identical
     /// to what a fresh execution would produce at this instant.
@@ -181,7 +169,6 @@ impl FrontDoor {
         make_guard: &dyn Fn(Limits) -> Guard,
     ) -> Result<ServeOutcome, ServeError> {
         let limits = self.config.limits;
-        let deadline = self.config.admission.default_deadline;
 
         // Probe the result cache before paying for admission at the full
         // request budget: a hit reserves exactly the bytes it puts in
@@ -196,18 +183,15 @@ impl FrontDoor {
                 result_key_tables(&canon, view),
             );
             if let Some(hit) = self.results.lookup(&key, catalog) {
-                return self.serve_cached(hit, limits, deadline, make_guard);
+                return self.serve_cached(hit, limits, make_guard);
             }
             Some(key)
         } else {
             None
         };
 
-        let (fuel, bytes) = reservation_units(limits);
-        let _permit = self
-            .queue
-            .admit_within(fuel, bytes, deadline)
-            .map_err(ServeError::Rejected)?;
+        let (fuel, bytes) = request_units(limits);
+        let _permit = self.queue.admit(fuel, bytes).map_err(ServeError::Rejected)?;
         let plan = plan_cached_shared(&self.cache, catalog, view, stylesheet_src, opts)
             .map_err(ServeError::Pipeline)?;
         let guard = make_guard(limits);
@@ -227,13 +211,12 @@ impl FrontDoor {
         Ok(ServeOutcome { bytes: buf, tier: run.tier, fallbacks: run.fallbacks.len(), cached: false })
     }
 
-    /// Serve memoised bytes: charge the request's guard, reserve the bytes
-    /// on the ledger, copy out under the reservation.
+    /// Serve memoised bytes: charge the request's guard, admit the bytes
+    /// at the gate, copy out under the permit.
     fn serve_cached(
         &self,
         hit: CachedResult,
         limits: Limits,
-        deadline: Duration,
         make_guard: &dyn Fn(Limits) -> Guard,
     ) -> Result<ServeOutcome, ServeError> {
         // The guard sees every byte exactly as a fresh execution's sink
@@ -243,12 +226,9 @@ impl FrontDoor {
             return Err(ServeError::Pipeline(trip.into()));
         }
         // The hit's bytes are in flight until the outcome is handed back:
-        // a hit storm is bounded by the ledger byte ceiling like any other
+        // a hit storm is bounded by the gate's byte ceiling like any other
         // traffic (no fuel draw — nothing executes).
-        let permit = self
-            .queue
-            .admit_within(0, hit.bytes.len() as u64, deadline)
-            .map_err(ServeError::Rejected)?;
+        let permit = self.queue.admit(0, hit.bytes.len() as u64).map_err(ServeError::Rejected)?;
         let outcome = ServeOutcome {
             bytes: hit.bytes.to_vec(),
             tier: hit.tier,
@@ -280,10 +260,10 @@ fn result_key_tables(canon: &ViewCanon, view: &XmlView) -> Vec<String> {
     }
 }
 
-/// How much a request with these per-call limits draws from the ledger.
+/// How much a request with these per-call limits draws at the gate.
 /// Unlimited axes reserve nothing on that axis (the stream slot still
 /// counts), so an unmetered dev config never overflows the counters.
-fn reservation_units(limits: Limits) -> (u64, u64) {
+fn request_units(limits: Limits) -> (u64, u64) {
     let fuel = if limits.fuel == u64::MAX { 0 } else { limits.fuel };
     let bytes = if limits.max_output_bytes == u64::MAX { 0 } else { limits.max_output_bytes };
     (fuel, bytes)
@@ -292,12 +272,13 @@ fn reservation_units(limits: Limits) -> (u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
     use xsltdb::{FaultKind, FaultPoint};
     use xsltdb_xsltmark::{db_catalog, db_catalog_family, dbonerow_stylesheet, existing_id};
 
     fn small_door(streams: u64) -> FrontDoor {
         let mut cfg = FrontDoorConfig::server_default();
-        cfg.ledger = LedgerLimits::UNLIMITED.with_max_concurrent_streams(streams);
+        cfg.admission.max_concurrent_streams = streams;
         cfg.admission.max_queue_depth = 2;
         cfg.admission.default_deadline = Duration::from_millis(20);
         FrontDoor::new(cfg)
@@ -320,7 +301,7 @@ mod tests {
     fn repeated_requests_hit_the_plan_cache() {
         // Result cache off, so every request exercises the plan cache.
         let mut cfg = FrontDoorConfig::server_default();
-        cfg.ledger = LedgerLimits::UNLIMITED.with_max_concurrent_streams(4);
+        cfg.admission.max_concurrent_streams = 4;
         cfg.result_cache_bytes = 0;
         let door = FrontDoor::new(cfg);
         let (catalog, view) = db_catalog(24, 7);
@@ -430,7 +411,7 @@ mod tests {
     /// lattice and the plan's start tier decides where it runs.
     fn uncached_door() -> FrontDoor {
         let mut cfg = FrontDoorConfig::server_default();
-        cfg.ledger = LedgerLimits::UNLIMITED.with_max_concurrent_streams(4);
+        cfg.admission.max_concurrent_streams = 4;
         cfg.result_cache_bytes = 0;
         FrontDoor::new(cfg)
     }
@@ -545,7 +526,7 @@ mod tests {
     #[test]
     fn cache_hit_reserves_bytes_on_the_ledger() {
         // A result-cache hit still moves bytes through the door, so it
-        // must reserve them on the global ledger like any other response.
+        // must draw them at the admission gate like any other response.
         // Ceiling below the output length: the warm hit must be shed, not
         // served outside the byte budget.
         let (catalog, view) = db_catalog(24, 7);
@@ -561,9 +542,8 @@ mod tests {
 
         let mut cfg = FrontDoorConfig::server_default();
         cfg.limits = Limits::UNLIMITED;
-        cfg.ledger = LedgerLimits::UNLIMITED
-            .with_max_concurrent_streams(4)
-            .with_max_bytes_in_flight(len - 1);
+        cfg.admission.max_concurrent_streams = 4;
+        cfg.admission.max_bytes_in_flight = len - 1;
         cfg.admission.max_queue_depth = 2;
         cfg.admission.default_deadline = Duration::from_millis(20);
         let door = FrontDoor::new(cfg);
@@ -572,13 +552,13 @@ mod tests {
         let first = door.transform(&catalog, &view, &sheet, &opts).expect("fills");
         assert!(!first.cached);
         // …and the warm hit must now fail admission: its exact byte
-        // length does not fit under the ledger ceiling.
+        // length does not fit under the gate's byte ceiling.
         let err = door.transform(&catalog, &view, &sheet, &opts).unwrap_err();
         assert!(
             matches!(err, ServeError::Rejected(_)),
-            "cache hit bypassed the byte ledger: {err}"
+            "cache hit bypassed the byte ceiling: {err}"
         );
-        assert!(door.is_quiesced(), "hit path leaked a ledger reservation");
+        assert!(door.is_quiesced(), "hit path leaked admitted units");
     }
 
     #[test]
@@ -594,9 +574,8 @@ mod tests {
         // Room for exactly one response in flight.
         let mut cfg = FrontDoorConfig::server_default();
         cfg.limits = Limits::UNLIMITED;
-        cfg.ledger = LedgerLimits::UNLIMITED
-            .with_max_concurrent_streams(16)
-            .with_max_bytes_in_flight(len);
+        cfg.admission.max_concurrent_streams = 16;
+        cfg.admission.max_bytes_in_flight = len;
         cfg.admission.max_queue_depth = 16;
         cfg.admission.default_deadline = Duration::from_millis(200);
         let door = std::sync::Arc::new(FrontDoor::new(cfg));
@@ -611,7 +590,7 @@ mod tests {
                 let expected = &expected;
                 scope.spawn(move || {
                     for _ in 0..16 {
-                        let seen = door.queue().ledger().snapshot().bytes_in_flight;
+                        let seen = door.queue().stats().bytes_in_flight;
                         peak.fetch_max(seen, Ordering::Relaxed);
                         match door.transform(catalog, view, sheet, opts) {
                             Ok(out) => assert_eq!(&out.bytes, expected, "storm corrupted bytes"),
@@ -634,8 +613,8 @@ mod tests {
     fn saturated_door_sheds_with_typed_rejection() {
         let door = std::sync::Arc::new(small_door(1));
         let (catalog, view) = db_catalog(24, 7);
-        // Hold the only stream slot via a raw ledger reservation.
-        let held = door.queue().ledger().try_reserve(0, 0).unwrap();
+        // Hold the only stream slot via a raw admission.
+        let held = door.queue().admit(0, 0).unwrap();
         let sheet = dbonerow_stylesheet(existing_id(24));
         let err = door
             .transform(&catalog, &view, &sheet, &RewriteOptions::default())

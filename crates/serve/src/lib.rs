@@ -4,14 +4,14 @@
 //! The engine below this crate is overload-*correct* but overload-*blind*:
 //! every transform carries its own [`Guard`] budget, yet N concurrent
 //! callers can each stay within budget while collectively exhausting the
-//! process. [`FrontDoor`] closes the gap by composing the pieces from
+//! process. [`FrontDoor`] closes the gap with one admission gate from
 //! `xsltdb::admission`:
 //!
-//! 1. **Admit** — reserve the request's full guard budget (fuel + output
-//!    bytes + one stream slot) against the global
-//!    [`ResourceLedger`](xsltdb_xml::ResourceLedger) via the
-//!    [`AdmissionQueue`]; shed with a typed [`Rejected`] when capacity
-//!    does not free up within the deadline.
+//! 1. **Admit** — draw the request's full guard budget (fuel + output
+//!    bytes + one stream slot) against the fleet-wide ceilings of the
+//!    [`AdmissionQueue`](xsltdb::admission::AdmissionQueue); shed with a
+//!    typed [`Rejected`](xsltdb::admission::Rejected) when capacity does
+//!    not free up within the deadline.
 //! 2. **Execute** — run `BoundPlan::execute_to_writer` once, with a
 //!    **fresh guard and a fresh output buffer**, so a failed request hands
 //!    back no bytes at all. Nothing is retried: the engine is

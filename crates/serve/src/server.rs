@@ -8,6 +8,7 @@ use std::io::{self, BufReader};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use xsltdb::xqgen::RewriteOptions;
 use xsltdb_relstore::{Catalog, XmlView};
 
@@ -54,27 +55,17 @@ impl Server {
         let accept = std::thread::Builder::new()
             .name("serve-accept".into())
             .spawn(move || {
-                let mut workers = Vec::new();
+                let mut acceptor = Acceptor { server: accept_shared, workers: Vec::new() };
                 for conn in listener.incoming() {
                     if accept_stop.load(Ordering::Acquire) {
                         break;
                     }
                     match conn {
-                        Ok(stream) => {
-                            let shared = Arc::clone(&accept_shared);
-                            // 64 MiB: recursive suite cases need deep stacks.
-                            if let Ok(w) = std::thread::Builder::new()
-                                .name("serve-conn".into())
-                                .stack_size(64 * 1024 * 1024)
-                                .spawn(move || shared.handle_connection(stream))
-                            {
-                                workers.push(w);
-                            }
-                        }
+                        Ok(stream) => acceptor.spawn(stream),
                         Err(_) => break,
                     }
                 }
-                for w in workers {
+                for w in acceptor.workers {
                     let _ = w.join();
                 }
             })?;
@@ -121,12 +112,36 @@ impl Server {
     }
 }
 
+/// The accept loop's connection threads. A finished thread's handle is
+/// dropped at the next accept, which releases its stack, so a long-lived
+/// server holds a handle per open connection, not per connection served.
+struct Acceptor {
+    server: Arc<Server>,
+    workers: Vec<JoinHandle<()>>,
+}
+
+impl Acceptor {
+    /// Serve `stream` on a thread of its own.
+    fn spawn(&mut self, stream: TcpStream) {
+        self.workers.retain(|w| !w.is_finished());
+        let server = Arc::clone(&self.server);
+        // 64 MiB: recursive suite cases need deep stacks.
+        if let Ok(w) = std::thread::Builder::new()
+            .name("serve-conn".into())
+            .stack_size(64 * 1024 * 1024)
+            .spawn(move || server.handle_connection(stream))
+        {
+            self.workers.push(w);
+        }
+    }
+}
+
 /// Keeps the server alive; [`ServerHandle::shutdown`] stops accepting and
 /// joins the accept thread (in-flight connections drain first).
 pub struct ServerHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    accept: Option<std::thread::JoinHandle<()>>,
+    accept: Option<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -212,6 +227,27 @@ mod tests {
             );
         }
         handle.shutdown();
+    }
+
+    #[test]
+    fn finished_connection_threads_are_reaped() {
+        let (catalog, _) = db_catalog(4, 7);
+        let door = FrontDoor::new(FrontDoorConfig::server_default());
+        let server = Arc::new(Server::new(door, catalog));
+        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind loopback");
+        let addr = listener.local_addr().unwrap();
+        let mut acceptor = Acceptor { server, workers: Vec::new() };
+        for _ in 0..50 {
+            // The client hangs up at once, so its thread ends on EOF.
+            drop(TcpStream::connect(addr).expect("connect"));
+            let (stream, _) = listener.accept().expect("accept");
+            acceptor.spawn(stream);
+            while !acceptor.workers.iter().all(JoinHandle::is_finished) {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        }
+        // Each accept dropped the finished handle before it.
+        assert_eq!(acceptor.workers.len(), 1, "handles held after 50 closed connections");
     }
 
     #[test]

@@ -21,7 +21,6 @@
 pub mod builder;
 pub mod escape;
 pub mod guard;
-pub mod ledger;
 pub mod model;
 pub mod qname;
 pub mod serialize;
@@ -35,7 +34,6 @@ mod parser;
 
 pub use builder::TreeBuilder;
 pub use guard::{FaultKind, FaultPoint, Guard, GuardExceeded, Limits, Resource};
-pub use ledger::{LedgerDenied, LedgerLimits, LedgerSnapshot, Reservation, ResourceLedger};
 pub use model::{DocRc, Document, Node, NodeId, NodeKind};
 pub use parser::{
     parse as parse_xml, parse_trimmed, parse_with_depth_limit, ParseError, DEFAULT_MAX_DEPTH,

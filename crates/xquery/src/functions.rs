@@ -26,18 +26,24 @@ pub(crate) fn call_builtin(
     let num0 = |vals: &[Sequence], i: usize| -> f64 {
         vals[i].first().map(|it| it.to_number()).unwrap_or(f64::NAN)
     };
+    // The optional argument of `string()` and its kin, else the context item.
+    let str_or_context = |vals: &[Sequence]| {
+        if arity == 0 {
+            env_context_string(env)
+        } else {
+            Ok(str0(vals, 0))
+        }
+    };
     let wrong_arity = |want: &str| {
         Err(XqError(format!("fn:{name}() expects {want} argument(s), got {arity}")))
     };
 
     match name {
         "string" => {
-            let s = if arity == 0 {
-                env_context_string(env)?
-            } else {
-                str0(&vals, 0)
-            };
-            Ok(vec![Item::Str(s)])
+            if arity > 1 {
+                return wrong_arity("0 or 1");
+            }
+            Ok(vec![Item::Str(str_or_context(&vals)?)])
         }
         "data" => {
             if arity != 1 {
@@ -126,9 +132,16 @@ pub(crate) fn call_builtin(
             }
             Ok(vec![Item::Bool(ebv(&vals[0])?)])
         }
-        "true" => Ok(vec![Item::Bool(true)]),
-        "false" => Ok(vec![Item::Bool(false)]),
+        "true" | "false" => {
+            if arity != 0 {
+                return wrong_arity("no");
+            }
+            Ok(vec![Item::Bool(name == "true")])
+        }
         "number" => {
+            if arity > 1 {
+                return wrong_arity("0 or 1");
+            }
             let n = if arity == 0 {
                 str_to_num(&env_context_string(env)?)
             } else {
@@ -186,20 +199,16 @@ pub(crate) fn call_builtin(
             Ok(vec![Item::Str(substring(&str0(&vals, 0), num0(&vals, 1), len))])
         }
         "string-length" => {
-            let s = if arity == 0 {
-                env_context_string(env)?
-            } else {
-                str0(&vals, 0)
-            };
-            Ok(vec![Item::Num(s.chars().count() as f64)])
+            if arity > 1 {
+                return wrong_arity("0 or 1");
+            }
+            Ok(vec![Item::Num(str_or_context(&vals)?.chars().count() as f64)])
         }
         "normalize-space" => {
-            let s = if arity == 0 {
-                env_context_string(env)?
-            } else {
-                str0(&vals, 0)
-            };
-            Ok(vec![Item::Str(normalize_space(&s))])
+            if arity > 1 {
+                return wrong_arity("0 or 1");
+            }
+            Ok(vec![Item::Str(normalize_space(&str_or_context(&vals)?))])
         }
         "translate" => {
             if arity != 3 {
@@ -234,9 +243,17 @@ pub(crate) fn call_builtin(
             }
             Ok(out)
         }
-        "position" => Ok(vec![Item::Num(env.pos as f64)]),
-        "last" => Ok(vec![Item::Num(env.size as f64)]),
+        "position" | "last" => {
+            if arity != 0 {
+                return wrong_arity("no");
+            }
+            let n = if name == "position" { env.pos } else { env.size };
+            Ok(vec![Item::Num(n as f64)])
+        }
         "name" | "local-name" => {
+            if arity > 1 {
+                return wrong_arity("0 or 1");
+            }
             let node = if arity == 0 {
                 match &env.ctx {
                     Some(Item::Node(n)) => Some(n.clone()),

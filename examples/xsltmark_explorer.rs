@@ -4,26 +4,31 @@
 //! below the SQL tier, and what of the view the XQuery tier materialises.
 //!
 //! Run with: `cargo run --example xsltmark_explorer [case-name]`
-//! (default case: `dbonerow`; pass `--list` to see all forty).
+//! (default case: `dbonerow`; pass `--list` to see all forty). Any other
+//! argument that names no case, `--help` included, prints the usage and
+//! the case list and exits non-zero.
 
 use xsltdb::pipeline::{plan_transform, Tier};
 use xsltdb::xqgen::{rewrite, RewriteOptions};
 use xsltdb_xml::{parse_trimmed, to_string, Guard, StreamWriter};
 use xsltdb_xquery::{evaluate_query_to_sink, pretty_query, NodeHandle};
 use xsltdb_xslt::{compile_str, transform};
-use xsltdb_xsltmark::{all_cases, case, db_catalog, db_struct_info, db_xml};
+use xsltdb_xsltmark::{all_cases, db_catalog, db_struct_info, db_xml};
 
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "dbonerow".to_string());
-    if arg == "--list" {
-        println!("The forty XSLTMark cases:\n");
-        for c in all_cases() {
-            println!("  {:<14} ({:?})", c.name, c.area);
+    let cases = all_cases();
+    let Some(c) = cases.iter().find(|c| c.name == arg) else {
+        let rows: String =
+            cases.iter().map(|c| format!("\n  {:<14} ({:?})", c.name, c.area)).collect();
+        let list = format!("The forty XSLTMark cases:\n{rows}");
+        if arg == "--list" {
+            println!("{list}");
+            return;
         }
-        return;
-    }
-
-    let c = case(&arg);
+        eprintln!("usage: xsltmark_explorer [case-name | --list]\n\n{list}");
+        std::process::exit(2);
+    };
     println!("=== case `{}` ({:?}) ===\n", c.name, c.area);
     println!("--- stylesheet ---\n{}\n", c.stylesheet);
 

@@ -11,7 +11,7 @@ use std::time::Duration;
 use xsltdb::xqgen::RewriteOptions;
 use xsltdb::{
     plan_bound, BoundPlan, FaultKind, FaultPoint, Guard, GuardExceeded, Limits, PipelineError,
-    Resource, StreamRun, Tier,
+    Resource, StreamRun, Tier, TierFailure,
 };
 use xsltdb_relstore::exec::Conjunction;
 use xsltdb_relstore::pubexpr::{PubExpr, SqlXmlQuery};
@@ -256,6 +256,36 @@ fn vm_hard_failure_surfaces_typed_error() {
     match run(&plan, &catalog, &guard) {
         Err(PipelineError::Xslt(e)) => assert!(e.0.contains("injected fault")),
         other => panic!("expected the VM tier's own error, got {other:?}"),
+    }
+}
+
+/// A built-in called with too many arguments is an error on the VM, so it
+/// must be one on the XQuery tier too: neither tier may serve bytes.
+#[test]
+fn wrong_arity_calls_fail_typed_on_every_tier() {
+    let (catalog, view) = setup();
+    for select in [
+        "string('a','b')",
+        "true(1)",
+        "string-length('ab','c')",
+        "normalize-space('a','b')",
+        "number('1','2')",
+        "v[position(1) = 1]",
+    ] {
+        let body = format!(
+            r#"<xsl:template match="r"><o><xsl:value-of select="{select}"/></o></xsl:template>"#
+        );
+        let plan = plan_bound(&catalog, &view, &wrap(&body), &RewriteOptions::default()).unwrap();
+        assert_eq!(plan.tier(), Tier::XQuery, "{select}: {:?}", plan.fallback_reason());
+        match run(&plan, &catalog, &Guard::unlimited()) {
+            Err(PipelineError::TiersExhausted { attempts }) => {
+                let tiers: Vec<&str> = attempts.iter().map(|a| a.tier).collect();
+                assert_eq!(tiers, ["xquery", "vm"], "{select}");
+                let typed = |a: &TierFailure| !a.panicked && a.reason.contains("argument(s), got");
+                assert!(attempts.iter().all(typed), "{select}: {attempts:?}");
+            }
+            other => panic!("{select}: expected every tier to fail, got {other:?}"),
+        }
     }
 }
 

@@ -48,7 +48,7 @@ fn churn_suite_8_readers_serves_zero_stale_bytes() {
     assert_eq!(report.mismatches, 0, "byte divergence: {:?}", report.first_mismatch);
     assert!(report.writer_mutations > 0, "churn writers never landed a mutation");
     assert!(report.served > 0, "no request survived the churn run");
-    assert!(report.quiesced, "ledger held reservations after quiesce");
+    assert!(report.quiesced, "admission gate held units after quiesce");
     assert!(report.holds(), "chaos invariants failed");
 }
 
