@@ -40,9 +40,9 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use xsltdb_relstore::pubexpr::SqlXmlQuery;
 use xsltdb_relstore::{slot_name, Catalog, ExecStats, SlotBindings, StoreError, XmlView};
-use xsltdb_structinfo::{canonicalize_view, StructInfo, ViewCanon};
+use xsltdb_structinfo::{canonicalize_view, ViewCanon};
 use xsltdb_xml::{replay_subtree, Document, NodeId, StreamWriter, TreeSink, XmlSink};
-use xsltdb_xquery::{analyze_query, evaluate_query_to_sink, EmissionReport, NodeHandle};
+use xsltdb_xquery::{evaluate_query_to_sink, NodeHandle};
 use xsltdb_xslt::{compile_str, transform, transform_with, NoTrace, Stylesheet, TransformOptions};
 
 /// Which execution strategy a plan uses, fastest first: the discriminants
@@ -81,11 +81,6 @@ pub struct TransformPlan {
     pub slot_count: usize,
     /// Why the plan fell back below the SQL tier, if it did.
     pub fallback_reason: Option<String>,
-    /// Static emission-position census of the rewritten query (present
-    /// whenever `rewrite` is): how many constructor sites stream as events
-    /// and how many must spill to a tree. `spill_free()` plans stream the
-    /// XQuery tier with zero arena nodes built for the result.
-    pub emission: Option<EmissionReport>,
     /// The part of the view the XQuery tier materialises: what the
     /// rewritten query can reach ([`Projection::Full`] without a rewrite).
     pub projection: Projection,
@@ -178,7 +173,7 @@ pub fn plan_cached_shared(
     let plan = match cache.lookup(&key, plan_valid_at(catalog, view)) {
         Some(plan) => plan,
         None => {
-            let plan = Arc::new(plan_transform(view, stylesheet_src, opts)?);
+            let plan = Arc::new(plan_canonical(&canon, compile_str(stylesheet_src)?, opts));
             cache.insert(key, Arc::clone(&plan), catalog.generation());
             plan
         }
@@ -196,37 +191,36 @@ pub fn plan_compiled(
     sheet: Stylesheet,
     opts: &RewriteOptions,
 ) -> Result<TransformPlan, PipelineError> {
-    let canon: ViewCanon = canonicalize_view(view);
-    let info: StructInfo = match &canon.canonical {
-        Some(i) => i.clone(),
-        None => {
-            return Ok(TransformPlan {
-                tier: Tier::Vm,
-                sheet,
-                rewrite: None,
-                sql: None,
-                canonical_fp: canon.fingerprint,
-                slot_count: 0,
-                fallback_reason: canon.note,
-                emission: None,
-                projection: Projection::Full,
-                start: AtomicU8::new(Tier::Vm as u8),
-            })
-        }
+    Ok(plan_canonical(&canonicalize_view(view), sheet, opts))
+}
+
+/// Plan against an already canonicalised view structure.
+fn plan_canonical(canon: &ViewCanon, sheet: Stylesheet, opts: &RewriteOptions) -> TransformPlan {
+    let Some(info) = &canon.canonical else {
+        return TransformPlan {
+            tier: Tier::Vm,
+            sheet,
+            rewrite: None,
+            sql: None,
+            canonical_fp: canon.fingerprint,
+            slot_count: 0,
+            fallback_reason: canon.note.clone(),
+            projection: Projection::Full,
+            start: AtomicU8::new(Tier::Vm as u8),
+        };
     };
-    let (tier, rewrite_out, sql, fallback_reason) = match rewrite(&sheet, &info, opts) {
-        Ok(outcome) => match rewrite_to_sql(&outcome.query, &info) {
+    let (tier, rewrite_out, sql, fallback_reason) = match rewrite(&sheet, info, opts) {
+        Ok(outcome) => match rewrite_to_sql(&outcome.query, info) {
             Ok(sql) => (Tier::Sql, Some(outcome), Some(sql), None),
             Err(e) => (Tier::XQuery, Some(outcome), None, Some(e.to_string())),
         },
         Err(e) => (Tier::Vm, None, None, Some(e.to_string())),
     };
-    let emission = rewrite_out.as_ref().map(|o| analyze_query(&o.query));
     // Every rewritten plan can reach the XQuery tier: SQL plans by fallback.
     let projection = rewrite_out
         .as_ref()
-        .map_or(Projection::Full, |o| Projection::of_query(&o.query, &info));
-    Ok(TransformPlan {
+        .map_or(Projection::Full, |o| Projection::of_query(&o.query, info));
+    TransformPlan {
         tier,
         sheet,
         rewrite: rewrite_out,
@@ -234,10 +228,9 @@ pub fn plan_compiled(
         canonical_fp: canon.fingerprint,
         slot_count: canon.slot_count,
         fallback_reason,
-        emission,
         projection,
         start: AtomicU8::new(tier as u8),
-    })
+    }
 }
 
 /// Result of an execution through the degradation lattice
@@ -894,7 +887,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(bound.tier(), Tier::XQuery);
-        let emission = bound.plan().emission.expect("rewritten plan carries a census");
+        let rewrite = bound.plan().rewrite.as_ref().expect("rewritten plan");
+        let emission = xsltdb_xquery::analyze_query(&rewrite.query);
         assert!(emission.spill_free(), "this query has no re-inspected constructors");
 
         let stats = ExecStats::new();

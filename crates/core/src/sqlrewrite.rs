@@ -23,12 +23,12 @@
 use crate::error::RewriteError;
 use crate::xqgen::ROOT_VAR;
 use std::collections::HashMap;
-use xsltdb_relstore::exec::{CmpOp, ColumnCmp};
+use xsltdb_relstore::exec::ColumnCmp;
 use xsltdb_relstore::pubexpr::{AggFunc, AggOrder, AggPredTerm, PubExpr, SqlXmlQuery};
 use xsltdb_relstore::Datum;
 use xsltdb_structinfo::{ContentBinding, ElemDecl, Origin, StructInfo};
-use xsltdb_xpath::{Axis, NodeTest};
-use xsltdb_xquery::{Clause, CompOp, PathStart, XQuery, XqExpr, XqStep};
+use xsltdb_xpath::{Axis, CmpOp, NodeTest};
+use xsltdb_xquery::{Clause, PathStart, XQuery, XqExpr, XqStep};
 
 /// Rewrite an (inline-mode) XQuery over a publishing-view structure into a
 /// SQL/XML query.
@@ -176,13 +176,7 @@ impl<'a> SqlTr<'a> {
                 Ok(PubExpr::Element { name: n, attrs, children })
             }
             XqExpr::Arith(op, l, r) => Ok(PubExpr::Arith {
-                op: match op {
-                    xsltdb_xquery::ArithOp::Add => xsltdb_relstore::ArithOp::Add,
-                    xsltdb_xquery::ArithOp::Sub => xsltdb_relstore::ArithOp::Sub,
-                    xsltdb_xquery::ArithOp::Mul => xsltdb_relstore::ArithOp::Mul,
-                    xsltdb_xquery::ArithOp::Div => xsltdb_relstore::ArithOp::Div,
-                    xsltdb_xquery::ArithOp::Mod => xsltdb_relstore::ArithOp::Mod,
-                },
+                op: *op,
                 left: Box::new(self.scalar(l)?),
                 right: Box::new(self.scalar(r)?),
             }),
@@ -523,7 +517,7 @@ impl<'a> SqlTr<'a> {
 
     fn column_comparison(
         &mut self,
-        op: CompOp,
+        op: CmpOp,
         l: &XqExpr,
         r: &XqExpr,
     ) -> Result<ColumnCmp, RewriteError> {
@@ -532,14 +526,14 @@ impl<'a> SqlTr<'a> {
 
     fn column_comparison_with_table(
         &mut self,
-        op: CompOp,
+        op: CmpOp,
         l: &XqExpr,
         r: &XqExpr,
     ) -> Result<(String, ColumnCmp), RewriteError> {
         // Normalise to column-op-literal.
         let (path, lit, op) = match (l, r) {
             (p @ (XqExpr::Path { .. } | XqExpr::VarRef(_)), lit) => (p, lit, op),
-            (lit, p @ (XqExpr::Path { .. } | XqExpr::VarRef(_))) => (p, lit, flip(op)),
+            (lit, p @ (XqExpr::Path { .. } | XqExpr::VarRef(_))) => (p, lit, op.flip()),
             _ => return Err(RewriteError::new("comparison has no column side")),
         };
         let (table, column) = match path {
@@ -556,15 +550,7 @@ impl<'a> SqlTr<'a> {
                 }
             },
         };
-        let value = match lit {
-            XqExpr::NumLit(n) => Datum::Num(*n),
-            XqExpr::StrLit(s) => Datum::Text(s.clone()),
-            _ => return Err(RewriteError::new("comparison literal is not constant")),
-        };
-        Ok((
-            table,
-            ColumnCmp { column, op: cmp_op(op), value },
-        ))
+        Ok((table, ColumnCmp { column, op, value: literal(lit)? }))
     }
 
     fn table_column_of(&self, d: &ElemDecl) -> Result<(String, String), RewriteError> {
@@ -717,8 +703,8 @@ impl<'a> SqlTr<'a> {
                 let (path, lit, op) = match (l.as_ref(), r.as_ref()) {
                     (pp @ XqExpr::Path { .. }, lit) => (Some(pp), lit, *op),
                     (XqExpr::ContextItem, lit) => (None, lit, *op),
-                    (lit, pp @ XqExpr::Path { .. }) => (Some(pp), lit, flip(*op)),
-                    (lit, XqExpr::ContextItem) => (None, lit, flip(*op)),
+                    (lit, pp @ XqExpr::Path { .. }) => (Some(pp), lit, op.flip()),
+                    (lit, XqExpr::ContextItem) => (None, lit, op.flip()),
                     _ => {
                         return Err(RewriteError::new(
                             "row predicate is not a column comparison",
@@ -766,12 +752,7 @@ impl<'a> SqlTr<'a> {
                         ))
                     }
                 };
-                let value = match lit {
-                    XqExpr::NumLit(n) => Datum::Num(*n),
-                    XqExpr::StrLit(s) => Datum::Text(s.clone()),
-                    _ => return Err(RewriteError::new("predicate literal is not constant")),
-                };
-                Ok(ColumnCmp { column, op: cmp_op(op), value })
+                Ok(ColumnCmp { column, op, value: literal(lit)? })
             }
             _ => Err(RewriteError::new("unsupported row predicate shape")),
         }
@@ -808,24 +789,12 @@ fn step_name(s: &XqStep) -> Result<String, RewriteError> {
     }
 }
 
-fn cmp_op(op: CompOp) -> CmpOp {
-    match op {
-        CompOp::Eq => CmpOp::Eq,
-        CompOp::Ne => CmpOp::Ne,
-        CompOp::Lt => CmpOp::Lt,
-        CompOp::Le => CmpOp::Le,
-        CompOp::Gt => CmpOp::Gt,
-        CompOp::Ge => CmpOp::Ge,
-    }
-}
-
-fn flip(op: CompOp) -> CompOp {
-    match op {
-        CompOp::Lt => CompOp::Gt,
-        CompOp::Le => CompOp::Ge,
-        CompOp::Gt => CompOp::Lt,
-        CompOp::Ge => CompOp::Le,
-        other => other,
+/// A comparison's constant side as the SQL literal: a number or a string.
+fn literal(lit: &XqExpr) -> Result<Datum, RewriteError> {
+    match lit {
+        XqExpr::NumLit(n) => Ok(Datum::Num(*n)),
+        XqExpr::StrLit(s) => Ok(Datum::Text(s.clone())),
+        _ => Err(RewriteError::new("comparison literal is not constant")),
     }
 }
 

@@ -9,7 +9,7 @@
 
 use crate::error::RewriteError;
 use xsltdb_xpath::{Axis, BinOp, Expr, LocationPath, NodeTest};
-use xsltdb_xquery::{CompOp, ArithOp, PathStart, XqExpr, XqStep};
+use xsltdb_xquery::{PathStart, XqExpr, XqStep};
 
 /// What a relative path is resolved against.
 #[derive(Debug, Clone)]
@@ -105,17 +105,8 @@ pub fn xpath_to_xq(e: &Expr, cx: &XlatCtx) -> Result<XqExpr, RewriteError> {
                 BinOp::Or => XqExpr::Or(l, r),
                 BinOp::And => XqExpr::And(l, r),
                 BinOp::Union => XqExpr::Union(l, r),
-                BinOp::Eq => XqExpr::Compare(CompOp::Eq, l, r),
-                BinOp::Ne => XqExpr::Compare(CompOp::Ne, l, r),
-                BinOp::Lt => XqExpr::Compare(CompOp::Lt, l, r),
-                BinOp::Le => XqExpr::Compare(CompOp::Le, l, r),
-                BinOp::Gt => XqExpr::Compare(CompOp::Gt, l, r),
-                BinOp::Ge => XqExpr::Compare(CompOp::Ge, l, r),
-                BinOp::Add => XqExpr::Arith(ArithOp::Add, l, r),
-                BinOp::Sub => XqExpr::Arith(ArithOp::Sub, l, r),
-                BinOp::Mul => XqExpr::Arith(ArithOp::Mul, l, r),
-                BinOp::Div => XqExpr::Arith(ArithOp::Div, l, r),
-                BinOp::Mod => XqExpr::Arith(ArithOp::Mod, l, r),
+                BinOp::Cmp(op) => XqExpr::Compare(*op, l, r),
+                BinOp::Arith(op) => XqExpr::Arith(*op, l, r),
             })
         }
         Expr::Path(p) => translate_path(p, cx),

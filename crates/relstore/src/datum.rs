@@ -3,6 +3,7 @@
 use std::cmp::Ordering;
 use std::fmt;
 use xsltdb_xpath::functions::number_order;
+use xsltdb_xpath::value::str_to_num;
 
 /// Column types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -10,28 +11,6 @@ pub enum ColType {
     Int,
     Num,
     Text,
-}
-
-/// Arithmetic operators usable in published scalar expressions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArithOp {
-    Add,
-    Sub,
-    Mul,
-    Div,
-    Mod,
-}
-
-impl ArithOp {
-    pub fn symbol(self) -> &'static str {
-        match self {
-            ArithOp::Add => "+",
-            ArithOp::Sub => "-",
-            ArithOp::Mul => "*",
-            ArithOp::Div => "/",
-            ArithOp::Mod => "%",
-        }
-    }
 }
 
 /// A column value.
@@ -88,7 +67,20 @@ impl Datum {
         }
     }
 
-    pub fn as_f64(&self) -> Option<f64> {
+    /// XPath `number()` of the published value ([`to_text`](Self::to_text)),
+    /// read without printing it: NULL publishes as `""` and ±Infinity as
+    /// `Infinity`, which are not XPath numbers, so both are NaN.
+    pub(crate) fn number(&self) -> f64 {
+        match self {
+            Datum::Int(i) => *i as f64,
+            Datum::Num(n) if n.is_infinite() => f64::NAN,
+            Datum::Num(n) => *n,
+            Datum::Null => f64::NAN,
+            Datum::Text(s) => str_to_num(s),
+        }
+    }
+
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             Datum::Int(i) => Some(*i as f64),
             Datum::Num(n) => Some(*n),

@@ -8,53 +8,23 @@
 #![cfg_attr(not(test), deny(clippy::expect_used))]
 
 use crate::catalog::Catalog;
-use crate::datum::Datum;
+use crate::datum::{ColType, Datum};
 use crate::stats::ExecStats;
 use crate::table::{RowId, StoreError, Table};
-use std::cmp::Ordering;
+use std::iter::{once, Once};
 use std::ops::Bound;
 use xsltdb_xml::{Guard, GuardExceeded};
+use xsltdb_xpath::value::{compare, CmpOp, Operand};
 
 pub(crate) fn guard_err(e: GuardExceeded) -> StoreError {
     StoreError::from_trip(e)
 }
 
-/// Comparison operators in predicates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CmpOp {
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-}
-
-impl CmpOp {
-    pub fn symbol(self) -> &'static str {
-        match self {
-            CmpOp::Eq => "=",
-            CmpOp::Ne => "!=",
-            CmpOp::Lt => "<",
-            CmpOp::Le => "<=",
-            CmpOp::Gt => ">",
-            CmpOp::Ge => ">=",
-        }
-    }
-
-    fn eval(self, ord: Ordering) -> bool {
-        match self {
-            CmpOp::Eq => ord == Ordering::Equal,
-            CmpOp::Ne => ord != Ordering::Equal,
-            CmpOp::Lt => ord == Ordering::Less,
-            CmpOp::Le => ord != Ordering::Greater,
-            CmpOp::Gt => ord == Ordering::Greater,
-            CmpOp::Ge => ord != Ordering::Less,
-        }
-    }
-}
-
-/// A single-column comparison with a constant.
+/// A single-column comparison with a constant: the column's published
+/// value (a node whose string value is [`Datum::to_text`]) against an
+/// XPath literal — a number for `Int`/`Num`, a string for `Text`, and `""`
+/// for `Null`. It holds exactly when XPath 1.0's [`compare`] says so, so a
+/// NULL compares as the empty string it publishes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnCmp {
     pub column: String,
@@ -62,38 +32,71 @@ pub struct ColumnCmp {
     pub value: Datum,
 }
 
+/// Keys outside the open range (−Infinity, +Infinity) publish as NaN or
+/// `Infinity`, neither of which is an XPath number: a numeric range probe
+/// stops short of them. (NULLs are never indexed.)
+static NEG_INFINITY: Datum = Datum::Num(f64::NEG_INFINITY);
+static POS_INFINITY: Datum = Datum::Num(f64::INFINITY);
+
 impl ColumnCmp {
     pub fn new(column: &str, op: CmpOp, value: Datum) -> Self {
         ColumnCmp { column: column.to_string(), op, value }
     }
 
-    /// Evaluate against a row; comparisons with NULL are false.
+    /// Evaluate against a row.
     pub fn matches(&self, table: &Table, row: RowId) -> Result<bool, StoreError> {
         Ok(self.holds(&table.value_by_name(row, &self.column)?))
     }
 
-    /// Evaluate against an already-read column value `d`.
-    pub(crate) fn holds(&self, d: &Datum) -> bool {
-        !d.is_null() && !self.value.is_null() && self.op.eval(d.cmp_total(&self.value))
+    /// The constant as an XPath operand.
+    fn literal(&self) -> Literal<'_> {
+        match &self.value {
+            Datum::Int(i) => Operand::Num(*i as f64),
+            Datum::Num(n) => Operand::Num(*n),
+            Datum::Text(s) => Operand::Str(s),
+            Datum::Null => Operand::Str(""),
+        }
     }
 
-    /// The B-tree lookup this term can drive; `None` for `!=` and for a
-    /// NULL constant, which no lookup answers.
-    fn probe(&self) -> Option<Probe<'_>> {
-        let v = &self.value;
-        if v.is_null() {
-            return None;
+    /// Evaluate against an already-read column value `d`. Against a number
+    /// the column's `number()` is read straight off the datum; otherwise
+    /// the published text is compared, lent without a copy.
+    pub(crate) fn holds(&self, d: &Datum) -> bool {
+        match self.literal() {
+            lit @ Operand::Num(_) => compare(self.op, Literal::Num(d.number()), lit),
+            lit => d.with_text(|s| compare(self.op, Operand::Nodes(once(s)), lit)),
         }
-        Some(match self.op {
-            CmpOp::Eq => Probe::Eq(v),
-            CmpOp::Lt => Probe::Range(Bound::Unbounded, Bound::Excluded(v)),
-            CmpOp::Le => Probe::Range(Bound::Unbounded, Bound::Included(v)),
-            CmpOp::Gt => Probe::Range(Bound::Excluded(v), Bound::Unbounded),
-            CmpOp::Ge => Probe::Range(Bound::Included(v), Bound::Unbounded),
-            CmpOp::Ne => return None,
-        })
+    }
+
+    /// The B-tree lookup this term can drive on a column of type `ty`:
+    /// only where the index's key order agrees with XPath's comparison —
+    /// a finite number on an `Int`/`Num` column, or `=` with a non-empty
+    /// string on a `Text` column (an empty one also matches the unindexed
+    /// NULLs). Every other term is a scan.
+    fn probe(&self, ty: ColType) -> Option<Probe<'_>> {
+        let v = &self.value;
+        match self.literal() {
+            Operand::Num(n) if n.is_finite() && ty != ColType::Text => {
+                let (lo, hi) = (Bound::Excluded(&NEG_INFINITY), Bound::Excluded(&POS_INFINITY));
+                Some(match self.op {
+                    CmpOp::Eq => Probe::Eq(v),
+                    CmpOp::Lt => Probe::Range(lo, Bound::Excluded(v)),
+                    CmpOp::Le => Probe::Range(lo, Bound::Included(v)),
+                    CmpOp::Gt => Probe::Range(Bound::Excluded(v), hi),
+                    CmpOp::Ge => Probe::Range(Bound::Included(v), hi),
+                    CmpOp::Ne => return None,
+                })
+            }
+            Operand::Str(s) if ty == ColType::Text && self.op == CmpOp::Eq && !s.is_empty() => {
+                Some(Probe::Eq(v))
+            }
+            _ => None,
+        }
     }
 }
+
+/// A [`ColumnCmp`] constant: always atomic.
+type Literal<'a> = Operand<'a, Once<&'a str>>;
 
 /// An index lookup: an equality probe or a key range.
 enum Probe<'p> {
@@ -227,8 +230,10 @@ pub fn scan_guarded(
     // Prefer an equality probe, then the first range probe, then a full scan.
     let mut chosen = None; // (term index, term, index, probe)
     for (i, t) in pred.terms.iter().enumerate() {
-        let (Some(index), Some(probe)) = (catalog.index_on(table_name, &t.column), t.probe())
-        else {
+        let Some(index) = catalog.index_on(table_name, &t.column) else {
+            continue;
+        };
+        let Some(probe) = table.col_type(&t.column).and_then(|ty| t.probe(ty)) else {
             continue;
         };
         let is_eq = matches!(probe, Probe::Eq(_));
@@ -296,6 +301,7 @@ mod tests {
     use crate::catalog::Catalog;
     use crate::datum::ColType;
     use crate::table::Table;
+    use xsltdb_xpath::CmpOp;
 
     fn catalog() -> Catalog {
         let mut emp = Table::new(
@@ -390,7 +396,70 @@ mod tests {
         let (rows, _) =
             scan(&c, &stats, "emp", &Conjunction::single("sal", CmpOp::Ne, Datum::Int(0)))
                 .unwrap();
-        assert_eq!(rows.len(), 4); // NULL row excluded
+        // A NULL publishes as "", whose number() is NaN, and NaN != 0 holds
+        // in XPath 1.0: the NULL row is kept.
+        assert_eq!(rows.len(), 5);
+    }
+
+    /// Every key that publishes as something other than a plain number
+    /// (NULL, NaN, ±Infinity, −0), under every operator and literal shape:
+    /// a probe returns what a scan returns, and both agree with the kernel
+    /// on each row's published text.
+    #[test]
+    fn probes_and_scans_agree_with_the_kernel_on_edge_keys() {
+        let nums = [1.0, f64::NAN, f64::NEG_INFINITY, f64::INFINITY, -0.0, 7.0, 7.5];
+        let texts = ["7", "", "a", "NaN", "😀"];
+        let columns: [(ColType, Vec<Datum>); 3] = [
+            (ColType::Num, nums.iter().map(|&n| Datum::Num(n)).chain([Datum::Null]).collect()),
+            (ColType::Int, vec![Datum::Int(-1), Datum::Int(0), Datum::Int(7), Datum::Null]),
+            (
+                ColType::Text,
+                texts.iter().map(|&t| Datum::Text(t.into())).chain([Datum::Null]).collect(),
+            ),
+        ];
+        let literals = [
+            Datum::Int(0),
+            Datum::Num(7.0),
+            Datum::Num(-0.0),
+            Datum::Num(f64::NAN),
+            Datum::Num(f64::INFINITY),
+            Datum::Text("7".into()),
+            Datum::Text("".into()),
+            Datum::Text("NaN".into()),
+            Datum::Null,
+        ];
+        let ops = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+        for (ty, values) in columns {
+            let catalog = |indexed: bool| {
+                let mut t = Table::new("t", &[("v", ty)]);
+                for v in &values {
+                    t.insert(vec![v.clone()]).unwrap();
+                }
+                let mut c = Catalog::new();
+                c.add_table(t);
+                if indexed {
+                    c.create_index("t", "v").unwrap();
+                }
+                c
+            };
+            let (indexed, plain) = (catalog(true), catalog(false));
+            for op in ops {
+                for lit in &literals {
+                    let term = ColumnCmp::new("v", op, lit.clone());
+                    let want: Vec<RowId> = (0..values.len())
+                        .filter(|&r| {
+                            let text = values[r].to_text();
+                            compare(op, Operand::Nodes(once(text.as_str())), term.literal())
+                        })
+                        .collect();
+                    let pred = Conjunction::of(vec![term]);
+                    let (scanned, _) = scan(&plain, &ExecStats::new(), "t", &pred).unwrap();
+                    let (probed, _) = scan(&indexed, &ExecStats::new(), "t", &pred).unwrap();
+                    assert_eq!(scanned, want, "scan: {ty:?} v {} {lit:?}", op.symbol());
+                    assert_eq!(probed, want, "probe: {ty:?} v {} {lit:?}", op.symbol());
+                }
+            }
+        }
     }
 
     #[test]

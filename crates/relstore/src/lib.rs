@@ -13,8 +13,9 @@
 //! intermediate XML documents the functional evaluation would build.
 //!
 //! ```
-//! use xsltdb_relstore::{Catalog, Table, ColType, Datum, Conjunction, CmpOp, ExecStats};
+//! use xsltdb_relstore::{Catalog, Table, ColType, Datum, Conjunction, ExecStats};
 //! use xsltdb_relstore::exec::scan;
+//! use xsltdb_xpath::CmpOp;
 //!
 //! let mut emp = Table::new("emp", &[("sal", ColType::Int)]);
 //! emp.insert(vec![Datum::Int(2450)]).unwrap();
@@ -46,8 +47,8 @@ pub mod view;
 
 pub use binding::{fnv64, is_slot, slot_name, SlotBindings};
 pub use catalog::{Catalog, TableMeta, TableVersion};
-pub use datum::{ArithOp, ColType, Datum, DatumKey};
-pub use exec::{scan_guarded, AccessPath, CmpOp, ColumnCmp, Conjunction};
+pub use datum::{ColType, Datum, DatumKey};
+pub use exec::{scan_guarded, AccessPath, ColumnCmp, Conjunction};
 pub use index::Index;
 pub use page::PAGE_SIZE;
 pub use pool::{BufferPool, HeapFile, PageGuard, PageId};

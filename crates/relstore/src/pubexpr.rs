@@ -10,13 +10,13 @@
 
 use crate::binding::SlotBindings;
 use crate::catalog::Catalog;
-use crate::datum::Datum;
-use crate::exec::{guard_err, scan_guarded, AccessPath, CmpOp, ColumnCmp, Conjunction};
+use crate::datum::{ColType, Datum};
+use crate::exec::{guard_err, scan_guarded, AccessPath, ColumnCmp, Conjunction};
 use crate::stats::ExecStats;
 use crate::table::{RowId, StoreError, Table};
 use std::borrow::Cow;
 use xsltdb_xpath::functions::number_order;
-use xsltdb_xpath::value::str_to_num;
+use xsltdb_xpath::value::{arith, num_to_string, str_to_num, ArithOp, CmpOp};
 use xsltdb_xml::{Document, Guard, QName, SinkError, TextSink, TreeSink, XmlSink};
 
 /// Lower a sink refusal to the store's error type. Guard trips keep their
@@ -87,7 +87,7 @@ pub enum PubExpr {
     /// Numeric arithmetic over scalar subexpressions, published as text
     /// (`sum(SAL) / count(*)`-style projections).
     Arith {
-        op: crate::datum::ArithOp,
+        op: ArithOp,
         left: Box<PubExpr>,
         right: Box<PubExpr>,
     },
@@ -308,20 +308,9 @@ pub(crate) fn eval_pub<'a>(
             out.end_element().map_err(sink_err)
         }
         PubExpr::Arith { op, left, right } => {
-            let l = xsltdb_xpath::value::str_to_num(&eval_to_text(
-                left, catalog, stats, bindings, guard, slots,
-            )?);
-            let r = xsltdb_xpath::value::str_to_num(&eval_to_text(
-                right, catalog, stats, bindings, guard, slots,
-            )?);
-            let n = match op {
-                crate::datum::ArithOp::Add => l + r,
-                crate::datum::ArithOp::Sub => l - r,
-                crate::datum::ArithOp::Mul => l * r,
-                crate::datum::ArithOp::Div => l / r,
-                crate::datum::ArithOp::Mod => l % r,
-            };
-            out.text(&xsltdb_xpath::value::num_to_string(n)).map_err(sink_err)
+            let l = str_to_num(&eval_to_text(left, catalog, stats, bindings, guard, slots)?);
+            let r = str_to_num(&eval_to_text(right, catalog, stats, bindings, guard, slots)?);
+            out.text(&num_to_string(arith(*op, l, r))).map_err(sink_err)
         }
         PubExpr::Case { cond, table, then, els } => {
             let d = bindings.get(slots.resolve(table)?)?.value(&cond.column)?;
@@ -351,13 +340,14 @@ pub(crate) fn eval_pub<'a>(
                         .as_deref()
                         .ok_or_else(|| StoreError::new("sum() needs a column"))?;
                     let t = catalog.table(table)?;
+                    // XPath sum(): each published value's number(), so a
+                    // NULL (published "") makes the sum NaN, as it does on
+                    // every other tier.
                     let mut total = 0.0;
                     for r in &rows {
-                        if let Some(v) = t.value_by_name(*r, col)?.as_f64() {
-                            total += v;
-                        }
+                        total += t.value_by_name(*r, col)?.number();
                     }
-                    xsltdb_xpath::value::num_to_string(total)
+                    num_to_string(total)
                 }
             };
             out.text(&text).map_err(sink_err)
@@ -411,13 +401,23 @@ fn agg_rows(
 ) -> Result<Vec<RowId>, StoreError> {
     // Resolve correlation terms to constants from the outer bindings, so the
     // access-path planner can use an index on the correlated column too.
+    // A correlation is node = node: the two published strings are equal.
+    // Against a numeric inner column a finite number compares the same way
+    // (as doubles, so integers beyond 2^53 may meet) and can still probe;
+    // every other value compares as its text.
+    let inner = catalog.table(table)?;
     let mut conj = Conjunction::default();
     for term in predicate {
         match term {
             AggPredTerm::Const(c) => conj.terms.push(c.clone()),
             AggPredTerm::Correlate { inner_column, outer_table, outer_column } => {
                 let v = bindings.get(slots.resolve(outer_table)?)?.value(outer_column)?;
-                conj.terms.push(ColumnCmp::new(inner_column, CmpOp::Eq, v.clone()));
+                let numeric = inner.col_type(inner_column).is_some_and(|ty| ty != ColType::Text);
+                let value = match v {
+                    Datum::Int(_) | Datum::Num(_) if numeric && v.number().is_finite() => v.clone(),
+                    other => Datum::Text(other.to_text()),
+                };
+                conj.terms.push(ColumnCmp::new(inner_column, CmpOp::Eq, value));
             }
         }
     }
@@ -981,7 +981,7 @@ mod tests {
 #[cfg(test)]
 mod arith_tests {
     use super::*;
-    use crate::datum::ArithOp;
+    use xsltdb_xpath::ArithOp;
 
     #[test]
     fn arithmetic_over_scalar_aggs() {
@@ -1036,7 +1036,8 @@ mod arith_tests {
 mod access_path_tests {
     use super::*;
     use crate::datum::{ColType, Datum};
-    use crate::exec::{AccessPath, CmpOp, Conjunction};
+    use crate::exec::{AccessPath, Conjunction};
+    use xsltdb_xpath::CmpOp;
     use crate::table::Table;
 
     /// The XSLTMark db workload's row table: B-tree indexes on `id`,

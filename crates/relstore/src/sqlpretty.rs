@@ -3,6 +3,7 @@
 
 use crate::exec::Conjunction;
 use crate::pubexpr::{AggFunc, AggOrder, AggPredTerm, PubExpr, SqlXmlQuery};
+use xsltdb_xpath::ArithOp;
 
 /// Render a full query.
 pub fn sql_text(q: &SqlXmlQuery) -> String {
@@ -111,12 +112,14 @@ fn pub_text(e: &PubExpr, level: usize) -> String {
             s.push(')');
             s
         }
-        PubExpr::Arith { op, left, right } => format!(
-            "({} {} {})",
-            pub_text(left, level),
-            op.symbol(),
-            pub_text(right, level)
-        ),
+        PubExpr::Arith { op, left, right } => {
+            let op = match op {
+                ArithOp::Div => "/",
+                ArithOp::Mod => "%",
+                other => other.symbol(),
+            };
+            format!("({} {op} {})", pub_text(left, level), pub_text(right, level))
+        }
         PubExpr::Case { cond, table: _, then, els } => format!(
             "CASE WHEN {} {} {} THEN {} ELSE {} END",
             cond.column.to_uppercase(),
@@ -172,7 +175,8 @@ fn agg_pred_text(terms: &[AggPredTerm]) -> String {
 mod tests {
     use super::*;
     use crate::datum::Datum;
-    use crate::exec::{CmpOp, ColumnCmp};
+    use crate::exec::ColumnCmp;
+    use xsltdb_xpath::CmpOp;
 
     #[test]
     fn renders_table7_like_text() {

@@ -135,6 +135,10 @@ impl Table {
         self.columns.iter().position(|c| c.name.eq_ignore_ascii_case(name))
     }
 
+    pub(crate) fn col_type(&self, name: &str) -> Option<ColType> {
+        self.col_index(name).and_then(|c| self.columns.get(c)).map(|c| c.ty)
+    }
+
     /// Insert a row; validates arity and (loosely) types.
     pub fn insert(&mut self, row: Vec<Datum>) -> Result<RowId, StoreError> {
         if row.len() != self.columns.len() {

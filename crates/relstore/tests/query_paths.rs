@@ -2,9 +2,10 @@
 //! EXPLAIN-style path reporting, and the interplay of indexes with
 //! publishing.
 
-use xsltdb_relstore::exec::{CmpOp, Conjunction};
+use xsltdb_relstore::exec::Conjunction;
 use xsltdb_relstore::pubexpr::{PubExpr, SqlXmlQuery};
 use xsltdb_relstore::{AccessPath, Catalog, ColType, Datum, ExecStats, SlotBindings, Table};
+use xsltdb_xpath::CmpOp;
 
 fn catalog() -> Catalog {
     let mut t = Table::new("emp", &[("empno", ColType::Int), ("sal", ColType::Int)]);

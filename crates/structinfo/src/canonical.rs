@@ -210,7 +210,8 @@ pub fn canonicalize_view(view: &XmlView) -> ViewCanon {
 mod tests {
     use super::*;
     use xsltdb_relstore::pubexpr::{AggPredTerm, PubExpr, SqlXmlQuery};
-    use xsltdb_relstore::{CmpOp, ColumnCmp, Conjunction};
+    use xsltdb_relstore::{ColumnCmp, Conjunction};
+    use xsltdb_xpath::CmpOp;
 
     /// A view shaped like the paper's dept/emp publishing view, over
     /// arbitrarily-named tables.

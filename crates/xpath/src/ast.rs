@@ -1,23 +1,16 @@
 //! XPath 1.0 abstract syntax.
 
+use crate::value::{ArithOp, CmpOp};
 use std::fmt;
 
-/// Binary operators, in XPath precedence groups.
+/// Binary operators. Comparison and arithmetic operators are the value
+/// kernel's own types ([`crate::value`]), which every tier shares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinOp {
     Or,
     And,
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-    Add,
-    Sub,
-    Mul,
-    Div,
-    Mod,
+    Cmp(CmpOp),
+    Arith(ArithOp),
     Union,
 }
 
@@ -26,28 +19,10 @@ impl BinOp {
         match self {
             BinOp::Or => "or",
             BinOp::And => "and",
-            BinOp::Eq => "=",
-            BinOp::Ne => "!=",
-            BinOp::Lt => "<",
-            BinOp::Le => "<=",
-            BinOp::Gt => ">",
-            BinOp::Ge => ">=",
-            BinOp::Add => "+",
-            BinOp::Sub => "-",
-            BinOp::Mul => "*",
-            BinOp::Div => "div",
-            BinOp::Mod => "mod",
+            BinOp::Cmp(op) => op.symbol(),
+            BinOp::Arith(op) => op.symbol(),
             BinOp::Union => "|",
         }
-    }
-
-    /// True for comparison operators — the ones whose predicates the partial
-    /// evaluator treats as value-dependent residuals.
-    pub fn is_comparison(self) -> bool {
-        matches!(
-            self,
-            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
-        )
     }
 }
 
@@ -270,8 +245,7 @@ impl Expr {
     pub fn is_value_dependent(&self) -> bool {
         match self {
             Expr::Binary(op, a, b) => {
-                op.is_comparison()
-                    || matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod)
+                matches!(op, BinOp::Cmp(_) | BinOp::Arith(_))
                     || a.is_value_dependent()
                     || b.is_value_dependent()
             }

@@ -6,7 +6,7 @@
 
 use crate::ast::{BinOp, Expr, LocationPath, Step};
 use crate::axes::{axis_nodes, test_matches};
-use crate::value::Value;
+use crate::value::{arith, compare, Value};
 use std::collections::HashMap;
 use std::fmt;
 use xsltdb_xml::{Document, Guard, GuardExceeded, NodeId};
@@ -103,10 +103,7 @@ pub fn evaluate(expr: &Expr, ctx: &Ctx<'_>) -> Result<Value, XPathError> {
             .vars
             .resolve(name)
             .ok_or_else(|| XPathError(format!("undefined variable ${name}"))),
-        Expr::Neg(e) => {
-            let v = evaluate(e, ctx)?;
-            Ok(Value::Num(-v.number(ctx.doc)))
-        }
+        Expr::Neg(e) => Ok(Value::Num(-evaluate(e, ctx)?.number(ctx.doc))),
         Expr::Path(p) => eval_path(p, ctx).map(Value::NodeSet),
         Expr::Filter { primary, predicates, steps } => {
             let base = evaluate(primary, ctx)?;
@@ -156,124 +153,17 @@ fn eval_binary(op: BinOp, l: &Expr, r: &Expr, ctx: &Ctx<'_>) -> Result<Value, XP
             v.dedup();
             Ok(Value::NodeSet(v))
         }
-        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
+        BinOp::Arith(op) => {
             let a = evaluate(l, ctx)?.number(ctx.doc);
             let b = evaluate(r, ctx)?.number(ctx.doc);
-            let n = match op {
-                BinOp::Add => a + b,
-                BinOp::Sub => a - b,
-                BinOp::Mul => a * b,
-                BinOp::Div => a / b,
-                BinOp::Mod => a % b,
-                _ => unreachable!(),
-            };
-            Ok(Value::Num(n))
+            Ok(Value::Num(arith(op, a, b)))
         }
-        BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
+        BinOp::Cmp(op) => {
             let a = evaluate(l, ctx)?;
             let b = evaluate(r, ctx)?;
-            Ok(Value::Bool(compare(op, &a, &b, ctx.doc)))
+            Ok(Value::Bool(compare(op, a.operand(ctx.doc), b.operand(ctx.doc))))
         }
     }
-}
-
-fn num_cmp(op: BinOp, a: f64, b: f64) -> bool {
-    match op {
-        BinOp::Eq => a == b,
-        BinOp::Ne => a != b,
-        BinOp::Lt => a < b,
-        BinOp::Le => a <= b,
-        BinOp::Gt => a > b,
-        BinOp::Ge => a >= b,
-        _ => unreachable!("not a comparison"),
-    }
-}
-
-/// The XPath 1.0 comparison matrix (§3.4): node-sets compare existentially.
-pub fn compare(op: BinOp, a: &Value, b: &Value, doc: &Document) -> bool {
-    use Value::*;
-    let equality = matches!(op, BinOp::Eq | BinOp::Ne);
-    match (a, b) {
-        (NodeSet(x), NodeSet(y)) => {
-            if equality {
-                let ys: Vec<String> = y.iter().map(|&n| doc.string_value(n)).collect();
-                x.iter().any(|&n| {
-                    let sv = doc.string_value(n);
-                    ys.iter().any(|s| num_cmp_strings(op, &sv, s))
-                })
-            } else {
-                x.iter().any(|&n| {
-                    let av = crate::value::str_to_num(&doc.string_value(n));
-                    y.iter().any(|&m| {
-                        num_cmp(op, av, crate::value::str_to_num(&doc.string_value(m)))
-                    })
-                })
-            }
-        }
-        // Node-set vs boolean compares boolean(node-set), not per node.
-        (NodeSet(_), Bool(rhs)) => num_cmp_bools(op, a.boolean(), *rhs),
-        (Bool(lhs), NodeSet(_)) => num_cmp_bools(op, *lhs, b.boolean()),
-        (NodeSet(x), other) => x.iter().any(|&n| {
-            compare_single(op, &doc.string_value(n), other, false)
-        }),
-        (other, NodeSet(y)) => y.iter().any(|&n| {
-            compare_single(op, &doc.string_value(n), other, true)
-        }),
-        _ => {
-            if equality {
-                if matches!(a, Bool(_)) || matches!(b, Bool(_)) {
-                    num_cmp_bools(op, a.boolean(), b.boolean())
-                } else if matches!(a, Num(_)) || matches!(b, Num(_)) {
-                    num_cmp(op, a.number(doc), b.number(doc))
-                } else {
-                    num_cmp_strings(op, &a.string(doc), &b.string(doc))
-                }
-            } else {
-                num_cmp(op, a.number(doc), b.number(doc))
-            }
-        }
-    }
-}
-
-/// Compare a node string-value with a non-node value. `flipped` means the
-/// node came from the right operand.
-fn compare_single(op: BinOp, sv: &str, other: &Value, flipped: bool) -> bool {
-    match other {
-        Value::Num(n) => {
-            let node_num = crate::value::str_to_num(sv);
-            if flipped {
-                num_cmp(op, *n, node_num)
-            } else {
-                num_cmp(op, node_num, *n)
-            }
-        }
-        Value::Str(s) => {
-            if matches!(op, BinOp::Eq | BinOp::Ne) {
-                num_cmp_strings(op, sv, s)
-            } else {
-                let node_num = crate::value::str_to_num(sv);
-                let sn = crate::value::str_to_num(s);
-                if flipped {
-                    num_cmp(op, sn, node_num)
-                } else {
-                    num_cmp(op, node_num, sn)
-                }
-            }
-        }
-        Value::Bool(_) | Value::NodeSet(_) => unreachable!("handled by caller"),
-    }
-}
-
-fn num_cmp_strings(op: BinOp, a: &str, b: &str) -> bool {
-    match op {
-        BinOp::Eq => a == b,
-        BinOp::Ne => a != b,
-        _ => num_cmp(op, crate::value::str_to_num(a), crate::value::str_to_num(b)),
-    }
-}
-
-fn num_cmp_bools(op: BinOp, a: bool, b: bool) -> bool {
-    num_cmp(op, a as u8 as f64, b as u8 as f64)
 }
 
 /// Evaluate a location path to a document-ordered node-set.

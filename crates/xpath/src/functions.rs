@@ -310,12 +310,17 @@ pub fn translate(s: &str, from: &str, to: &str) -> String {
 }
 
 /// XPath 1.0 `round` (§4.4): the closest integer, with .5 rounded towards
-/// positive infinity; NaN stays NaN.
+/// positive infinity; NaN and the infinities stay as they are, and a
+/// negative argument that rounds to zero gives −0. The fraction is taken
+/// as `n - floor(n)`, which is exact; `floor(n + 0.5)` is not, and rounds
+/// 0.49999999999999994 to 1 and 2^52 + 1 to 2^52 + 2.
 pub fn round(n: f64) -> f64 {
-    if n.is_nan() {
-        n
+    let floor = n.floor();
+    let r = if n - floor >= 0.5 { floor + 1.0 } else { floor };
+    if r == 0.0 && n.is_sign_negative() {
+        -0.0
     } else {
-        (n + 0.5).floor()
+        r
     }
 }
 
@@ -418,6 +423,62 @@ mod tests {
     }
 
     #[test]
+    fn round_edge_rows() {
+        use super::round;
+        let rows = [
+            (0.49999999999999994, 0.0),
+            (4503599627370497.0, 4503599627370497.0),
+            (-4503599627370497.0, -4503599627370497.0),
+            (0.5, 1.0),
+            (-1.5, -1.0),
+            (-0.5000000000000001, -1.0),
+            (-0.5, -0.0),
+            (-0.25, -0.0),
+            (-1e-300, -0.0),
+            (-0.0, -0.0),
+            (0.0, 0.0),
+            (1e300, 1e300),
+            (f64::NEG_INFINITY, f64::NEG_INFINITY),
+        ];
+        for (n, want) in rows {
+            let got = round(n);
+            assert!(
+                got == want && got.is_sign_negative() == want.is_sign_negative(),
+                "round({n:e}) = {got:e}, want {want:e}"
+            );
+        }
+        // −0 is visible through division.
+        assert_eq!(eval("1 div round(-0.25)"), Value::Num(f64::NEG_INFINITY));
+        assert_eq!(eval_s("string(1 div round(-0))"), "-Infinity");
+    }
+
+    #[test]
+    fn string_kernel_edge_rows() {
+        use super::{normalize_space, substring, substring_after, substring_before, translate};
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        // substring counts characters, not UTF-8 bytes or UTF-16 units.
+        assert_eq!(substring("a😀b", 2.0, Some(1.0)), "😀");
+        assert_eq!(substring("😀😁😂", 2.0, None), "😁😂");
+        assert_eq!(substring("12345", -0.0, Some(2.0)), "1");
+        assert_eq!(substring("12345", 2.0, Some(nan)), "");
+        assert_eq!(substring("12345", inf, None), "");
+        assert_eq!(substring("12345", -inf, Some(inf)), "");
+        assert_eq!(substring("12345", 1.5, Some(-0.0)), "");
+        assert_eq!(substring("12345", 0.49999999999999994, Some(2.0)), "1");
+        assert_eq!(substring_before("a😀b", "😀"), "a");
+        assert_eq!(substring_after("a😀b", "😀"), "b");
+        assert_eq!(substring_before("abc", ""), "");
+        assert_eq!(substring_after("abc", ""), "abc");
+        assert_eq!(substring_after("😀", "😀"), "");
+        assert_eq!(normalize_space(" 😀 \t 😁\r\n"), "😀 😁");
+        // Only XML's four whitespace characters collapse.
+        assert_eq!(normalize_space("\u{a0}a\u{2003}b "), "\u{a0}a\u{2003}b");
+        assert_eq!(translate("a😀b", "😀", "x"), "axb");
+        assert_eq!(translate("a😀b", "ab", "😁"), "😁😀");
+        assert_eq!(translate("NaN", "N", ""), "a");
+    }
+
+    #[test]
     fn number_order_puts_nan_first() {
         use super::number_order;
         use std::cmp::Ordering::*;
@@ -425,6 +486,10 @@ mod tests {
         assert_eq!(number_order(1.0, f64::NAN), Greater);
         assert_eq!(number_order(f64::NAN, f64::NAN), Equal);
         assert_eq!(number_order(2.0, 10.0), Less);
+        assert_eq!(number_order(-0.0, 0.0), Equal);
+        assert_eq!(number_order(f64::NEG_INFINITY, -f64::MAX), Less);
+        assert_eq!(number_order(f64::INFINITY, f64::MAX), Greater);
+        assert_eq!(number_order(f64::NAN, f64::INFINITY), Less);
         let mut v = [3.0, f64::NAN, -1.0, 2.0];
         v.sort_by(|a, b| number_order(*a, *b));
         assert!(v[0].is_nan());

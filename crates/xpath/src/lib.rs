@@ -38,4 +38,4 @@ pub use ast::{Axis, BinOp, Expr, LocationPath, NodeTest, Step};
 pub use eval::{evaluate, evaluate_str, Ctx, Env, NoVars, VarResolver, XPathError};
 pub use parser::{parse_expr, XPathParseError};
 pub use pattern::{PathPattern, Pattern, PatternStep};
-pub use value::Value;
+pub use value::{arith, compare, ArithOp, CmpOp, Operand, Value};

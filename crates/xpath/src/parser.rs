@@ -2,6 +2,7 @@
 
 use crate::ast::{Axis, BinOp, Expr, LocationPath, NodeTest, Step};
 use crate::lexer::{tokenize, LexError, Tok};
+use crate::value::{ArithOp, CmpOp};
 use std::fmt;
 
 /// Parse error for XPath expressions and patterns.
@@ -103,8 +104,8 @@ impl P {
         let mut e = self.rel_expr()?;
         loop {
             let op = match self.peek() {
-                Some(Tok::Eq) => BinOp::Eq,
-                Some(Tok::Ne) => BinOp::Ne,
+                Some(Tok::Eq) => BinOp::Cmp(CmpOp::Eq),
+                Some(Tok::Ne) => BinOp::Cmp(CmpOp::Ne),
                 _ => break,
             };
             self.bump();
@@ -118,10 +119,10 @@ impl P {
         let mut e = self.add_expr()?;
         loop {
             let op = match self.peek() {
-                Some(Tok::Lt) => BinOp::Lt,
-                Some(Tok::Le) => BinOp::Le,
-                Some(Tok::Gt) => BinOp::Gt,
-                Some(Tok::Ge) => BinOp::Ge,
+                Some(Tok::Lt) => BinOp::Cmp(CmpOp::Lt),
+                Some(Tok::Le) => BinOp::Cmp(CmpOp::Le),
+                Some(Tok::Gt) => BinOp::Cmp(CmpOp::Gt),
+                Some(Tok::Ge) => BinOp::Cmp(CmpOp::Ge),
                 _ => break,
             };
             self.bump();
@@ -135,8 +136,8 @@ impl P {
         let mut e = self.mul_expr()?;
         loop {
             let op = match self.peek() {
-                Some(Tok::Plus) => BinOp::Add,
-                Some(Tok::Minus) => BinOp::Sub,
+                Some(Tok::Plus) => BinOp::Arith(ArithOp::Add),
+                Some(Tok::Minus) => BinOp::Arith(ArithOp::Sub),
                 _ => break,
             };
             self.bump();
@@ -151,9 +152,9 @@ impl P {
         loop {
             let op = match self.peek() {
                 // A `*` after a complete operand is multiplication.
-                Some(Tok::Star) => BinOp::Mul,
-                Some(Tok::Div) => BinOp::Div,
-                Some(Tok::Mod) => BinOp::Mod,
+                Some(Tok::Star) => BinOp::Arith(ArithOp::Mul),
+                Some(Tok::Div) => BinOp::Arith(ArithOp::Div),
+                Some(Tok::Mod) => BinOp::Arith(ArithOp::Mod),
                 _ => break,
             };
             self.bump();
@@ -406,6 +407,7 @@ impl P {
 mod tests {
     use super::*;
     use crate::ast::{Axis, BinOp, Expr, NodeTest};
+    use crate::value::{ArithOp, CmpOp};
 
     #[test]
     fn parses_relative_path() {
@@ -439,7 +441,7 @@ mod tests {
                 assert_eq!(p.steps[0].predicates.len(), 1);
                 assert!(matches!(
                     p.steps[0].predicates[0],
-                    Expr::Binary(BinOp::Gt, _, _)
+                    Expr::Binary(BinOp::Cmp(CmpOp::Gt), _, _)
                 ));
             }
             _ => panic!(),
@@ -498,8 +500,8 @@ mod tests {
         // Top is `and`.
         match e {
             Expr::Binary(BinOp::And, l, _) => match *l {
-                Expr::Binary(BinOp::Eq, ll, _) => {
-                    assert!(matches!(*ll, Expr::Binary(BinOp::Add, _, _)));
+                Expr::Binary(BinOp::Cmp(CmpOp::Eq), ll, _) => {
+                    assert!(matches!(*ll, Expr::Binary(BinOp::Arith(ArithOp::Add), _, _)));
                 }
                 _ => panic!("expected `=` under `and`"),
             },
@@ -530,7 +532,7 @@ mod tests {
         let e = parse_expr("*").unwrap();
         assert!(matches!(e, Expr::Path(ref p) if p.steps[0].test == NodeTest::Star));
         let e = parse_expr("2 * 3").unwrap();
-        assert!(matches!(e, Expr::Binary(BinOp::Mul, _, _)));
+        assert!(matches!(e, Expr::Binary(BinOp::Arith(ArithOp::Mul), _, _)));
         let e = parse_expr("a/*").unwrap();
         assert!(matches!(e, Expr::Path(ref p) if p.steps[1].test == NodeTest::Star));
     }

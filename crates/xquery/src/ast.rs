@@ -5,54 +5,7 @@
 
 use std::fmt;
 use xsltdb_xml::QName;
-use xsltdb_xpath::{Axis, NodeTest};
-
-/// Comparison operators. XQuery general comparisons only — the generated
-/// queries never need value comparisons.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CompOp {
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-}
-
-impl CompOp {
-    pub fn symbol(self) -> &'static str {
-        match self {
-            CompOp::Eq => "=",
-            CompOp::Ne => "!=",
-            CompOp::Lt => "<",
-            CompOp::Le => "<=",
-            CompOp::Gt => ">",
-            CompOp::Ge => ">=",
-        }
-    }
-}
-
-/// Arithmetic operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArithOp {
-    Add,
-    Sub,
-    Mul,
-    Div,
-    Mod,
-}
-
-impl ArithOp {
-    pub fn symbol(self) -> &'static str {
-        match self {
-            ArithOp::Add => "+",
-            ArithOp::Sub => "-",
-            ArithOp::Mul => "*",
-            ArithOp::Div => "div",
-            ArithOp::Mod => "mod",
-        }
-    }
-}
+use xsltdb_xpath::{ArithOp, Axis, CmpOp, NodeTest};
 
 /// A FLWOR binding clause.
 #[derive(Debug, Clone, PartialEq)]
@@ -146,7 +99,9 @@ pub enum XqExpr {
     And(Box<XqExpr>, Box<XqExpr>),
     /// Node-set union `a | b` (document order, deduplicated).
     Union(Box<XqExpr>, Box<XqExpr>),
-    Compare(CompOp, Box<XqExpr>, Box<XqExpr>),
+    /// An XPath 1.0 comparison: the subset runs in XPath 1.0 compatibility
+    /// mode, as an XSLT 2.0 processor runs a 1.0 stylesheet.
+    Compare(CmpOp, Box<XqExpr>, Box<XqExpr>),
     Arith(ArithOp, Box<XqExpr>, Box<XqExpr>),
     Neg(Box<XqExpr>),
     InstanceOf(Box<XqExpr>, SeqType),

@@ -28,7 +28,7 @@ use xsltdb_xml::{
 };
 use xsltdb_xpath::axes::{axis_nodes, test_matches};
 use xsltdb_xpath::functions::number_order;
-use xsltdb_xpath::value::{num_to_string, str_to_num};
+use xsltdb_xpath::value::{arith, compare, num_to_string, str_to_num, Operand};
 
 /// Evaluation error.
 #[derive(Debug, Clone, PartialEq)]
@@ -303,32 +303,14 @@ pub(crate) fn eval(e: &XqExpr, env: &mut EvalEnv<'_>) -> Result<Sequence, XqErro
         XqExpr::Compare(op, a, b) => {
             let l = eval(a, env)?;
             let r = eval(b, env)?;
-            Ok(vec![Item::Bool(general_compare(*op, &l, &r))])
+            Ok(vec![Item::Bool(compare(*op, operand(&l), operand(&r)))])
         }
         XqExpr::Arith(op, a, b) => {
-            let l = eval(a, env)?;
-            let r = eval(b, env)?;
-            if l.is_empty() || r.is_empty() {
-                return Ok(Vec::new());
-            }
-            let x = l[0].to_number();
-            let y = r[0].to_number();
-            let n = match op {
-                ArithOp::Add => x + y,
-                ArithOp::Sub => x - y,
-                ArithOp::Mul => x * y,
-                ArithOp::Div => x / y,
-                ArithOp::Mod => x % y,
-            };
-            Ok(vec![Item::Num(n)])
+            let x = number(&eval(a, env)?);
+            let y = number(&eval(b, env)?);
+            Ok(vec![Item::Num(arith(*op, x, y))])
         }
-        XqExpr::Neg(a) => {
-            let v = eval(a, env)?;
-            if v.is_empty() {
-                return Ok(Vec::new());
-            }
-            Ok(vec![Item::Num(-v[0].to_number())])
-        }
+        XqExpr::Neg(a) => Ok(vec![Item::Num(-number(&eval(a, env)?))]),
         XqExpr::InstanceOf(a, t) => {
             let v = eval(a, env)?;
             let ok = v.len() == 1 && item_matches_type(&v[0], t);
@@ -415,40 +397,21 @@ fn item_matches_type(item: &Item, t: &SeqType) -> bool {
     }
 }
 
-fn general_compare(op: CompOp, l: &[Item], r: &[Item]) -> bool {
-    l.iter().any(|a| {
-        let av = a.atomize();
-        r.iter().any(|b| {
-            let bv = b.atomize();
-            compare_atomics(op, &av, &bv)
-        })
-    })
+/// A sequence as an XPath 1.0 comparison operand: one atomic item is that
+/// atom; anything else (nodes, the empty sequence) is a node-set of the
+/// items' string values.
+fn operand(seq: &[Item]) -> Operand<'_, impl Iterator<Item = String> + Clone + '_> {
+    match seq {
+        [Item::Bool(b)] => Operand::Bool(*b),
+        [Item::Num(n)] => Operand::Num(*n),
+        [Item::Str(s)] => Operand::Str(s),
+        items => Operand::Nodes(items.iter().map(Item::to_string_value)),
+    }
 }
 
-fn compare_atomics(op: CompOp, a: &Item, b: &Item) -> bool {
-    let num_cmp = |x: f64, y: f64| match op {
-        CompOp::Eq => x == y,
-        CompOp::Ne => x != y,
-        CompOp::Lt => x < y,
-        CompOp::Le => x <= y,
-        CompOp::Gt => x > y,
-        CompOp::Ge => x >= y,
-    };
-    match (a, b) {
-        (Item::Num(_), _) | (_, Item::Num(_)) => num_cmp(a.to_number(), b.to_number()),
-        (Item::Bool(x), Item::Bool(y)) => num_cmp(*x as u8 as f64, *y as u8 as f64),
-        _ => {
-            let (x, y) = (a.to_string_value(), b.to_string_value());
-            match op {
-                CompOp::Eq => x == y,
-                CompOp::Ne => x != y,
-                CompOp::Lt => x < y,
-                CompOp::Le => x <= y,
-                CompOp::Gt => x > y,
-                CompOp::Ge => x >= y,
-            }
-        }
-    }
+/// XPath `number()` of a sequence: its first item's, NaN when empty.
+pub(crate) fn number(seq: &[Item]) -> f64 {
+    seq.first().map_or(f64::NAN, Item::to_number)
 }
 
 /// One FLWOR tuple: the variable bindings the `return` runs under.
@@ -1009,7 +972,7 @@ pub fn evaluate_query_to_sink(
 
 // The functions module needs access to the evaluator internals.
 pub(crate) mod internal {
-    pub(crate) use super::{ebv, eval, EvalEnv, Item, Sequence, XqError};
+    pub(crate) use super::{ebv, eval, number, EvalEnv, Item, Sequence, XqError};
 }
 
 #[cfg(test)]
@@ -1139,7 +1102,8 @@ mod tests {
     fn empty_and_arith_propagation() {
         assert_eq!(run("()", "<r/>"), "");
         assert_eq!(run("1 + 2 * 3", "<r/>"), "7");
-        assert_eq!(run("/r/nothing + 1", "<r/>"), "");
+        // XPath 1.0 arithmetic converts with number(): empty is NaN.
+        assert_eq!(run("/r/nothing + 1", "<r/>"), "NaN");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Built-in function library for the XQuery subset (the `fn:` namespace).
 
 use crate::ast::XqExpr;
-use crate::eval::internal::{ebv, eval, EvalEnv, Item, Sequence, XqError};
+use crate::eval::internal::{ebv, eval, number, EvalEnv, Item, Sequence, XqError};
 use xsltdb_xpath::functions::{
     normalize_space, round, substring, substring_after, substring_before, translate,
 };
@@ -23,9 +23,7 @@ pub(crate) fn call_builtin(
             .map(|it| it.atomize().to_string_value())
             .unwrap_or_default()
     };
-    let num0 = |vals: &[Sequence], i: usize| -> f64 {
-        vals[i].first().map(|it| it.to_number()).unwrap_or(f64::NAN)
-    };
+    let num0 = |vals: &[Sequence], i: usize| -> f64 { number(&vals[i]) };
     // The optional argument of `string()` and its kin, else the context item.
     let str_or_context = |vals: &[Sequence]| {
         if arity == 0 {

@@ -35,8 +35,8 @@ pub mod pretty;
 pub mod typing;
 
 pub use ast::{
-    ArithOp, AttrValuePart, Clause, CompOp, FunctionDecl, OrderSpec, PathStart, SeqType, VarDecl,
-    XQuery, XqExpr, XqStep,
+    AttrValuePart, Clause, FunctionDecl, OrderSpec, PathStart, SeqType, VarDecl, XQuery, XqExpr,
+    XqStep,
 };
 pub use emission::{analyze_query, EmissionReport};
 pub use eval::{evaluate_query_to_sink, Item, NodeHandle, Sequence, SinkRun, XqError};

@@ -10,7 +10,7 @@ use crate::ast::*;
 use std::fmt;
 use xsltdb_xml::escape::decode_entities;
 use xsltdb_xml::QName;
-use xsltdb_xpath::{Axis, NodeTest};
+use xsltdb_xpath::{ArithOp, Axis, CmpOp, NodeTest};
 
 /// Parse error with byte offset.
 #[derive(Debug, Clone, PartialEq)]
@@ -376,21 +376,21 @@ impl<'a> Qp<'a> {
         let e = self.additive_expr()?;
         self.ws();
         let op = if self.eat("!=") {
-            CompOp::Ne
+            CmpOp::Ne
         } else if self.eat("<=") {
-            CompOp::Le
+            CmpOp::Le
         } else if self.eat(">=") {
-            CompOp::Ge
+            CmpOp::Ge
         } else if self.eat("=") {
-            CompOp::Eq
+            CmpOp::Eq
         } else if self.rest().starts_with('<') && !self.rest().starts_with("<<") {
             // `<` followed by a name char would be a constructor only in
             // primary position, never after a complete operand.
             self.pos += 1;
-            CompOp::Lt
+            CmpOp::Lt
         } else if self.rest().starts_with('>') {
             self.pos += 1;
-            CompOp::Gt
+            CmpOp::Gt
         } else {
             return Ok(e);
         };
@@ -1178,7 +1178,7 @@ mod tests {
     #[test]
     fn lt_after_operand_is_comparison() {
         let e = parse_expr("$a < 5").unwrap();
-        assert!(matches!(e, XqExpr::Compare(CompOp::Lt, _, _)));
+        assert!(matches!(e, XqExpr::Compare(CmpOp::Lt, _, _)));
     }
 
     #[test]

@@ -6,10 +6,11 @@
 use xsltdb::pipeline::{no_rewrite_transform, plan_bound, BoundPlan, Tier};
 use xsltdb::xqgen::RewriteOptions;
 use xsltdb::Guard;
-use xsltdb_relstore::exec::{CmpOp, Conjunction};
+use xsltdb_relstore::exec::Conjunction;
 use xsltdb_relstore::pubexpr::{AggOrder, PubExpr, SqlXmlQuery};
 use xsltdb_relstore::{Catalog, Datum, ExecStats, XmlView};
 use xsltdb_xml::to_string;
+use xsltdb_xpath::CmpOp;
 use xsltdb_xsltmark::{
     all_cases, db_catalog, db_catalog_paged, db_catalog_unindexed, dbonerow_stylesheet,
     existing_id,

@@ -27,6 +27,7 @@ use xsltdb::xqgen::RewriteOptions;
 use xsltdb::{FaultKind, FaultPoint, Guard, Limits};
 use xsltdb_relstore::ExecStats;
 use xsltdb_xml::{to_string, StreamWriter};
+use xsltdb_xquery::analyze_query;
 use xsltdb_xsltmark::{
     all_cases, db_catalog, dbonerow_stylesheet, existing_id, run_suite_planned_shared,
 };
@@ -96,7 +97,11 @@ fn all_forty_cases_stream_byte_identically_when_freshly_planned() {
                 }
                 Tier::XQuery => {
                     by_tier.1 += 1;
-                    let spill_free = bound.plan().emission.is_some_and(|e| e.spill_free());
+                    let spill_free = bound
+                        .plan()
+                        .rewrite
+                        .as_ref()
+                        .is_some_and(|o| analyze_query(&o.query).spill_free());
                     assert!(
                         !spill_free || snap.spilled_subtrees == 0,
                         "case {} has no static spill site but spilled {} subtrees",
