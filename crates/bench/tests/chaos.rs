@@ -127,13 +127,12 @@ fn chaos_paged_catalog_with_eviction_serves_identical_bytes() {
 /// Admission accounting under panic. Every request panics at every
 /// lattice edge, so each one unwinds through `catch_unwind` while holding
 /// a live permit. After 1000 such iterations across 8 threads nothing may
-/// be leaked: the gate must be back to zero fuel / bytes / streams in
-/// flight.
+/// be leaked: the gate must be back to zero bytes and streams in flight.
 #[test]
 fn ledger_returns_reservations_after_1000_panicking_requests() {
     let mut cfg = FrontDoorConfig::server_default();
-    // Metered limits so every request draws real fuel and bytes at the
-    // gate — a leak shows up as a non-quiesced gate.
+    // Metered limits so every request draws real bytes at the gate — a
+    // leak shows up as a non-quiesced gate.
     cfg.limits = Limits::UNLIMITED.with_fuel(1_000_000).with_max_output_bytes(1 << 20);
     let door = FrontDoor::new(cfg);
     let (catalog, view) = db_catalog(24, 7);

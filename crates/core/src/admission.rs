@@ -3,13 +3,15 @@
 //! Per-call [`Guard`](xsltdb_xml::Guard) budgets bound a single transform,
 //! yet N concurrent callers can each stay within their own limits while
 //! together exhausting the process. [`AdmissionQueue`] bounds the *fleet*:
-//! a request is admitted only when its fuel, its output bytes and one
-//! stream slot fit under fleet-wide ceilings. Otherwise it waits — bounded
-//! in depth and in time — and is shed with a typed [`Rejected`]. The units
-//! in flight, the waiter count and the counters live behind one mutex, so
-//! the gate's invariants (checked by the chaos suite) need no rollback:
+//! a request is admitted only when its output bytes and one stream slot
+//! fit under fleet-wide ceilings. Otherwise it waits — bounded in depth
+//! and in time — and is shed with a typed [`Rejected`]. Fuel is not an
+//! axis: the guard already enforces each request's fuel. The units in
+//! flight, the waiter count and the counters live behind one mutex, so the
+//! gate's invariants (checked by the chaos suite) need no rollback:
 //!
-//! 1. **All or nothing** — a request draws all three, or nothing.
+//! 1. **All or nothing** — a request draws its bytes and a slot, or
+//!    nothing.
 //! 2. **Conservation** — the units in flight are the sum of live permits;
 //!    once every permit has dropped, [`AdmissionStats::is_quiesced`] holds.
 //! 3. **Panic safety** — a [`Permit`] dropped mid-unwind returns its units
@@ -54,8 +56,6 @@ impl std::error::Error for Rejected {}
 /// `u64::MAX` leaves that axis unmetered (its units are still counted).
 #[derive(Debug, Clone, Copy)]
 pub struct AdmissionConfig {
-    /// Aggregate fuel admissible across all in-flight requests.
-    pub max_total_fuel: u64,
     /// Aggregate output bytes admissible across all in-flight requests.
     pub max_bytes_in_flight: u64,
     /// Maximum concurrently admitted requests.
@@ -68,12 +68,11 @@ pub struct AdmissionConfig {
 }
 
 impl AdmissionConfig {
-    /// Serving defaults: roomy enough for tens of concurrent
-    /// `Limits::server_default` guards, small enough that a stampede is
-    /// shed instead of swallowed.
+    /// Serving defaults: the byte ceiling admits eight concurrent
+    /// `Limits::server_default` requests (2 GiB over 256 MiB each), and a
+    /// stampede beyond the queue is shed instead of swallowed.
     pub fn server_default() -> AdmissionConfig {
         AdmissionConfig {
-            max_total_fuel: 2_000_000_000,
             max_bytes_in_flight: 2 * 1024 * 1024 * 1024,
             max_concurrent_streams: 256,
             max_queue_depth: 64,
@@ -86,7 +85,6 @@ impl AdmissionConfig {
 /// monotonic admission counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdmissionStats {
-    pub fuel_in_flight: u64,
     pub bytes_in_flight: u64,
     pub streams_in_flight: u64,
     /// Requests blocked waiting for capacity.
@@ -99,7 +97,7 @@ pub struct AdmissionStats {
 impl AdmissionStats {
     /// True when no request holds any admitted units.
     pub fn is_quiesced(&self) -> bool {
-        self.fuel_in_flight == 0 && self.bytes_in_flight == 0 && self.streams_in_flight == 0
+        self.bytes_in_flight == 0 && self.streams_in_flight == 0
     }
 }
 
@@ -122,19 +120,18 @@ impl AdmissionQueue {
         *self.lock()
     }
 
-    /// Admit a request wanting `fuel` fuel units and `bytes` output bytes,
-    /// waiting up to `deadline` for capacity. The check, the wait and the
-    /// draw all happen under the state lock, and a [`Permit`] drop returns
-    /// units under the same lock before it signals, so no wake-up can slip
-    /// between a failed check and the wait.
-    pub fn admit_within(
-        &self,
-        fuel: u64,
-        bytes: u64,
-        deadline: Duration,
-    ) -> Result<Permit<'_>, Rejected> {
+    /// Admit a request wanting `bytes` output bytes, waiting up to the
+    /// configured default deadline for capacity.
+    pub fn admit(&self, bytes: u64) -> Result<Permit<'_>, Rejected> {
+        self.admit_within(bytes, self.config.default_deadline)
+    }
+
+    /// The check, the wait and the draw all happen under the state lock,
+    /// and a [`Permit`] drop returns units under the same lock before it
+    /// signals, so no wake-up can slip between a failed check and the wait.
+    fn admit_within(&self, bytes: u64, deadline: Duration) -> Result<Permit<'_>, Rejected> {
         let mut state = self.lock();
-        if !self.fits(&state, fuel, bytes) {
+        if !self.fits(&state, bytes) {
             if state.waiting >= self.config.max_queue_depth {
                 state.shed_overloaded += 1;
                 return Err(Rejected::Overloaded { queue_depth: state.waiting });
@@ -143,35 +140,28 @@ impl AdmissionQueue {
             state.waiting += 1;
             state = self
                 .freed
-                .wait_timeout_while(state, deadline, |s| !self.fits(s, fuel, bytes))
+                .wait_timeout_while(state, deadline, |s| !self.fits(s, bytes))
                 .unwrap_or_else(PoisonError::into_inner)
                 .0;
             state.waiting -= 1;
             // The deadline may pass just as capacity frees: a fit wins.
-            if !self.fits(&state, fuel, bytes) {
+            if !self.fits(&state, bytes) {
                 state.shed_timeout += 1;
                 return Err(Rejected::QueueTimeout { waited: start.elapsed() });
             }
         }
-        state.fuel_in_flight += fuel;
         state.bytes_in_flight += bytes;
         state.streams_in_flight += 1;
         state.admitted += 1;
-        Ok(Permit { queue: self, fuel, bytes })
+        Ok(Permit { queue: self, bytes })
     }
 
-    /// [`Self::admit_within`] with the configured default deadline.
-    pub fn admit(&self, fuel: u64, bytes: u64) -> Result<Permit<'_>, Rejected> {
-        self.admit_within(fuel, bytes, self.config.default_deadline)
-    }
-
-    /// Whether the whole draw fits under every ceiling. Units in flight
-    /// never exceed their ceiling, so the subtractions cannot wrap, and a
+    /// Whether the whole draw fits under both ceilings. Units in flight
+    /// never exceed their ceiling, so the subtraction cannot wrap, and a
     /// draw that fits cannot overflow its counter.
-    fn fits(&self, s: &AdmissionStats, fuel: u64, bytes: u64) -> bool {
+    fn fits(&self, s: &AdmissionStats, bytes: u64) -> bool {
         let c = &self.config;
         s.streams_in_flight < c.max_concurrent_streams
-            && fuel <= c.max_total_fuel - s.fuel_in_flight
             && bytes <= c.max_bytes_in_flight - s.bytes_in_flight
     }
 
@@ -188,14 +178,12 @@ impl AdmissionQueue {
 #[derive(Debug)]
 pub struct Permit<'q> {
     queue: &'q AdmissionQueue,
-    fuel: u64,
     bytes: u64,
 }
 
 impl Drop for Permit<'_> {
     fn drop(&mut self) {
         let mut state = self.queue.lock();
-        state.fuel_in_flight -= self.fuel;
         state.bytes_in_flight -= self.bytes;
         state.streams_in_flight -= 1;
         if state.waiting > 0 {
@@ -211,9 +199,8 @@ mod tests {
 
     const UNMETERED: u64 = u64::MAX;
 
-    fn gate(fuel: u64, bytes: u64, streams: u64, depth: usize, deadline_ms: u64) -> AdmissionQueue {
+    fn gate(bytes: u64, streams: u64, depth: usize, deadline_ms: u64) -> AdmissionQueue {
         AdmissionQueue::new(AdmissionConfig {
-            max_total_fuel: fuel,
             max_bytes_in_flight: bytes,
             max_concurrent_streams: streams,
             max_queue_depth: depth,
@@ -222,20 +209,20 @@ mod tests {
     }
 
     fn tiny_queue(streams: u64, depth: usize, deadline_ms: u64) -> AdmissionQueue {
-        gate(UNMETERED, UNMETERED, streams, depth, deadline_ms)
+        gate(UNMETERED, streams, depth, deadline_ms)
     }
 
-    /// `(fuel, bytes, streams)` in flight.
-    fn in_flight(q: &AdmissionQueue) -> (u64, u64, u64) {
+    /// `(bytes, streams)` in flight.
+    fn in_flight(q: &AdmissionQueue) -> (u64, u64) {
         let s = q.stats();
-        (s.fuel_in_flight, s.bytes_in_flight, s.streams_in_flight)
+        (s.bytes_in_flight, s.streams_in_flight)
     }
 
     #[test]
     fn fast_path_admits_without_waiting() {
         let q = tiny_queue(UNMETERED, 4, 10);
-        let p = q.admit(100, 200).unwrap();
-        assert_eq!(in_flight(&q), (100, 200, 1));
+        let p = q.admit(200).unwrap();
+        assert_eq!(in_flight(&q), (200, 1));
         assert_eq!(q.stats().admitted, 1);
         drop(p);
         assert!(q.stats().is_quiesced());
@@ -244,8 +231,8 @@ mod tests {
     #[test]
     fn reserve_and_drop_round_trips_to_zero() {
         let q = AdmissionQueue::new(AdmissionConfig::server_default());
-        let p = q.admit(1_000, 2_000).unwrap();
-        assert_eq!(in_flight(&q), (1_000, 2_000, 1));
+        let p = q.admit(2_000).unwrap();
+        assert_eq!(in_flight(&q), (2_000, 1));
         drop(p);
         assert!(q.stats().is_quiesced());
         assert_eq!(q.stats().admitted, 1);
@@ -253,12 +240,12 @@ mod tests {
 
     #[test]
     fn unlimited_gate_still_counts_in_flight() {
-        let q = gate(UNMETERED, UNMETERED, UNMETERED, 0, 10);
-        let a = q.admit(42, 7).unwrap();
-        let b = q.admit(8, 3).unwrap();
-        assert_eq!(in_flight(&q), (50, 10, 2));
+        let q = gate(UNMETERED, UNMETERED, 0, 10);
+        let a = q.admit(7).unwrap();
+        let b = q.admit(3).unwrap();
+        assert_eq!(in_flight(&q), (10, 2));
         drop(a);
-        assert_eq!(in_flight(&q), (8, 3, 1));
+        assert_eq!(in_flight(&q), (3, 1));
         drop(b);
         assert!(q.stats().is_quiesced());
     }
@@ -266,8 +253,8 @@ mod tests {
     #[test]
     fn deadline_sheds_with_queue_timeout() {
         let q = tiny_queue(1, 4, 15);
-        let _held = q.admit(1, 1).unwrap();
-        let err = q.admit(1, 1).unwrap_err();
+        let _held = q.admit(1).unwrap();
+        let err = q.admit(1).unwrap_err();
         assert!(matches!(err, Rejected::QueueTimeout { .. }), "{err:?}");
         assert_eq!(q.stats().shed_timeout, 1);
         assert_eq!(q.stats().waiting, 0);
@@ -276,9 +263,9 @@ mod tests {
     #[test]
     fn queue_depth_bound_sheds_overloaded() {
         let q = tiny_queue(1, 0, 50);
-        let _held = q.admit(1, 1).unwrap();
+        let _held = q.admit(1).unwrap();
         // Depth 0: no waiting allowed at all.
-        let err = q.admit(1, 1).unwrap_err();
+        let err = q.admit(1).unwrap_err();
         assert!(matches!(err, Rejected::Overloaded { queue_depth: 0 }), "{err:?}");
         assert_eq!(q.stats().shed_overloaded, 1);
     }
@@ -286,9 +273,9 @@ mod tests {
     #[test]
     fn waiter_wakes_when_permit_drops() {
         let q = tiny_queue(1, 4, 2_000);
-        let held = q.admit(1, 1).unwrap();
+        let held = q.admit(1).unwrap();
         std::thread::scope(|s| {
-            let waiter = s.spawn(|| q.admit(1, 1));
+            let waiter = s.spawn(|| q.admit(1));
             while q.stats().waiting == 0 {
                 std::thread::yield_now();
             }
@@ -303,21 +290,21 @@ mod tests {
     #[test]
     fn permit_drop_during_unwind_frees_capacity() {
         let q = tiny_queue(1, 4, 20);
-        let p = q.admit(5, 5).unwrap();
+        let p = q.admit(5).unwrap();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
             let _held = p;
             panic!("request handler blew up");
         }));
         assert!(outcome.is_err());
         assert!(q.stats().is_quiesced(), "{:?}", q.stats());
-        assert!(q.admit(5, 5).is_ok(), "capacity leaked after panic");
+        assert!(q.admit(5).is_ok(), "capacity leaked after panic");
     }
 
     #[test]
     fn reservation_returns_units_during_panic_unwind() {
         let q = AdmissionQueue::new(AdmissionConfig::server_default());
-        let p = q.admit(500, 500).unwrap();
-        assert_eq!(in_flight(&q), (500, 500, 1));
+        let p = q.admit(500).unwrap();
+        assert_eq!(in_flight(&q), (500, 1));
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
             let _held = p;
             panic!("tier blew up");
@@ -335,7 +322,7 @@ mod tests {
             for _ in 0..16 {
                 s.spawn(|| {
                     for _ in 0..20 {
-                        match q.admit(10, 10) {
+                        match q.admit(10) {
                             Ok(p) => {
                                 served.fetch_add(1, Ordering::Relaxed);
                                 std::thread::sleep(Duration::from_micros(200));
@@ -363,29 +350,32 @@ mod tests {
 
     #[test]
     fn refusal_is_all_or_nothing() {
-        let q = gate(100, 50, 8, 0, 10);
-        let held = q.admit(60, 10).unwrap();
-        // Refused on fuel, then on bytes: neither leaves a stream slot or
-        // the other axis drawn.
-        assert!(matches!(q.admit(41, 5), Err(Rejected::Overloaded { .. })));
-        assert!(matches!(q.admit(10, 41), Err(Rejected::Overloaded { .. })));
-        assert_eq!(in_flight(&q), (60, 10, 1));
+        let q = gate(50, 2, 0, 10);
+        let held = q.admit(10).unwrap();
+        // Refused on bytes: no stream slot is drawn.
+        assert!(matches!(q.admit(41), Err(Rejected::Overloaded { .. })));
+        assert_eq!(in_flight(&q), (10, 1));
         // Exactly the remaining headroom fits.
-        let rest = q.admit(40, 40).unwrap();
-        assert_eq!(in_flight(&q), (100, 50, 2));
-        drop((held, rest));
+        let rest = q.admit(40).unwrap();
+        assert_eq!(in_flight(&q), (50, 2));
+        // Refused on stream slots: no bytes are drawn.
+        drop(rest);
+        let last = q.admit(1).unwrap();
+        assert!(matches!(q.admit(0), Err(Rejected::Overloaded { .. })));
+        assert_eq!(in_flight(&q), (11, 2));
+        drop((held, last));
         assert!(q.stats().is_quiesced());
     }
 
     #[test]
     fn stream_slots_refuse_at_ceiling() {
         let q = tiny_queue(2, 0, 10);
-        let a = q.admit(1, 1).unwrap();
-        let b = q.admit(1, 1).unwrap();
-        assert!(q.admit(1, 1).is_err());
+        let a = q.admit(1).unwrap();
+        let b = q.admit(1).unwrap();
+        assert!(q.admit(1).is_err());
         drop(a);
-        let c = q.admit(1, 1).unwrap();
-        assert_eq!(in_flight(&q), (2, 2, 2));
+        let c = q.admit(1).unwrap();
+        assert_eq!(in_flight(&q), (2, 2));
         drop((b, c));
         assert!(q.stats().is_quiesced());
     }
@@ -393,16 +383,16 @@ mod tests {
     #[test]
     fn concurrent_permits_conserve_units() {
         // Ceilings tight enough that the threads meet at the gate.
-        let q = gate(200, 400, 4, 8, 500);
+        let q = gate(400, 4, 8, 500);
         std::thread::scope(|s| {
             for t in 0..8u64 {
                 let q = &q;
                 s.spawn(move || {
                     for i in 0..500 {
-                        let fuel = 1 + (t * 31 + i * 7) % 97;
-                        if let Ok(_p) = q.admit(fuel, fuel * 2) {
-                            let (f, b, n) = in_flight(q);
-                            assert!(f <= 200 && b <= 400 && n <= 4, "{:?}", (f, b, n));
+                        let bytes = 2 * (1 + (t * 31 + i * 7) % 97);
+                        if let Ok(_p) = q.admit(bytes) {
+                            let (b, n) = in_flight(q);
+                            assert!(b <= 400 && n <= 4, "{:?}", (b, n));
                         }
                     }
                 });

@@ -132,7 +132,7 @@ impl<'a> SqlTr<'a> {
                     } else {
                         PubExpr::StrConcat(pieces)
                     };
-                    a.push((aname.local.to_string(), value));
+                    a.push((aname.lexical(), value));
                 }
                 let mut children = Vec::with_capacity(content.len());
                 for c in content {
@@ -150,7 +150,7 @@ impl<'a> SqlTr<'a> {
                     }
                     children.push(self.expr(c)?);
                 }
-                Ok(PubExpr::Element { name: name.local.to_string(), attrs: a, children })
+                Ok(PubExpr::Element { name: name.lexical(), attrs: a, children })
             }
             XqExpr::CompElem { name, content } => {
                 let n = self.const_string(name)?;
@@ -431,7 +431,14 @@ impl<'a> SqlTr<'a> {
                     }
                     let mut orders = Vec::new();
                     for o in sort_specs {
-                        let col = match self.resolve_path(&o.key) {
+                        // `fn:number(path)` is a numeric key, a path a text one.
+                        let (key, numeric) = match &o.key {
+                            XqExpr::Call { name, args } if name == "fn:number" => {
+                                (args.first().unwrap_or(&o.key), true)
+                            }
+                            key => (key, false),
+                        };
+                        let col = match self.resolve_path(key) {
                             Ok(Resolved::Single(d)) => self.column_of(d)?,
                             _ => {
                                 return Err(RewriteError::new(
@@ -442,7 +449,7 @@ impl<'a> SqlTr<'a> {
                         orders.push(AggOrder {
                             column: col,
                             descending: o.descending,
-                            numeric: o.numeric,
+                            numeric,
                         });
                     }
                     // `xsl:sort` is stable over document order, which is

@@ -281,10 +281,11 @@ fn items_to_string_expr(items: Vec<XqExpr>) -> XqExpr {
     }
 }
 
-/// `xsl:sort` keys become `order by` specs. XQuery orders a numeric key
-/// numerically, but XSLT compares a text key as a string whatever its
-/// value, so a text key that is not a location path (whose atomized value
-/// is already a string) is wrapped in `fn:string`.
+/// `xsl:sort` keys become `order by` specs. The key's value carries its
+/// data type: a `data-type="number"` key is wrapped in `fn:number`, and a
+/// text key that is not a location path (whose atomized value is already
+/// a string) in `fn:string`, since XSLT compares a text key as a string
+/// whatever its value.
 fn sorts_to_order_by(
     sorts: &[SortKey],
     var: &str,
@@ -295,12 +296,14 @@ fn sorts_to_order_by(
         .map(|k| {
             let cx = XlatCtx::new(CtxRef::var(var), root_var);
             let key = xpath_to_xq(&k.select, &cx)?;
-            let as_text = !k.data_type_number && !matches!(k.select, xsltdb_xpath::Expr::Path(_));
-            Ok(OrderSpec {
-                key: if as_text { XqExpr::string_of(key) } else { key },
-                descending: k.descending,
-                numeric: k.data_type_number,
-            })
+            let key = if k.data_type_number {
+                XqExpr::call("fn:number", vec![key])
+            } else if matches!(k.select, xsltdb_xpath::Expr::Path(_)) {
+                key
+            } else {
+                XqExpr::string_of(key)
+            };
+            Ok(OrderSpec { key, descending: k.descending })
         })
         .collect()
 }

@@ -188,14 +188,15 @@ impl Catalog {
     /// The per-table DML data generation — bumped by every
     /// [`table_mut`](Self::table_mut) and by table replacement, never by
     /// DDL on *other* tables. Unknown tables report 0.
-    pub fn data_generation(&self, table: &str) -> u64 {
+    #[cfg(test)]
+    fn data_generation(&self, table: &str) -> u64 {
         self.meta.get(table).map_or(0, |m| m.data_gen)
     }
 
     /// The global-clock stamp of the last DDL that touched `table`
     /// (creation, replacement, index create/rebuild). Unknown tables
     /// report 0.
-    pub fn table_ddl_stamp(&self, table: &str) -> u64 {
+    fn table_ddl_stamp(&self, table: &str) -> u64 {
         self.meta.get(table).map_or(0, |m| m.ddl_stamp)
     }
 

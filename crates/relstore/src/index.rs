@@ -98,11 +98,24 @@ impl Index {
         }
     }
 
-    /// Number of distinct keys.
-    pub fn key_count(&self) -> usize {
+    /// Number of distinct keys; a paged index counts them on its leaves.
+    #[cfg(test)]
+    fn key_count(&self) -> usize {
         match &self.backing {
             Backing::Mem(map) => map.len(),
-            Backing::Paged(p) => p.keys,
+            Backing::Paged(p) => {
+                let mut last: Option<Datum> = None;
+                let mut keys = 0;
+                for pg in 0..p.leaf_count {
+                    for (d, _) in p.read_page_cells(pg, decode_leaf_cell).expect("leaf reads") {
+                        if last.as_ref().is_none_or(|l| l.cmp_total(&d) != Ordering::Equal) {
+                            keys += 1;
+                        }
+                        last = Some(d);
+                    }
+                }
+                keys
+            }
         }
     }
 
@@ -131,8 +144,6 @@ struct PagedIndex {
     root: u32,
     /// Levels in the tree; 1 means the root is the single leaf. 0 = empty.
     height: u32,
-    /// Distinct keys (computed at build).
-    keys: usize,
     /// Total (non-null) entries.
     entries: u64,
 }
@@ -228,18 +239,9 @@ impl PagedIndex {
             Ok(())
         })?;
         entries.sort_by(|a, b| a.0.cmp_total(&b.0));
-        let keys = entries
-            .windows(2)
-            .filter(|w| match w {
-                [a, b] => a.0.cmp_total(&b.0) != Ordering::Equal,
-                _ => false,
-            })
-            .count()
-            + usize::from(!entries.is_empty());
-
         let handle = Arc::new(pool.register_file()?);
         if entries.is_empty() {
-            return Ok(PagedIndex { handle, leaf_count: 0, root: 0, height: 0, keys: 0, entries: 0 });
+            return Ok(PagedIndex { handle, leaf_count: 0, root: 0, height: 0, entries: 0 });
         }
 
         // Leaves.
@@ -263,7 +265,7 @@ impl PagedIndex {
             (next_page, level) = w.finish();
         }
         let root = next_page - 1;
-        Ok(PagedIndex { handle, leaf_count, root, height, keys, entries: n_entries })
+        Ok(PagedIndex { handle, leaf_count, root, height, entries: n_entries })
     }
 
     fn read_page_cells<T>(

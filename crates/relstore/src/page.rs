@@ -74,7 +74,7 @@ pub fn slot_count(buf: &[u8]) -> Result<usize, StoreError> {
 }
 
 /// Bytes still available for one more cell (cell bytes + its slot entry).
-pub fn free_space(buf: &[u8]) -> Result<usize, StoreError> {
+fn free_space(buf: &[u8]) -> Result<usize, StoreError> {
     let slots = slot_count(buf)?;
     let free_off = read_u16(buf, 2)? as usize;
     let dir_start = PAGE_SIZE

@@ -15,8 +15,7 @@ use crate::exec::{guard_err, scan_guarded, AccessPath, ColumnCmp, Conjunction};
 use crate::stats::ExecStats;
 use crate::table::{RowId, StoreError, Table};
 use std::borrow::Cow;
-use xsltdb_xpath::functions::number_order;
-use xsltdb_xpath::value::{arith, num_to_string, str_to_num, ArithOp, CmpOp};
+use xsltdb_xpath::value::{arith, num_to_string, sort_rows, str_to_num, ArithOp, CmpOp, SortValue};
 use xsltdb_xml::{Document, Guard, QName, SinkError, TextSink, TreeSink, XmlSink};
 
 /// Lower a sink refusal to the store's error type. Guard trips keep their
@@ -47,12 +46,12 @@ pub enum AggPredTerm {
 
 /// An `ORDER BY` key of an `XMLAgg` or of a base-table row source.
 ///
-/// `numeric` selects the comparison the XSLT tier mandates for
-/// `data-type="number"` sort keys: values are coerced with `str_to_num`
-/// and NaN (an unparseable key) sorts *first* ascending. Text keys
-/// compare byte-wise on the column's text rendering, mirroring the VM's
-/// `String::cmp` — not the datum's typed order, which would diverge on
-/// numeric columns sorted as text (`"10" < "9"`).
+/// Rows sort through `xsltdb_xpath::value::sort_rows`, the VM's own
+/// kernel. `numeric` marks a `data-type="number"` key: values are coerced
+/// with `str_to_num` and NaN (an unparseable key) sorts *first* ascending.
+/// Text keys compare byte-wise on the column's text rendering — not the
+/// datum's typed order, which would diverge on numeric columns sorted as
+/// text (`"10" < "9"`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AggOrder {
     pub column: String,
@@ -139,7 +138,7 @@ impl PubExpr {
     /// subquery tables, correlation *outer* tables, CASE condition tables.
     /// Mirrors the walk canonicalisation performs, so a canonical plan's
     /// slots cover exactly this set.
-    pub fn collect_tables(&self, out: &mut Vec<String>) {
+    fn collect_tables(&self, out: &mut Vec<String>) {
         fn push(out: &mut Vec<String>, t: &str) {
             if !out.iter().any(|x| x == t) {
                 out.push(t.to_string());
@@ -426,7 +425,7 @@ fn agg_rows(
 }
 
 fn order_rows(
-    mut rows: Vec<RowId>,
+    rows: Vec<RowId>,
     table: &str,
     order_by: &[AggOrder],
     catalog: &Catalog,
@@ -440,42 +439,26 @@ fn order_rows(
         let ci = t
             .col_index(&o.column)
             .ok_or_else(|| StoreError::new(format!("no column {} in {table}", o.column)))?;
-        cols.push((ci, o.descending, o.numeric));
+        cols.push((ci, o.numeric));
     }
-    // Decorate-sort-undecorate: fetch the key *text* once through the
-    // (fallible, possibly paged) access seam, then sort on the decoded
-    // keys with an infallible comparator. Stable, like the sort it
-    // replaces. The comparison is the XSLT tier's, not the datum's typed
-    // order — see [`AggOrder`].
+    // Fetch each key's text once through the (fallible, possibly paged)
+    // access seam, then sort with the XSLT tier's comparison, not the
+    // datum's typed order — see [`AggOrder`].
     let mut decorated = Vec::with_capacity(rows.len());
-    for r in rows.drain(..) {
+    for r in rows {
         let mut keys = Vec::with_capacity(cols.len());
-        for &(ci, _, _) in &cols {
-            keys.push(t.value(r, ci)?.to_text());
+        for &(ci, numeric) in &cols {
+            let text = t.value(r, ci)?.to_text();
+            keys.push(if numeric {
+                SortValue::Num(str_to_num(&text))
+            } else {
+                SortValue::Str(text)
+            });
         }
         decorated.push((keys, r));
     }
-    decorated.sort_by(|(ka, _), (kb, _)| {
-        for (i, &(_, desc, numeric)) in cols.iter().enumerate() {
-            let (Some(a), Some(b)) = (ka.get(i), kb.get(i)) else {
-                continue;
-            };
-            let mut ord = if numeric {
-                number_order(str_to_num(a), str_to_num(b))
-            } else {
-                a.cmp(b)
-            };
-            if desc {
-                ord = ord.reverse();
-            }
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
-    rows.extend(decorated.into_iter().map(|(_, r)| r));
-    Ok(rows)
+    let descending: Vec<bool> = order_by.iter().map(|o| o.descending).collect();
+    Ok(sort_rows(decorated, &descending))
 }
 
 /// A complete SQL/XML query: one publishing expression per row of a base

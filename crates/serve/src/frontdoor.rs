@@ -14,8 +14,8 @@ use xsltdb_relstore::XmlView;
 /// Everything tunable about a [`FrontDoor`].
 #[derive(Debug, Clone, Copy)]
 pub struct FrontDoorConfig {
-    /// Per-request guard budget; also the amount each request draws at
-    /// the admission gate.
+    /// Per-request guard budget; its output bytes are what each request
+    /// draws at the admission gate.
     pub limits: Limits,
     /// Fleet-wide ceilings, queue depth and default admission deadline.
     pub admission: AdmissionConfig,
@@ -190,8 +190,7 @@ impl FrontDoor {
             None
         };
 
-        let (fuel, bytes) = request_units(limits);
-        let _permit = self.queue.admit(fuel, bytes).map_err(ServeError::Rejected)?;
+        let _permit = self.queue.admit(request_bytes(limits)).map_err(ServeError::Rejected)?;
         let plan = plan_cached_shared(&self.cache, catalog, view, stylesheet_src, opts)
             .map_err(ServeError::Pipeline)?;
         let guard = make_guard(limits);
@@ -227,8 +226,8 @@ impl FrontDoor {
         }
         // The hit's bytes are in flight until the outcome is handed back:
         // a hit storm is bounded by the gate's byte ceiling like any other
-        // traffic (no fuel draw — nothing executes).
-        let permit = self.queue.admit(0, hit.bytes.len() as u64).map_err(ServeError::Rejected)?;
+        // traffic.
+        let permit = self.queue.admit(hit.bytes.len() as u64).map_err(ServeError::Rejected)?;
         let outcome = ServeOutcome {
             bytes: hit.bytes.to_vec(),
             tier: hit.tier,
@@ -260,13 +259,15 @@ fn result_key_tables(canon: &ViewCanon, view: &XmlView) -> Vec<String> {
     }
 }
 
-/// How much a request with these per-call limits draws at the gate.
-/// Unlimited axes reserve nothing on that axis (the stream slot still
-/// counts), so an unmetered dev config never overflows the counters.
-fn request_units(limits: Limits) -> (u64, u64) {
-    let fuel = if limits.fuel == u64::MAX { 0 } else { limits.fuel };
-    let bytes = if limits.max_output_bytes == u64::MAX { 0 } else { limits.max_output_bytes };
-    (fuel, bytes)
+/// How many bytes a request with these per-call limits draws at the gate.
+/// An unlimited byte budget draws none (the stream slot still counts), so
+/// an unmetered dev config never overflows the counter.
+fn request_bytes(limits: Limits) -> u64 {
+    if limits.max_output_bytes == u64::MAX {
+        0
+    } else {
+        limits.max_output_bytes
+    }
 }
 
 #[cfg(test)]
@@ -614,7 +615,7 @@ mod tests {
         let door = std::sync::Arc::new(small_door(1));
         let (catalog, view) = db_catalog(24, 7);
         // Hold the only stream slot via a raw admission.
-        let held = door.queue().admit(0, 0).unwrap();
+        let held = door.queue().admit(0).unwrap();
         let sheet = dbonerow_stylesheet(existing_id(24));
         let err = door
             .transform(&catalog, &view, &sheet, &RewriteOptions::default())

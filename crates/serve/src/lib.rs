@@ -7,8 +7,8 @@
 //! process. [`FrontDoor`] closes the gap with one admission gate from
 //! `xsltdb::admission`:
 //!
-//! 1. **Admit** — draw the request's full guard budget (fuel + output
-//!    bytes + one stream slot) against the fleet-wide ceilings of the
+//! 1. **Admit** — draw the request's output-byte budget and one stream
+//!    slot against the fleet-wide ceilings of the
 //!    [`AdmissionQueue`](xsltdb::admission::AdmissionQueue); shed with a
 //!    typed [`Rejected`](xsltdb::admission::Rejected) when capacity does
 //!    not free up within the deadline.

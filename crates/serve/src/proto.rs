@@ -39,7 +39,7 @@ pub enum Status {
 }
 
 impl Status {
-    pub fn from_byte(b: u8) -> Option<Status> {
+    fn from_byte(b: u8) -> Option<Status> {
         match b {
             0 => Some(Status::Ok),
             1 => Some(Status::Rejected),

@@ -327,7 +327,8 @@ impl Guard {
 
     /// Reset the wall-clock origin to now (for guards built ahead of time
     /// and reused).
-    pub fn restart_clock(&self) {
+    #[cfg(test)]
+    fn restart_clock(&self) {
         *lock(&self.core.started) = Instant::now();
         self.core.deadline_stride_left.store(0, Ordering::Relaxed);
     }
@@ -378,7 +379,7 @@ impl Guard {
     /// Read the wall clock and trip if the deadline has passed. Engines
     /// normally rely on the strided check inside [`Guard::charge`]; call
     /// this directly at coarse boundaries (per document, per tier).
-    pub fn check_deadline(&self) -> Result<(), GuardExceeded> {
+    fn check_deadline(&self) -> Result<(), GuardExceeded> {
         if let Some(trip) = *lock(&self.core.trip) {
             return Err(trip);
         }

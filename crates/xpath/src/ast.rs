@@ -266,7 +266,8 @@ impl Expr {
 
     /// If the expression is a simple relative child path (`a/b/c`), return
     /// the local names.
-    pub fn as_simple_child_path(&self) -> Option<Vec<&str>> {
+    #[cfg(test)]
+    fn as_simple_child_path(&self) -> Option<Vec<&str>> {
         match self {
             Expr::Path(p) if !p.absolute => {
                 let mut names = Vec::with_capacity(p.steps.len());

@@ -62,7 +62,8 @@ pub struct Env<'a> {
 }
 
 impl<'a> Env<'a> {
-    pub fn with_vars(vars: &'a dyn VarResolver) -> Self {
+    #[cfg(test)]
+    fn with_vars(vars: &'a dyn VarResolver) -> Self {
         Env { vars, current: None, assume_predicates: false, guard: Guard::unlimited() }
     }
 }
@@ -167,7 +168,7 @@ fn eval_binary(op: BinOp, l: &Expr, r: &Expr, ctx: &Ctx<'_>) -> Result<Value, XP
 }
 
 /// Evaluate a location path to a document-ordered node-set.
-pub fn eval_path(path: &LocationPath, ctx: &Ctx<'_>) -> Result<Vec<NodeId>, XPathError> {
+fn eval_path(path: &LocationPath, ctx: &Ctx<'_>) -> Result<Vec<NodeId>, XPathError> {
     let start = if path.absolute { vec![NodeId::DOCUMENT] } else { vec![ctx.node] };
     eval_steps(&path.steps, start, ctx)
 }

@@ -1,9 +1,11 @@
-//! XPath 1.0 value types, conversions, comparison and arithmetic — the
-//! one owner of XPath value semantics. The VM evaluates through it, and
-//! the XQuery and SQL tiers call [`compare`] and [`arith`] rather than
-//! carrying their own copies, so a comparison or a sum means the same on
-//! every tier.
+//! XPath 1.0 value types, conversions, comparison, arithmetic and sort
+//! order — the one owner of XPath value semantics. The VM evaluates
+//! through it, and the XQuery and SQL tiers call [`compare`], [`arith`]
+//! and [`sort_rows`] rather than carrying their own copies, so a
+//! comparison, a sum or a sort means the same on every tier.
 
+use crate::functions::number_order;
+use std::cmp::Ordering;
 use xsltdb_xml::{Document, NodeId};
 
 /// An XPath 1.0 value. Node-sets reference nodes of the context document and
@@ -17,10 +19,6 @@ pub enum Value {
 }
 
 impl Value {
-    pub fn empty_nodeset() -> Value {
-        Value::NodeSet(Vec::new())
-    }
-
     /// XPath `boolean()` conversion.
     pub fn boolean(&self) -> bool {
         match self {
@@ -263,6 +261,59 @@ where
     }
 }
 
+/// One sort key of one row, computed once before [`sort_rows`] runs.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SortValue {
+    Num(f64),
+    Str(String),
+}
+
+impl SortValue {
+    /// Ascending order: two strings compare byte-wise (code point order);
+    /// otherwise both compare as numbers under [`number_order`].
+    fn order(&self, other: &SortValue) -> Ordering {
+        match (self, other) {
+            (SortValue::Str(a), SortValue::Str(b)) => a.cmp(b),
+            (a, b) => number_order(a.number(), b.number()),
+        }
+    }
+
+    fn number(&self) -> f64 {
+        match self {
+            SortValue::Num(n) => *n,
+            SortValue::Str(s) => str_to_num(s),
+        }
+    }
+}
+
+/// The one multi-key sort, for `xsl:sort` on the VM, `order by` on the
+/// XQuery tier and `ORDER BY` on the SQL tier. Each row carries its keys,
+/// and `descending` gives each key's direction (a descending key puts NaN
+/// last). Stable: rows whose keys all tie keep their input order. A key
+/// that mixes numbers and strings across rows (only an XQuery key can)
+/// sorts every row as a number, so the order stays total.
+pub fn sort_rows<T>(mut rows: Vec<(Vec<SortValue>, T)>, descending: &[bool]) -> Vec<T> {
+    for k in 0..descending.len() {
+        let is_num = |r: &(Vec<SortValue>, T)| matches!(r.0.get(k), Some(SortValue::Num(_)));
+        if rows.iter().any(is_num) && !rows.iter().all(is_num) {
+            for (keys, _) in &mut rows {
+                if let Some(v @ SortValue::Str(_)) = keys.get_mut(k) {
+                    *v = SortValue::Num(v.number());
+                }
+            }
+        }
+    }
+    rows.sort_by(|(a, _), (b, _)| {
+        a.iter()
+            .zip(b)
+            .zip(descending)
+            .map(|((x, y), &desc)| if desc { y.order(x) } else { x.order(y) })
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+    });
+    rows.into_iter().map(|(_, row)| row).collect()
+}
+
 /// XPath 1.0 number-to-string rules: integers print with no decimal point,
 /// NaN prints as `NaN`, infinities as `Infinity`/`-Infinity`.
 pub fn num_to_string(n: f64) -> String {
@@ -308,7 +359,7 @@ mod tests {
 
     #[test]
     fn boolean_rules() {
-        assert!(!Value::empty_nodeset().boolean());
+        assert!(!Value::NodeSet(Vec::new()).boolean());
         assert!(Value::NodeSet(vec![NodeId(1)]).boolean());
         assert!(!Value::Num(0.0).boolean());
         assert!(!Value::Num(f64::NAN).boolean());
@@ -323,7 +374,7 @@ mod tests {
         let root = d.root_element().unwrap();
         let v = Value::NodeSet(vec![root]);
         assert_eq!(v.string(&d), "hello");
-        assert_eq!(Value::empty_nodeset().string(&d), "");
+        assert_eq!(Value::NodeSet(Vec::new()).string(&d), "");
     }
 
     #[test]
@@ -496,6 +547,65 @@ mod tests {
                 || (got == want && got.is_sign_negative() == want.is_sign_negative());
             assert!(same, "{a} {} {b} = {got}, want {want}", op.symbol());
         }
+    }
+
+    /// Sort rows tagged with their input index under one key direction;
+    /// return the tags in sorted order.
+    fn sorted(keys: Vec<Vec<SortValue>>, descending: &[bool]) -> Vec<usize> {
+        sort_rows(keys.into_iter().enumerate().map(|(i, k)| (k, i)).collect(), descending)
+    }
+
+    #[test]
+    fn sort_rows_edge_table() {
+        use SortValue::{Num, Str};
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let text = |s: &str| Str(s.to_string());
+        // (keys of each row, direction, expected order of the rows)
+        let rows: Vec<(Vec<SortValue>, bool, Vec<usize>)> = vec![
+            // NaN before -Infinity before numbers before +Infinity.
+            (vec![Num(1.0), Num(inf), Num(nan), Num(-inf)], false, vec![2, 3, 0, 1]),
+            // Descending puts NaN last.
+            (vec![Num(1.0), Num(inf), Num(nan), Num(-inf)], true, vec![1, 0, 3, 2]),
+            // -0 and 0 tie, so input order holds either way.
+            (vec![Num(0.0), Num(-0.0)], false, vec![0, 1]),
+            (vec![Num(-0.0), Num(0.0)], true, vec![0, 1]),
+            // Under a numeric key, "" and non-numeric text are NaN: they tie
+            // with NaN and come first.
+            (
+                vec![Num(3.0), Num(str_to_num("")), Num(str_to_num("x")), Num(nan)],
+                false,
+                vec![1, 2, 3, 0],
+            ),
+            // Text compares byte-wise: "10" < "9", upper case before lower.
+            (vec![text("9"), text("10"), text("a"), text("B")], false, vec![1, 0, 3, 2]),
+            // Non-BMP text: byte order (code points) puts U+FFFD before
+            // U+1F600, where UTF-16 order would not.
+            (vec![text("\u{1F600}"), text("\u{FFFD}"), text("\u{E000}")], false, vec![2, 1, 0]),
+            // A key that mixes kinds compares every row as a number: "10"
+            // is 10, and "x" and "" are NaN.
+            (vec![Num(9.0), text("10"), text("x"), Num(2.0)], false, vec![2, 3, 0, 1]),
+            (vec![text("9"), Num(10.0), Num(nan), text("")], false, vec![2, 3, 0, 1]),
+        ];
+        for (keys, desc, want) in rows {
+            let shown = format!("{keys:?}");
+            let got = sorted(keys.into_iter().map(|k| vec![k]).collect(), &[desc]);
+            assert_eq!(got, want, "{shown} desc={desc}");
+        }
+    }
+
+    #[test]
+    fn sort_rows_breaks_ties_by_later_keys_then_input_order() {
+        use SortValue::{Num, Str};
+        let row = |a: &str, b: f64| vec![Str(a.to_string()), Num(b)];
+        let keys = vec![row("b", 1.0), row("a", 2.0), row("a", 1.0), row("b", 1.0), row("a", 2.0)];
+        // Primary ascending, secondary ascending: full ties keep input order.
+        assert_eq!(sorted(keys.clone(), &[false, false]), vec![2, 1, 4, 0, 3]);
+        // Secondary descending: still stable within full ties.
+        assert_eq!(sorted(keys.clone(), &[false, true]), vec![1, 4, 2, 0, 3]);
+        // Primary descending: descending reverses the key, not the ties.
+        assert_eq!(sorted(keys, &[true, false]), vec![0, 3, 2, 1, 4]);
+        // No keys at all: input order.
+        assert_eq!(sorted(vec![vec![], vec![]], &[]), vec![0, 1]);
     }
 
     #[test]

@@ -18,14 +18,13 @@ pub enum Clause {
     Let { var: String, value: XqExpr },
 }
 
-/// One `order by` key.
+/// One `order by` key. The key's value says how it sorts: a number
+/// (`fn:number(...)` marks an `xsl:sort data-type="number"` key) sorts as
+/// a number, anything else as its string value.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OrderSpec {
     pub key: XqExpr,
     pub descending: bool,
-    /// Compare keys numerically (`xs:double(...)`-style); the XSLT rewrite
-    /// sets this for `data-type="number"` sort keys.
-    pub numeric: bool,
 }
 
 /// Sequence types accepted after `instance of`.

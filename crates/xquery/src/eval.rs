@@ -27,8 +27,9 @@ use xsltdb_xml::{
     QName, SinkError, TreeSink, XmlSink,
 };
 use xsltdb_xpath::axes::{axis_nodes, test_matches};
-use xsltdb_xpath::functions::number_order;
-use xsltdb_xpath::value::{arith, compare, num_to_string, str_to_num, Operand};
+use xsltdb_xpath::value::{
+    arith, compare, num_to_string, sort_rows, str_to_num, Operand, SortValue,
+};
 
 /// Evaluation error.
 #[derive(Debug, Clone, PartialEq)]
@@ -494,44 +495,23 @@ fn flwor<'q>(
     expand(clauses, where_clause, env, &mut tuples, &mut Vec::new())?;
 
     if !order_by.is_empty() {
-        // Decorate each tuple with its keys.
-        let mut decorated: Vec<(Vec<Item>, FlworTuple)> = Vec::with_capacity(tuples.len());
+        // Decorate each tuple with its keys, atomised once: a number sorts
+        // as a number, any other item as its string value.
+        let mut decorated = Vec::with_capacity(tuples.len());
         for t in tuples {
-            let depth = t.len();
-            for binding in &t {
-                env.vars.push(binding.clone());
-            }
-            let mut keys = Vec::with_capacity(order_by.len());
-            for o in order_by {
-                let k = eval(&o.key, env)?;
-                keys.push(k.first().map(|i| i.atomize()).unwrap_or(Item::Str(String::new())));
-            }
-            for _ in 0..depth {
-                env.vars.pop();
-            }
-            decorated.push((keys, t));
+            let depth = env.vars.len();
+            env.vars.extend(t.iter().cloned());
+            let keys: Result<Vec<Sequence>, _> =
+                order_by.iter().map(|o| eval(&o.key, env)).collect();
+            env.vars.truncate(depth);
+            let keys = keys?.into_iter().map(|k| match k.first() {
+                Some(Item::Num(n)) => SortValue::Num(*n),
+                item => SortValue::Str(item.map_or(String::new(), Item::to_string_value)),
+            });
+            decorated.push((keys.collect(), t));
         }
-        decorated.sort_by(|(ka, _), (kb, _)| {
-            use std::cmp::Ordering;
-            for (i, o) in order_by.iter().enumerate() {
-                let mut ord = if o.numeric
-                    || matches!(ka[i], Item::Num(_))
-                    || matches!(kb[i], Item::Num(_))
-                {
-                    number_order(ka[i].to_number(), kb[i].to_number())
-                } else {
-                    ka[i].to_string_value().cmp(&kb[i].to_string_value())
-                };
-                if o.descending {
-                    ord = ord.reverse();
-                }
-                if ord != Ordering::Equal {
-                    return ord;
-                }
-            }
-            Ordering::Equal
-        });
-        tuples = decorated.into_iter().map(|(_, t)| t).collect();
+        let descending: Vec<bool> = order_by.iter().map(|o| o.descending).collect();
+        tuples = sort_rows(decorated, &descending);
     }
     for t in tuples {
         let depth = env.vars.len();

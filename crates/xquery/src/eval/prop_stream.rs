@@ -96,11 +96,7 @@ fn expr_strategy() -> impl Strategy<Value = XqExpr> {
                     }],
                     where_clause: None,
                     order_by: if sorted {
-                        vec![OrderSpec {
-                            key: XqExpr::var("v"),
-                            descending: desc,
-                            numeric: false,
-                        }]
+                        vec![OrderSpec { key: XqExpr::var("v"), descending: desc }]
                     } else {
                         Vec::new()
                     },

@@ -323,7 +323,7 @@ impl<'a> Qp<'a> {
                     let _ = self.eat_kw("ascending");
                     false
                 };
-                order_by.push(OrderSpec { key, descending, numeric: false });
+                order_by.push(OrderSpec { key, descending });
                 if !self.eat(",") {
                     break;
                 }

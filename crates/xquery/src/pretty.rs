@@ -295,7 +295,8 @@ fn write_steps(steps: &[XqStep], start: &PathStart, level: usize, out: &mut Stri
             && s.predicates.is_empty()
             && i + 1 < steps.len();
         if collapsible && (!first || !matches!(start, PathStart::Context)) {
-            out.push('/'); // the caller printed one '/' already
+            // A leading step follows the '/' the caller printed.
+            out.push_str(if first { "/" } else { "//" });
             i += 1;
             write_step(&steps[i], level, out);
             first = false;
@@ -394,6 +395,8 @@ mod tests {
             "fn:concat(\"a\", fn:string($b))",
             "$var003/emp[sal > 2000]",
             "$var000//text()",
+            "$var002/.//zip",
+            "for $e in $x/emp order by fn:number($e/sal) descending return $e",
             "-(1 + 2)",
             "element {'x'} {1, 2}",
             "fn:string-join(for $t in $v//text() return fn:string($t), \" \")",

@@ -2,29 +2,12 @@
 
 use crate::ast::SortKey;
 use crate::error::XsltError;
-use std::cmp::Ordering;
 use xsltdb_xml::NodeId;
-use xsltdb_xpath::functions::number_order;
-
-/// One evaluated sort key value.
-#[derive(Debug, Clone)]
-enum KeyVal {
-    Num(f64),
-    Str(String),
-}
-
-impl KeyVal {
-    fn cmp_key(&self, other: &KeyVal) -> Ordering {
-        match (self, other) {
-            (KeyVal::Num(a), KeyVal::Num(b)) => number_order(*a, *b),
-            (KeyVal::Str(a), KeyVal::Str(b)) => a.cmp(b),
-            _ => Ordering::Equal,
-        }
-    }
-}
+use xsltdb_xpath::value::{sort_rows, str_to_num, SortValue};
 
 /// Sort `nodes` by `keys`, where `eval_key` evaluates one key expression in
-/// the context of one node (position/size per the pre-sort order).
+/// the context of one node (position/size per the pre-sort order). Ties
+/// keep document order.
 pub fn sort_nodes(
     nodes: &mut Vec<NodeId>,
     keys: &[SortKey],
@@ -34,33 +17,21 @@ pub fn sort_nodes(
         return Ok(());
     }
     let size = nodes.len();
-    let mut decorated: Vec<(Vec<KeyVal>, NodeId)> = Vec::with_capacity(nodes.len());
+    let mut decorated = Vec::with_capacity(size);
     for (i, &n) in nodes.iter().enumerate() {
-        let mut kvs = Vec::with_capacity(keys.len());
+        let mut vals = Vec::with_capacity(keys.len());
         for k in keys {
             let s = eval_key(k, n, i + 1, size)?;
-            kvs.push(if k.data_type_number {
-                KeyVal::Num(xsltdb_xpath::value::str_to_num(&s))
+            vals.push(if k.data_type_number {
+                SortValue::Num(str_to_num(&s))
             } else {
-                KeyVal::Str(s)
+                SortValue::Str(s)
             });
         }
-        kvs.shrink_to_fit();
-        decorated.push((kvs, n));
+        decorated.push((vals, n));
     }
-    decorated.sort_by(|(ka, _), (kb, _)| {
-        for (i, k) in keys.iter().enumerate() {
-            let mut ord = ka[i].cmp_key(&kb[i]);
-            if k.descending {
-                ord = ord.reverse();
-            }
-            if ord != Ordering::Equal {
-                return ord;
-            }
-        }
-        Ordering::Equal // stable sort preserves document order for ties
-    });
-    *nodes = decorated.into_iter().map(|(_, n)| n).collect();
+    let descending: Vec<bool> = keys.iter().map(|k| k.descending).collect();
+    *nodes = sort_rows(decorated, &descending);
     Ok(())
 }
 

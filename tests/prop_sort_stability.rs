@@ -16,6 +16,12 @@
 //!   materialised *and* when streamed through `execute_to_writer`,
 //! * **XQuery** — an injected SQL-tier fault degrades the same plan one
 //!   tier, and the fallback bytes must still match.
+//!
+//! Each sample also checks that the plan's printed XQuery re-parses to the
+//! query the XQuery tier runs, so a numeric key cannot print as a text one.
+
+#[path = "support/unannotated.rs"]
+mod unannotated;
 
 use proptest::prelude::*;
 use xsltdb::pipeline::{no_rewrite_transform, plan_bound, Tier};
@@ -169,6 +175,12 @@ fn check_sorted_tiers(rows: &[SortRow], sheet: &str) {
         "sorted stylesheet must reach the SQL tier: {:?}",
         bound.fallback_reason()
     );
+    let query = &bound.plan().rewrite.as_ref().expect("a SQL plan has a query").query;
+    let printed = xsltdb_xquery::pretty_query(query);
+    let reparsed = xsltdb_xquery::parse_query(&printed).expect("printed XQuery reparses");
+    let runs = unannotated::stripped(query);
+    assert_eq!(reparsed, runs, "printed XQuery is another query\n{printed}");
+
     let expected: String = no_rewrite_transform(&catalog, &view, bound.sheet(), &stats)
         .expect("baseline transforms")
         .documents

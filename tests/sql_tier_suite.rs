@@ -177,6 +177,46 @@ fn ordered_and_unordered_views_do_not_share_a_plan() {
     assert_eq!(cache.stats().misses, 2, "an ordered view must plan on its own");
 }
 
+/// Plan `sheet` over db rows, require the SQL tier, and check that it
+/// serves the VM's bytes, materialised and streamed, and that they hold
+/// `prefixed`: a prefixed name keeps its prefix on the SQL tier.
+fn assert_prefixed_names_survive(sheet: &str, prefixed: &str) {
+    let (catalog, view) = db_catalog(3, 1);
+    let (sql, vm) = sql_and_vm(&catalog, &view, sheet);
+    assert_eq!(sql, vm);
+    assert!(vm.contains(prefixed), "{vm}");
+    let (bound, streamed) = stream(&catalog, &view, sheet);
+    assert_eq!(bound.tier(), Tier::Sql);
+    assert_eq!(String::from_utf8(streamed).unwrap(), vm);
+}
+
+#[test]
+fn prefixed_literal_element_keeps_its_prefix_on_the_sql_tier() {
+    let sheet = r#"<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
+<xsl:template match="table"><p:r xmlns:p="urn:p"><xsl:apply-templates select="row"/></p:r></xsl:template>
+<xsl:template match="row"><id><xsl:value-of select="id"/></id></xsl:template>
+</xsl:stylesheet>"#;
+    assert_prefixed_names_survive(sheet, "<p:r");
+}
+
+#[test]
+fn prefixed_literal_attribute_keeps_its_prefix_on_the_sql_tier() {
+    let sheet = r#"<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform" xmlns:p="urn:p">
+<xsl:template match="table"><out><xsl:apply-templates select="row"/></out></xsl:template>
+<xsl:template match="row"><e p:a="{id}"/></xsl:template>
+</xsl:stylesheet>"#;
+    assert_prefixed_names_survive(sheet, r#"<e p:a="1"/>"#);
+}
+
+#[test]
+fn xsl_fo_sheet_keeps_its_prefixes_on_the_sql_tier() {
+    let sheet = r#"<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform" xmlns:fo="http://www.w3.org/1999/XSL/Format">
+<xsl:template match="table"><fo:root><xsl:apply-templates select="row"/></fo:root></xsl:template>
+<xsl:template match="row"><fo:block id="r{id}"><xsl:value-of select="lastname"/></fo:block></xsl:template>
+</xsl:stylesheet>"#;
+    assert_prefixed_names_survive(sheet, "<fo:root><fo:block id=\"r");
+}
+
 // ---- paged storage behind a fixed frame budget ------------------------
 
 /// Frames in the buffer pool at every scale: the rows grow 4×, the pool
